@@ -30,6 +30,7 @@ from .divergence import (
 )
 from .ngram import (
     Distribution,
+    GramCounts,
     NGramStats,
     count_ngrams,
     interpolate,

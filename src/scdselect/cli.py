@@ -16,6 +16,7 @@ import argparse
 import dataclasses
 import json
 import logging
+import math
 import sys
 from dataclasses import dataclass
 from pathlib import Path
@@ -102,8 +103,8 @@ def _nonneg_int(text: str) -> int:
 
 def _nonneg_float(text: str) -> float:
     value = float(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative number, got {text}")
+    if not (math.isfinite(value) and value >= 0):
+        raise argparse.ArgumentTypeError(f"expected a finite non-negative number, got {text}")
     return value
 
 
@@ -209,7 +210,7 @@ def build_parser() -> argparse.ArgumentParser:
                    help="query/pool interpolation weight (default 0.5)")
     p.add_argument("--seed", type=int, default=0, help="seed (random strategy)")
     p.add_argument("--threads", type=_positive_int, default=1,
-                   help="worker cap (selection currently runs single-threaded)")
+                   help="reserved: selection runs single-threaded and ignores this")
     p.add_argument("--output", required=True, help="report file to write")
     p.add_argument("--ids-output", default=None, help="id worklist file (default: <output>.ids)")
     p.set_defaults(func=cmd_select)

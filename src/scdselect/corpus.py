@@ -17,6 +17,7 @@ Audio manifests are ``<id>\\t<path>`` lines.
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Sequence
@@ -56,9 +57,13 @@ class LabelSequence:
             raise ValueError("utterance id must be non-empty")
         if "\t" in self.id or "\n" in self.id or "\r" in self.id:
             raise ValueError(f"utterance id {self.id!r} contains tab/newline")
-        if self.duration_s < 0:
-            raise ValueError(f"utterance {self.id!r}: duration_s must be >= 0")
-        object.__setattr__(self, "duration_s", float(self.duration_s))
+        duration = float(self.duration_s)
+        if not (math.isfinite(duration) and duration >= 0):
+            raise ValueError(
+                f"utterance {self.id!r}: duration_s must be a finite number >= 0, "
+                f"got {self.duration_s!r}"
+            )
+        object.__setattr__(self, "duration_s", duration)
         object.__setattr__(self, "labels", _as_label_array(self.labels))
 
     def __len__(self) -> int:
@@ -201,6 +206,10 @@ def load_label_corpus(path: str | Path, source_tag: str | None = None) -> LabelC
                     raise CorpusFormatError(
                         f"{path}:{lineno}: bad duration {duration_text!r}"
                     ) from None
+                if not math.isfinite(duration_s):
+                    raise CorpusFormatError(
+                        f"{path}:{lineno}: duration {duration_text!r} is not finite"
+                    )
             if label_text:
                 try:
                     labels = np.array(label_text.split(" "), dtype=LABEL_DTYPE)

@@ -1,7 +1,8 @@
 """KL divergence between smoothed gram distributions.
 
 The divergence of p from q is summed explicitly over the union of the two
-sparse supports; the remaining (K**N - |union|) grams, unseen in both
+sparse supports (p's sorted codes, looked up in q's by binary search, then
+q's codes that p lacks); the remaining (K**N - |union|) grams, unseen in both
 operands, all share the constant floor probabilities of the two sides and
 contribute one closed-form term. The result is therefore a pure function of
 the two distributions, independent of how their supports are represented.
@@ -18,7 +19,18 @@ from typing import Iterable
 import numpy as np
 
 from .corpus import LabelSequence
-from .ngram import Distribution, Gram, NGramStats, sequence_gram_counts
+from .ngram import (
+    Distribution,
+    GramCounts,
+    NGramStats,
+    check_encodable,
+    code_positions,
+    decode_gram,
+    merge_counts,
+    sequence_codes,
+    smoothed_distribution,
+    values_at,
+)
 
 
 class DivergenceUndefinedError(ValueError):
@@ -48,21 +60,24 @@ def scd(p: Distribution, q: Distribution) -> ScdValue:
     if p.alphabet_size != q.alphabet_size:
         raise ValueError(f"alphabet mismatch: {p.alphabet_size} vs {q.alphabet_size}")
 
-    union = set(p.explicit) | set(q.explicit)
-    explicit_sum = 0.0
-    for gram in union:
-        pp = p.explicit.get(gram, p.floor)
-        if pp <= 0.0:
-            continue
-        qq = q.explicit.get(gram, q.floor)
-        if qq <= 0.0:
-            raise DivergenceUndefinedError(
-                f"q has zero probability at gram {gram} where p is positive; "
-                "divergence is undefined (use alpha > 0)"
-            )
-        explicit_sum += pp * math.log(pp / qq)
+    # The union of the supports: p's codes, then q's codes that p lacks.
+    q_only = ~code_positions(p.codes, q.codes)[1]
+    codes = np.concatenate((p.codes, q.codes[q_only]))
+    pp = np.concatenate((p.explicit, np.full(codes.shape[0] - p.codes.shape[0], p.floor)))
+    qq = np.concatenate((q.lookup(p.codes), q.explicit[q_only]))
 
-    remaining = p.support_size - len(union)
+    live = pp > 0.0
+    undefined = live & (qq <= 0.0)
+    if undefined.any():
+        gram = decode_gram(int(codes[undefined].min()), p.alphabet_size, p.order)
+        raise DivergenceUndefinedError(
+            f"q has zero probability at gram {gram} where p is positive; "
+            "divergence is undefined (use alpha > 0)"
+        )
+    pp, qq = pp[live], qq[live]
+    explicit_sum = float(np.sum(pp * np.log(pp / qq)))
+
+    remaining = p.support_size - codes.shape[0]
     implicit = 0.0
     if remaining > 0 and p.floor > 0.0:
         if q.floor <= 0.0:
@@ -74,38 +89,60 @@ def scd(p: Distribution, q: Distribution) -> ScdValue:
 
     return ScdValue(
         nats=explicit_sum + implicit,
-        support_terms=len(union),
+        support_terms=int(codes.shape[0]),
         implicit_mass=implicit,
     )
 
 
-@dataclass
+def _no_codes() -> np.ndarray:
+    return np.empty(0, dtype=np.int64)
+
+
+@dataclass(eq=False)
 class CandidateStats:
     """Mutable gram counts for a growing candidate subset.
 
-    One instance per worker: concurrent mutation is not synchronized here.
+    ``codes`` (sorted gram codes) and ``code_counts`` are replaced, never
+    written in place, so copies may share them. One instance per worker:
+    concurrent mutation is not synchronized here.
     """
 
     order: int
     alphabet_size: int
     alpha: float
-    counts: dict[Gram, int] = field(default_factory=dict)
+    codes: np.ndarray = field(default_factory=_no_codes)
+    code_counts: np.ndarray = field(default_factory=_no_codes)
     total: int = 0
+
+    def __post_init__(self):
+        check_encodable(self.alphabet_size, self.order)
+
+    @property
+    def counts(self) -> GramCounts:
+        return GramCounts(self.order, self.alphabet_size, self.codes, self.code_counts)
 
     def add(self, labels: LabelSequence | Iterable[int]) -> None:
         """Fold one utterance's gram counts into the accumulator."""
-        for gram, count in sequence_gram_counts(
-            _label_array(labels), self.order, self.alphabet_size
-        ).items():
-            self.counts[gram] = self.counts.get(gram, 0) + count
-            self.total += count
+        labels = _label_array(labels)
+        if labels.size and (labels.min() < 0 or labels.max() >= self.alphabet_size):
+            raise ValueError(f"labels outside [0, {self.alphabet_size})")
+        codes, counts = sequence_codes(labels, self.order, self.alphabet_size)
+        if codes.shape[0] == 0:
+            return
+        self.codes, self.code_counts = merge_counts(self.codes, self.code_counts, codes, counts)
+        self.total += int(counts.sum())
+
+    def count_at(self, codes: np.ndarray) -> np.ndarray:
+        """Subset count of each gram code in ``codes`` (zero where unseen)."""
+        return values_at(self.codes, self.code_counts, codes, 0)
 
     def copy(self) -> "CandidateStats":
         return CandidateStats(
             order=self.order,
             alphabet_size=self.alphabet_size,
             alpha=self.alpha,
-            counts=dict(self.counts),
+            codes=self.codes,
+            code_counts=self.code_counts,
             total=self.total,
         )
 
@@ -113,13 +150,15 @@ class CandidateStats:
         return NGramStats(
             order=self.order,
             alphabet_size=self.alphabet_size,
-            counts=dict(self.counts),
+            counts=self.counts,
             total=self.total,
             smoothing_alpha=self.alpha,
         )
 
     def distribution(self) -> Distribution:
-        return self.to_stats().distribution()
+        return smoothed_distribution(
+            self.order, self.alphabet_size, self.codes, self.code_counts, self.total, self.alpha
+        )
 
 
 def _label_array(labels: LabelSequence | Iterable[int]) -> np.ndarray:
@@ -138,11 +177,6 @@ def scd_incremental(
     ``base`` is left untouched; the result is exactly what a from-scratch
     recount of the extended subset would give.
     """
-    labels = _label_array(addition)
-    if labels.size and (labels.min() < 0 or labels.max() >= base.alphabet_size):
-        raise ValueError(
-            f"addition has labels outside [0, {base.alphabet_size})"
-        )
     merged = base.copy()
-    merged.add(labels)
+    merged.add(addition)
     return scd(query, merged.distribution())

@@ -2,8 +2,12 @@
 
 Counts are per-utterance sliding windows: a gram never spans two utterances
 and no padding symbols are invented, so a sequence shorter than N contributes
-nothing. Storage is sparse (dict keyed by gram tuple); the full support size
-K**N enters only the smoothing denominator, as an exact Python integer.
+nothing. Storage is sparse: a gram (l_1, ..., l_N) is packed into the int64
+mixed-radix code ``l_1 * K**(N-1) + ... + l_N``, so ascending code order is
+lexicographic gram order, and a support is a sorted code array with an
+aligned count or probability array. The full support size K**N enters only
+the smoothing denominator, as an exact Python integer; it must not exceed
+2**62, so every code fits in int64.
 
 The smoothed probability of any gram l, seen or not, is
 
@@ -15,9 +19,10 @@ alpha > 0.
 
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Mapping
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -25,16 +30,246 @@ from .corpus import LabelCorpus
 
 Gram = tuple[int, ...]
 
-# Above this support size, dense enumeration helpers refuse to materialize.
+# Above this support size, dense enumeration helpers refuse to materialize,
+# and tallies sort their keys instead of counting into a dense vector.
 DENSE_SUPPORT_LIMIT = 4_000_000
 
-# Window codes are packed into int64 while K**order fits.
+# Gram codes are int64, so K**order must stay at or below this.
 _ENCODE_LIMIT = 2**62
+
+# Labels per batch when counting a corpus.
+_COUNT_BATCH = 1 << 16
+
+# Tally densely while the count vector is at most this many times the keys.
+_DENSE_FILL = 4
+
+_EMPTY_CODES = np.empty(0, dtype=np.int64)
+_EMPTY_CODES.flags.writeable = False
+
+
+def check_encodable(alphabet_size: int, order: int) -> None:
+    """Raise ValueError when K**order grams do not fit in int64 codes."""
+    if alphabet_size**order > _ENCODE_LIMIT:
+        raise ValueError(
+            f"alphabet size K={alphabet_size} at order {order} gives "
+            f"{alphabet_size}**{order} grams, more than int64 gram codes can hold "
+            "(limit 2**62); use a lower order or a smaller alphabet"
+        )
+
+
+def _radix(alphabet_size: int, order: int) -> np.ndarray:
+    return alphabet_size ** np.arange(order - 1, -1, -1, dtype=np.int64)
+
+
+def decode_codes(codes: np.ndarray, alphabet_size: int, order: int) -> np.ndarray:
+    """(n, order) label array of the grams behind ``codes``."""
+    return np.asarray(codes, dtype=np.int64)[:, None] // _radix(alphabet_size, order) % alphabet_size
+
+
+def decode_gram(code: int, alphabet_size: int, order: int) -> Gram:
+    """The gram tuple behind one code."""
+    return tuple(decode_codes(np.array([code]), alphabet_size, order)[0].tolist())
+
+
+def _gram_code(gram: Iterable[int], alphabet_size: int, order: int) -> int:
+    gram = tuple(int(g) for g in gram)
+    if len(gram) != order:
+        raise ValueError(f"gram {gram} has wrong order (expected {order})")
+    if any(g < 0 or g >= alphabet_size for g in gram):
+        raise ValueError(f"gram {gram} outside alphabet [0, {alphabet_size})")
+    return int(np.dot(gram, _radix(alphabet_size, order)))
+
+
+def _window_codes(labels: np.ndarray, order: int, alphabet_size: int) -> np.ndarray:
+    """Encode every length-``order`` window of one sequence as an int64 code."""
+    n_windows = labels.shape[0] - order + 1
+    if n_windows <= 0:
+        return _EMPTY_CODES
+    codes = np.zeros(n_windows, dtype=np.int64)
+    for j in range(order):
+        codes *= alphabet_size
+        codes += labels[j : j + n_windows]
+    return codes
+
+
+def run_starts(sorted_codes: np.ndarray) -> np.ndarray:
+    """Start index of each run of equal values in a sorted array."""
+    first = np.ones(sorted_codes.shape[0], dtype=bool)
+    np.not_equal(sorted_codes[1:], sorted_codes[:-1], out=first[1:])
+    return np.flatnonzero(first)
+
+
+def merge_counts(
+    codes_a: np.ndarray, counts_a: np.ndarray, codes_b: np.ndarray, counts_b: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Sum of two sorted code/count tables, as one sorted table."""
+    codes = np.concatenate((codes_a, codes_b))
+    if codes.shape[0] == 0:
+        return _EMPTY_CODES, _EMPTY_CODES
+    # A stable sort of two ascending runs is a linear merge.
+    order = np.argsort(codes, kind="stable")
+    codes = codes[order]
+    starts = run_starts(codes)
+    return codes[starts], np.add.reduceat(np.concatenate((counts_a, counts_b))[order], starts)
+
+
+def code_positions(sorted_codes: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Index of each of ``codes`` in ``sorted_codes`` and whether it is there.
+
+    Indices of absent codes are clipped into range and mean nothing.
+    """
+    if sorted_codes.shape[0] == 0:
+        return np.zeros(codes.shape, dtype=np.intp), np.zeros(codes.shape, dtype=bool)
+    index = np.searchsorted(sorted_codes, codes)
+    np.minimum(index, sorted_codes.shape[0] - 1, out=index)
+    return index, sorted_codes[index] == codes
+
+
+def values_at(
+    sorted_codes: np.ndarray, values: np.ndarray, codes: np.ndarray, fill
+) -> np.ndarray:
+    """``values[i]`` wherever ``codes`` holds ``sorted_codes[i]``, ``fill`` elsewhere."""
+    index, found = code_positions(sorted_codes, codes)
+    out = np.full(codes.shape, fill, dtype=values.dtype)
+    out[found] = values[index[found]]
+    return out
+
+
+def _tally(chunks: Iterable[np.ndarray], n_keys: int, space: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values, ascending, and their counts over chunks of int64 keys.
+
+    ``n_keys`` is the total chunk length and every key lies in ``[0, space)``.
+    Keys are tallied in a dense count vector when it is small next to the
+    keys, and sorted otherwise.
+    """
+    if space > min(DENSE_SUPPORT_LIMIT, _DENSE_FILL * n_keys):
+        keys = np.sort(np.concatenate(list(chunks)) if n_keys else _EMPTY_CODES)
+        starts = run_starts(keys)
+        return keys[starts], np.diff(starts, append=keys.shape[0])
+    dense = np.zeros(space, dtype=np.int64)
+    for chunk in chunks:
+        dense += np.bincount(chunk, minlength=space)
+    keys = np.flatnonzero(dense).astype(np.int64, copy=False)
+    return keys, dense[keys]
+
+
+def _inside_windows(sequences: Sequence[np.ndarray], order: int, alphabet_size: int) -> np.ndarray:
+    """Window codes of several sequences, in order; no window spans two sequences."""
+    lengths = np.array([seq.shape[0] for seq in sequences], dtype=np.int64)
+    flat = _window_codes(np.concatenate(sequences), order, alphabet_size)
+    if order == 1:
+        return flat
+    windows = np.maximum(lengths - order + 1, 0)
+    shift = np.cumsum(lengths) - lengths - (np.cumsum(windows) - windows)
+    return flat[np.arange(int(windows.sum())) + np.repeat(shift, windows)]
+
+
+def _window_batches(
+    sequences: Sequence[np.ndarray], order: int, alphabet_size: int
+) -> Iterator[np.ndarray]:
+    """:func:`_inside_windows` over runs of sequences holding about ``_COUNT_BATCH`` labels."""
+    start = size = 0
+    for end, seq in enumerate(sequences, start=1):
+        size += seq.shape[0]
+        if size >= _COUNT_BATCH or end == len(sequences):
+            yield _inside_windows(sequences[start:end], order, alphabet_size)
+            start, size = end, 0
+
+
+def grouped_codes(
+    sequences: Sequence[np.ndarray], order: int, alphabet_size: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Gram counts of several label sequences, tallied in one pass.
+
+    Returns ``(codes, rows, counts)``: ``counts[i]`` windows of
+    ``sequences[rows[i]]`` have code ``codes[i]``. Entries are ordered by
+    code, then by row, and each (code, row) pair appears once.
+    ``len(sequences) * K**order`` must not exceed 2**62 (see
+    :func:`group_limit`).
+    """
+    n_rows = len(sequences)
+    if n_rows > group_limit(alphabet_size, order):
+        raise ValueError(f"too many sequences ({n_rows}) to key in int64")
+    lengths = np.array([seq.shape[0] for seq in sequences], dtype=np.int64)
+    windows = np.maximum(lengths - order + 1, 0)
+    n_windows = int(windows.sum())
+    if n_windows == 0:
+        return _EMPTY_CODES, _EMPTY_CODES, _EMPTY_CODES
+    # Key each window as code * n_rows + row, so that one tally groups them.
+    flat = _inside_windows(sequences, order, alphabet_size)
+    flat *= n_rows
+    flat += np.repeat(np.arange(n_rows, dtype=np.int64), windows)
+    keys, counts = _tally([flat], n_windows, n_rows * alphabet_size**order)
+    codes = keys // n_rows
+    return codes, keys - codes * n_rows, counts
+
+
+def group_limit(alphabet_size: int, order: int) -> int:
+    """Most sequences :func:`grouped_codes` can take at once."""
+    return max(1, _ENCODE_LIMIT // alphabet_size**order)
+
+
+def sequence_codes(labels, order: int, alphabet_size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct gram codes of one label sequence, ascending, and their counts."""
+    codes = np.sort(_window_codes(np.asarray(labels).reshape(-1), order, alphabet_size))
+    starts = run_starts(codes)
+    return codes[starts], np.diff(starts, append=codes.shape[0])
+
+
+class GramCounts(Mapping):
+    """Read-only ``gram tuple -> count`` view of sorted codes and aligned counts.
+
+    Iteration yields grams in lexicographic order. Only counts >= 1 are held.
+    """
+
+    __slots__ = ("order", "alphabet_size", "codes", "code_counts")
+
+    def __init__(self, order: int, alphabet_size: int, codes: np.ndarray, code_counts: np.ndarray):
+        self.order = order
+        self.alphabet_size = alphabet_size
+        self.codes = codes
+        self.code_counts = code_counts
+
+    @classmethod
+    def from_mapping(cls, counts: Mapping, order: int, alphabet_size: int) -> "GramCounts":
+        """Validated, encoded copy of a ``gram tuple -> count`` mapping."""
+        codes = np.empty(len(counts), dtype=np.int64)
+        tallies = np.empty(len(counts), dtype=np.int64)
+        for i, (gram, count) in enumerate(counts.items()):
+            if count < 1:
+                raise ValueError(f"gram {gram} has non-positive count {count}")
+            codes[i] = _gram_code(gram, alphabet_size, order)
+            tallies[i] = count
+        rank = np.argsort(codes)
+        return cls(order, alphabet_size, codes[rank], tallies[rank])
+
+    def __len__(self) -> int:
+        return int(self.codes.shape[0])
+
+    def __iter__(self) -> Iterator[Gram]:
+        return map(tuple, decode_codes(self.codes, self.alphabet_size, self.order).tolist())
+
+    def __getitem__(self, gram) -> int:
+        try:
+            code = _gram_code(gram, self.alphabet_size, self.order)
+        except (TypeError, ValueError):
+            raise KeyError(gram) from None
+        count = int(values_at(self.codes, self.code_counts, np.array([code]), 0)[0])
+        if count == 0:
+            raise KeyError(gram)
+        return count
+
+    def __repr__(self) -> str:
+        return f"GramCounts({dict(zip(self, self.code_counts.tolist()))!r})"
 
 
 @dataclass(frozen=True)
 class NGramStats:
-    """Sparse gram counts for one corpus at a fixed order."""
+    """Sparse gram counts for one corpus at a fixed order.
+
+    ``counts`` may be given as any ``gram tuple -> count`` mapping; it is
+    stored as a :class:`GramCounts` over sorted codes.
+    """
 
     order: int
     alphabet_size: int
@@ -49,15 +284,22 @@ class NGramStats:
             raise ValueError("alphabet_size must be >= 1")
         if self.smoothing_alpha < 0:
             raise ValueError("smoothing alpha must be >= 0")
-        if self.total != sum(self.counts.values()):
+        check_encodable(self.alphabet_size, self.order)
+        counts = self.counts
+        if not isinstance(counts, GramCounts):
+            counts = GramCounts.from_mapping(counts, self.order, self.alphabet_size)
+            object.__setattr__(self, "counts", counts)
+        if (counts.order, counts.alphabet_size) != (self.order, self.alphabet_size):
+            raise ValueError("count map has a different order or alphabet")
+        codes = counts.codes
+        if codes.shape[0] and (
+            codes[0] < 0 or codes[-1] >= self.support_size or np.any(codes[1:] <= codes[:-1])
+        ):
+            raise ValueError("count map codes must be distinct, ascending and in range")
+        if codes.shape[0] and counts.code_counts.min() < 1:
+            raise ValueError("count map holds a non-positive count")
+        if self.total != int(counts.code_counts.sum()):
             raise ValueError("total does not match the sum of the count map")
-        for gram, count in self.counts.items():
-            if len(gram) != self.order:
-                raise ValueError(f"gram {gram} has wrong order (expected {self.order})")
-            if count < 1:
-                raise ValueError(f"gram {gram} has non-positive count {count}")
-            if any(g < 0 or g >= self.alphabet_size for g in gram):
-                raise ValueError(f"gram {gram} outside alphabet [0, {self.alphabet_size})")
 
     @property
     def support_size(self) -> int:
@@ -65,47 +307,43 @@ class NGramStats:
 
     def distribution(self) -> "Distribution":
         """Smoothed probability view of these counts."""
-        denom = self.total + self.smoothing_alpha * float(self.support_size)
-        if denom <= 0:
-            raise ValueError(
-                "cannot form a distribution from empty counts with alpha=0; "
-                "use alpha > 0 or non-empty stats"
-            )
-        explicit = {gram: (count + self.smoothing_alpha) / denom for gram, count in self.counts.items()}
-        floor = self.smoothing_alpha / denom
-        return Distribution(
-            order=self.order,
-            alphabet_size=self.alphabet_size,
-            explicit=explicit,
-            floor=floor,
+        return smoothed_distribution(
+            self.order,
+            self.alphabet_size,
+            self.counts.codes,
+            self.counts.code_counts,
+            self.total,
+            self.smoothing_alpha,
         )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Distribution:
     """Categorical distribution over all K**N grams.
 
-    ``explicit`` holds probabilities for an enumerated sparse support; every
-    other gram has probability ``floor`` (constant, possibly zero).
+    ``explicit[i]`` is the probability of the gram with code ``codes[i]``
+    (``codes`` sorted ascending, distinct); every other gram has probability
+    ``floor`` (constant, possibly zero).
     """
 
     order: int
     alphabet_size: int
-    explicit: Mapping[Gram, float]
+    codes: np.ndarray
+    explicit: np.ndarray
     floor: float
 
     @property
     def support_size(self) -> int:
         return self.alphabet_size**self.order
 
+    def lookup(self, codes: np.ndarray) -> np.ndarray:
+        """Probabilities of the grams behind ``codes`` (seen or unseen)."""
+        return values_at(self.codes, self.explicit, codes, self.floor)
+
     def probability(self, gram: Iterable[int]) -> float:
         """Smoothed probability of one gram (seen or unseen)."""
-        gram = tuple(int(g) for g in gram)
-        if len(gram) != self.order:
-            raise ValueError(f"gram {gram} has wrong order (expected {self.order})")
-        if any(g < 0 or g >= self.alphabet_size for g in gram):
-            raise ValueError(f"gram {gram} outside alphabet [0, {self.alphabet_size})")
-        return self.explicit.get(gram, self.floor)
+        code = _gram_code(gram, self.alphabet_size, self.order)
+        return float(self.lookup(np.array([code], dtype=np.int64))[0])
 
     def to_dense(self) -> np.ndarray:
         """All K**N probabilities in lexicographic gram order (small supports only)."""
@@ -113,58 +351,39 @@ class Distribution:
         if size > DENSE_SUPPORT_LIMIT:
             raise ValueError(f"support size {size} too large to materialize")
         dense = np.full(size, self.floor, dtype=np.float64)
-        for gram, prob in self.explicit.items():
-            dense[_encode_gram(gram, self.alphabet_size)] = prob
+        dense[self.codes] = self.explicit
         return dense
 
 
-def _encode_gram(gram: Gram, alphabet_size: int) -> int:
-    code = 0
-    for g in gram:
-        code = code * alphabet_size + int(g)
-    return code
+def smoothed_distribution(
+    order: int,
+    alphabet_size: int,
+    codes: np.ndarray,
+    code_counts: np.ndarray,
+    total: int,
+    alpha: float,
+) -> Distribution:
+    """Add-alpha smoothed view of sorted codes and their counts."""
+    denom = total + alpha * float(alphabet_size**order)
+    if denom <= 0:
+        raise ValueError(
+            "cannot form a distribution from empty counts with alpha=0; "
+            "use alpha > 0 or non-empty stats"
+        )
+    return Distribution(
+        order=order,
+        alphabet_size=alphabet_size,
+        codes=codes,
+        explicit=(code_counts + alpha) / denom,
+        floor=alpha / denom,
+    )
 
 
-def _decode_code(code: int, alphabet_size: int, order: int) -> Gram:
-    out = []
-    for _ in range(order):
-        code, rem = divmod(code, alphabet_size)
-        out.append(int(rem))
-    return tuple(reversed(out))
-
-
-def _window_codes(labels: np.ndarray, order: int, alphabet_size: int) -> np.ndarray:
-    """Encode every length-``order`` window of one sequence as an int64 code."""
-    n_windows = labels.shape[0] - order + 1
-    codes = np.zeros(n_windows, dtype=np.int64)
-    labels64 = labels.astype(np.int64, copy=False)
-    for j in range(order):
-        codes *= alphabet_size
-        codes += labels64[j : j + n_windows]
-    return codes
-
-
-def sequence_gram_counts(labels, order: int, alphabet_size: int) -> dict[Gram, int]:
+def sequence_gram_counts(labels, order: int, alphabet_size: int) -> GramCounts:
     """Sliding-window gram counts of a single label sequence."""
-    labels = np.asarray(labels).reshape(-1)
-    if labels.shape[0] < order:
-        return {}
-    if order == 1:
-        dense = np.bincount(labels)
-        nonzero = np.nonzero(dense)[0]
-        return {(int(g),): int(dense[g]) for g in nonzero}
-    if alphabet_size**order <= _ENCODE_LIMIT:
-        codes, counts = np.unique(_window_codes(labels, order, alphabet_size), return_counts=True)
-        return {
-            _decode_code(int(code), alphabet_size, order): int(count)
-            for code, count in zip(codes, counts)
-        }
-    out: dict[Gram, int] = {}
-    values = labels.tolist()
-    for i in range(len(values) - order + 1):
-        gram = tuple(values[i : i + order])
-        out[gram] = out.get(gram, 0) + 1
-    return out
+    check_encodable(alphabet_size, order)
+    codes, counts = sequence_codes(labels, order, alphabet_size)
+    return GramCounts(order, alphabet_size, codes, counts)
 
 
 def count_ngrams(corpus: LabelCorpus, order: int, alpha: float = 0.5) -> NGramStats:
@@ -174,40 +393,18 @@ def count_ngrams(corpus: LabelCorpus, order: int, alpha: float = 0.5) -> NGramSt
     if alpha < 0:
         raise ValueError("smoothing alpha must be >= 0")
     k = corpus.alphabet_size
-
-    counts: dict[Gram, int]
-    if order == 1:
-        dense = np.zeros(k, dtype=np.int64)
-        for seq in corpus:
-            if len(seq):
-                dense += np.bincount(seq.labels, minlength=k)
-        nonzero = np.nonzero(dense)[0]
-        counts = {(int(g),): int(dense[g]) for g in nonzero}
-    elif k**order <= _ENCODE_LIMIT:
-        chunks = [
-            _window_codes(seq.labels, order, k) for seq in corpus if len(seq) >= order
-        ]
-        if chunks:
-            codes, code_counts = np.unique(np.concatenate(chunks), return_counts=True)
-            counts = {
-                _decode_code(int(code), k, order): int(count)
-                for code, count in zip(codes, code_counts)
-            }
-        else:
-            counts = {}
-    else:
-        counts = {}
-        for seq in corpus:
-            labels = seq.labels.tolist()
-            for i in range(len(labels) - order + 1):
-                gram = tuple(labels[i : i + order])
-                counts[gram] = counts.get(gram, 0) + 1
-
+    check_encodable(k, order)
+    sequences = [seq.labels for seq in corpus]
+    codes, counts = _tally(
+        _window_batches(sequences, order, k),
+        sum(max(seq.shape[0] - order + 1, 0) for seq in sequences),
+        k**order,
+    )
     return NGramStats(
         order=order,
         alphabet_size=k,
-        counts=counts,
-        total=sum(counts.values()),
+        counts=GramCounts(order, k, codes, counts),
+        total=int(counts.sum()),
         smoothing_alpha=alpha,
     )
 
@@ -218,12 +415,13 @@ def prune(stats: NGramStats, min_count: int) -> NGramStats:
         raise ValueError("min_count must be >= 0")
     if min_count == 0:
         return stats
-    kept = {gram: count for gram, count in stats.counts.items() if count >= min_count}
+    keep = stats.counts.code_counts >= min_count
+    kept = stats.counts.code_counts[keep]
     return NGramStats(
         order=stats.order,
         alphabet_size=stats.alphabet_size,
-        counts=kept,
-        total=sum(kept.values()),
+        counts=GramCounts(stats.order, stats.alphabet_size, stats.counts.codes[keep], kept),
+        total=int(kept.sum()),
         smoothing_alpha=stats.smoothing_alpha,
     )
 
@@ -238,18 +436,15 @@ def interpolate(q: NGramStats, u: NGramStats, lam: float) -> Distribution:
         raise ValueError(f"lambda must be in [0, 1], got {lam}")
     dist_q = q.distribution()
     dist_u = u.distribution()
-    union = set(dist_q.explicit) | set(dist_u.explicit)
-    explicit = {
-        gram: lam * dist_q.explicit.get(gram, dist_q.floor)
-        + (1.0 - lam) * dist_u.explicit.get(gram, dist_u.floor)
-        for gram in union
-    }
-    floor = lam * dist_q.floor + (1.0 - lam) * dist_u.floor
+    # A stable sort of two ascending runs is a linear merge.
+    codes = np.sort(np.concatenate((dist_q.codes, dist_u.codes)), kind="stable")
+    codes = codes[run_starts(codes)]
     return Distribution(
         order=q.order,
         alphabet_size=q.alphabet_size,
-        explicit=explicit,
-        floor=floor,
+        codes=codes,
+        explicit=lam * dist_q.lookup(codes) + (1.0 - lam) * dist_u.lookup(codes),
+        floor=lam * dist_q.floor + (1.0 - lam) * dist_u.floor,
     )
 
 
@@ -258,6 +453,7 @@ def save_stats_dump(
 ) -> None:
     """Write counts as ``<gram>\\t<count>`` lines under a small header, for diffing."""
     path = Path(path)
+    grams = decode_codes(stats.counts.codes, stats.alphabet_size, stats.order).tolist()
     with path.open("w", encoding="utf-8", newline="\n") as handle:
         handle.write(f"#order={stats.order}\n")
         handle.write(f"#K={stats.alphabet_size}\n")
@@ -265,6 +461,6 @@ def save_stats_dump(
         handle.write(f"#alpha={stats.smoothing_alpha!r}\n")
         for comment in comments:
             handle.write(f"#{comment}\n")
-        for gram in sorted(stats.counts):
+        for gram, count in zip(grams, stats.counts.code_counts.tolist()):
             gram_text = " ".join(map(str, gram))
-            handle.write(f"{gram_text}\t{stats.counts[gram]}\n")
+            handle.write(f"{gram_text}\t{count}\n")

@@ -29,14 +29,16 @@ import numpy as np
 from .corpus import LabelCorpus, LabelSequence, sort_by_length
 from .divergence import CandidateStats, ScdValue, scd, scd_incremental
 from .ngram import (
-    DENSE_SUPPORT_LIMIT,
     Distribution,
-    Gram,
+    check_encodable,
     count_ngrams,
+    decode_gram,
+    group_limit,
+    grouped_codes,
     interpolate,
     prune,
-    sequence_gram_counts,
-    _window_codes,
+    run_starts,
+    sequence_codes,
 )
 
 logger = logging.getLogger(__name__)
@@ -45,6 +47,10 @@ STRATEGY_GREEDY = "greedy-scd"
 STRATEGY_RANDOM = "random"
 STRATEGY_CONTRASTIVE = "contrastive"
 STRATEGY_ORACLE = "oracle"
+
+# The fast scorer works through a bucket in blocks of about this many
+# windows, which keeps its working arrays in cache.
+_BLOCK_WINDOWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -72,14 +78,16 @@ class SelectionConfig:
             raise ValueError("exactly one of budget_c and duration_budget_s must be set")
         if self.budget_c is not None and self.budget_c < 1:
             raise ValueError("budget_c must be >= 1")
-        if self.duration_budget_s is not None and self.duration_budget_s < 0:
-            raise ValueError("duration_budget_s must be >= 0")
+        if self.duration_budget_s is not None and not (
+            math.isfinite(self.duration_budget_s) and self.duration_budget_s >= 0
+        ):
+            raise ValueError("duration_budget_s must be finite and >= 0")
         if self.order < 1:
             raise ValueError("order must be >= 1")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lambda must be in [0, 1], got {self.lam}")
-        if self.alpha < 0:
-            raise ValueError("alpha must be >= 0")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ValueError("alpha must be finite and >= 0")
         if self.prune_min_count < 0:
             raise ValueError("prune_min_count must be >= 0")
 
@@ -170,6 +178,7 @@ def build_target_distribution(
             f"alphabet mismatch: universal K={universal.alphabet_size}, "
             f"query K={query.alphabet_size}"
         )
+    check_encodable(universal.alphabet_size, config.order)
     stats_u = prune(count_ngrams(universal, config.order, config.alpha), config.prune_min_count)
     stats_q = prune(count_ngrams(query, config.order, config.alpha), config.prune_min_count)
     return interpolate(stats_q, stats_u, config.lam)
@@ -193,16 +202,15 @@ def partition_buckets(n_items: int, n_buckets: int) -> list[tuple[int, int]]:
 
 
 class _IncrementalScorer:
-    """Evaluates SCD(target, S + {u}) for a stream of candidates.
+    """Evaluates SCD(target, S + {u}) for every candidate u of a bucket at once.
 
     Uses the factorization
 
         SCD = H - A - corr(u) + log(T_S + T_u + alpha * K**N)
 
-    where H is the target's entropy-like constant, A tracks
+    where H is the target's entropy-like constant, A is
     sum_g P_t(g) * log(cnt_S(g) + alpha) over the full support, and corr(u)
-    only touches the grams present in u. Requires alpha > 0. Keeps counts
-    dense when K**N is small, sparse dicts otherwise.
+    only touches the grams present in u. Requires alpha > 0.
     """
 
     def __init__(self, target: Distribution, alpha: float):
@@ -210,79 +218,42 @@ class _IncrementalScorer:
             raise ValueError("incremental scorer requires alpha > 0")
         self.target = target
         self.alpha = float(alpha)
-        self.order = target.order
-        self.k = target.alphabet_size
-        self.support = target.support_size
-        self.alpha_mass = self.alpha * float(self.support)
-        self.total = 0
-        self.dense = self.support <= DENSE_SUPPORT_LIMIT
-        if self.dense:
-            self.pq = target.to_dense()
-            self.counts = np.zeros(self.support, dtype=np.float64)
-            positive = self.pq > 0
-            self.h_const = float(np.sum(self.pq[positive] * np.log(self.pq[positive])))
-        else:
-            self.pq_map = dict(target.explicit)
-            self.floor = target.floor
-            self.counts_map: dict[Gram, float] = {}
-            h = sum(p * math.log(p) for p in self.pq_map.values() if p > 0)
-            rest = self.support - len(self.pq_map)
-            if rest > 0 and self.floor > 0:
-                h += float(rest) * self.floor * math.log(self.floor)
-            self.h_const = h
-        # A with an empty subset: every gram count is zero, so the sum
-        # collapses to log(alpha) times the total target mass (exactly 1).
-        self.a_sum = math.log(self.alpha)
+        self.alpha_mass = self.alpha * float(target.support_size)
+        positive = target.explicit[target.explicit > 0]
+        h = float(np.sum(positive * np.log(positive)))
+        rest = target.support_size - target.codes.shape[0]
+        if rest > 0 and target.floor > 0:
+            h += float(rest) * target.floor * math.log(target.floor)
+        self.h_const = h
 
-    def prepare(self, labels: np.ndarray):
-        """Pre-digest one candidate's labels into (indices, counts, n_windows)."""
-        if labels.shape[0] < self.order:
-            if self.dense:
-                return np.empty(0, dtype=np.int64), np.empty(0, dtype=np.float64), 0
-            return {}, 0
-        if self.dense:
-            if self.order == 1:
-                codes = labels.astype(np.int64, copy=False)
-            else:
-                codes = _window_codes(labels, self.order, self.k)
-            idx, cnt = np.unique(codes, return_counts=True)
-            return idx, cnt.astype(np.float64), int(codes.shape[0])
-        gram_counts = sequence_gram_counts(labels, self.order, self.k)
-        return gram_counts, sum(gram_counts.values())
+    def _a_sum(self, subset: CandidateStats) -> float:
+        # Every gram the subset lacks adds P_t(g) * log(alpha), so A starts
+        # from log(alpha) times the total target mass (exactly 1).
+        weights = self.target.lookup(subset.codes)
+        return math.log(self.alpha) + float(
+            np.dot(weights, np.log((subset.code_counts + self.alpha) / self.alpha))
+        )
 
-    def _correction(self, prepared) -> float:
-        if self.dense:
-            idx, cnt, _ = prepared
-            if idx.shape[0] == 0:
-                return 0.0
-            base = self.counts[idx]
-            return float(np.dot(self.pq[idx], np.log((base + cnt + self.alpha) / (base + self.alpha))))
-        gram_counts, _ = prepared
-        alpha = self.alpha
-        corr = 0.0
-        for gram, count in gram_counts.items():
-            pq = self.pq_map.get(gram, self.floor)
-            if pq > 0:
-                base = self.counts_map.get(gram, 0.0)
-                corr += pq * math.log((base + count + alpha) / (base + alpha))
-        return corr
-
-    def score(self, prepared) -> float:
-        n_windows = prepared[2] if self.dense else prepared[1]
-        x = self.a_sum + self._correction(prepared) - math.log(self.total + n_windows + self.alpha_mass)
+    def score(self, sequences: Sequence[LabelSequence], subset: CandidateStats) -> np.ndarray:
+        """Fast SCD of ``subset`` plus each of ``sequences``, one per candidate."""
+        order, k = self.target.order, self.target.alphabet_size
+        windows = np.array([max(len(seq) - order + 1, 0) for seq in sequences], dtype=np.int64)
+        corrections = np.zeros(len(sequences))
+        per_block = max(1, _BLOCK_WINDOWS // max(1, int(windows.mean())))
+        per_block = min(per_block, group_limit(k, order))
+        for lo in range(0, len(sequences), per_block):
+            hi = min(lo + per_block, len(sequences))
+            codes, rows, added = grouped_codes([seq.labels for seq in sequences[lo:hi]], order, k)
+            # Look up each distinct code once; codes arrive sorted.
+            starts = run_starts(codes)
+            repeats = np.diff(starts, append=codes.shape[0])
+            distinct = codes[starts]
+            weight = np.repeat(self.target.lookup(distinct), repeats)
+            base = np.repeat(subset.count_at(distinct), repeats)
+            terms = weight * np.log((base + added + self.alpha) / (base + self.alpha))
+            corrections[lo:hi] = np.bincount(rows, weights=terms, minlength=hi - lo)
+        x = self._a_sum(subset) + corrections - np.log(subset.total + windows + self.alpha_mass)
         return self.h_const - x
-
-    def commit(self, prepared) -> None:
-        self.a_sum += self._correction(prepared)
-        if self.dense:
-            idx, cnt, n_windows = prepared
-            self.counts[idx] += cnt
-            self.total += n_windows
-        else:
-            gram_counts, n_windows = prepared
-            for gram, count in gram_counts.items():
-                self.counts_map[gram] = self.counts_map.get(gram, 0.0) + count
-            self.total += n_windows
 
 
 def _pick_from_bucket(
@@ -290,36 +261,29 @@ def _pick_from_bucket(
     scorer: _IncrementalScorer | None,
     cand_stats: CandidateStats,
     target: Distribution,
-) -> int:
-    """Index (within ``sequences``) of the SCD-minimizing addition; first wins ties.
+) -> tuple[int, ScdValue]:
+    """Index (within ``sequences``) of the SCD-minimizing addition and its exact SCD.
 
-    The fast scorer's factorization can drift from the from-scratch value by
-    a few ulp, enough to flip exact ties, so near-minimal candidates are
-    re-scored through the exact path before the winner is fixed.
+    The first candidate wins ties. The fast scorer's factorization can drift
+    from the from-scratch value by a few ulp, enough to flip exact ties, so
+    near-minimal candidates are re-scored through the exact path before the
+    winner is fixed. Without a scorer (alpha=0) every candidate is.
     """
     if scorer is None:
-        best_index = 0
-        best_score = math.inf
-        for position, seq in enumerate(sequences):
-            value = scd_incremental(cand_stats, seq, target).nats
-            if value < best_score:
-                best_score = value
-                best_index = position
-        return best_index
-
-    scores = [scorer.score(scorer.prepare(seq.labels)) for seq in sequences]
-    cutoff = min(scores)
-    cutoff += 1e-9 * (1.0 + abs(cutoff))
+        finalists = range(len(sequences))
+    else:
+        scores = scorer.score(sequences, cand_stats)
+        cutoff = float(scores.min())
+        cutoff += 1e-9 * (1.0 + abs(cutoff))
+        finalists = np.flatnonzero(scores <= cutoff).tolist()
     best_index = 0
-    best_score = math.inf
-    for position, seq in enumerate(sequences):
-        if scores[position] > cutoff:
-            continue
-        value = scd_incremental(cand_stats, seq, target).nats
-        if value < best_score:
-            best_score = value
+    best: ScdValue | None = None
+    for position in finalists:
+        value = scd_incremental(cand_stats, sequences[position], target)
+        if best is None or value.nats < best.nats:
+            best = value
             best_index = position
-    return best_index
+    return best_index, best
 
 
 def select_greedy_scd(
@@ -356,20 +320,17 @@ def select_greedy_scd(
     trace: list[float] = []
     final: ScdValue | None = None
 
-    def commit(seq: LabelSequence, prepared=None) -> None:
+    def pick(bucket: Sequence[LabelSequence]) -> int:
         nonlocal final
-        if scorer is not None:
-            scorer.commit(prepared if prepared is not None else scorer.prepare(seq.labels))
-        cand_stats.add(seq.labels)
-        selected.append(seq)
-        value = scd(target, cand_stats.distribution())
-        trace.append(value.nats)
-        final = value
+        chosen, final = _pick_from_bucket(bucket, scorer, cand_stats, target)
+        cand_stats.add(bucket[chosen].labels)
+        selected.append(bucket[chosen])
+        trace.append(final.nats)
+        return chosen
 
     if stop_when is None:
         for bucket in buckets:
-            chosen = _pick_from_bucket(bucket, scorer, cand_stats, target)
-            commit(bucket[chosen])
+            pick(bucket)
     else:
         # Experimental duration mode: bucket by cumulative seconds, pick one
         # utterance per bucket, repeat on the remainder until the budget is met.
@@ -385,8 +346,7 @@ def select_greedy_scd(
                     next_remaining.extend(remaining[start:end])
                     continue
                 bucket = remaining[start:end]
-                chosen = _pick_from_bucket(bucket, scorer, cand_stats, target)
-                commit(bucket[chosen])
+                chosen = pick(bucket)
                 picked_duration += bucket[chosen].duration_s
                 next_remaining.extend(bucket[:chosen] + bucket[chosen + 1 :])
             remaining = next_remaining
@@ -512,25 +472,24 @@ def contrastive_scores(
 
     scores: dict[str, float] = {}
     for seq in universal:
-        gram_counts = sequence_gram_counts(seq.labels, config.order, universal.alphabet_size)
-        n_windows = sum(gram_counts.values())
-        if n_windows == 0:
+        codes, counts = sequence_codes(seq.labels, config.order, universal.alphabet_size)
+        if codes.shape[0] == 0:
             scores[seq.id] = -math.inf
             continue
-        gap = 0.0
-        for gram, count in gram_counts.items():
-            pq = dist_q.explicit.get(gram, dist_q.floor)
-            pu = dist_u.explicit.get(gram, dist_u.floor)
-            if pu <= 0.0:
+        pq = dist_q.lookup(codes)
+        pu = dist_u.lookup(codes)
+        undefined = (pq <= 0.0) | (pu <= 0.0)
+        if undefined.any():
+            first = int(np.argmax(undefined))
+            if pu[first] <= 0.0:
+                gram = decode_gram(int(codes[first]), universal.alphabet_size, config.order)
                 raise ValueError(
                     f"pool probability is zero at gram {gram}; contrastive score "
                     "undefined (use alpha > 0)"
                 )
-            if pq <= 0.0:
-                gap = -math.inf
-                break
-            gap += count * (math.log(pq) - math.log(pu))
-        scores[seq.id] = gap / n_windows if math.isfinite(gap) else -math.inf
+            scores[seq.id] = -math.inf
+            continue
+        scores[seq.id] = float(np.dot(counts, np.log(pq) - np.log(pu))) / int(counts.sum())
     return scores
 
 

@@ -241,3 +241,48 @@ class TestEntryPoint:
             capture_output=True, text=True,
         )
         assert proc.returncode == 1
+
+
+class TestEarlyFailures:
+    def test_non_finite_duration_fails_before_selection(self, tmp_path, capsys):
+        universal = tmp_path / "u.labels"
+        universal.write_text("#K=2\nu1\t1.0\t0 1\nu2\tnan\t1 1\n", encoding="utf-8")
+        query = write_corpus(tmp_path, "q.labels", [[0, 1]], 2, ids=["q0"])
+        code = main(["select", str(universal), query, "--budget-seconds", "1.0",
+                     "--output", str(tmp_path / "r.tsv")])
+        assert code == 1
+        assert "u.labels:3: duration 'nan' is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "r.tsv").exists()
+
+    def test_undefined_divergence_names_the_gram(self, tmp_path, capsys):
+        # alpha=0, lambda=0: the target is the pool model, and the first
+        # candidate u1=[1, 1] leaves label 0 with zero subset probability.
+        universal = write_corpus(tmp_path, "u.labels", [[1, 1], [0, 1]], 2, ids=["u1", "u2"])
+        query = write_corpus(tmp_path, "q.labels", [[0, 1]], 2, ids=["q0"])
+        code = main(["select", universal, query, "--budget-count", "1", "--alpha", "0",
+                     "--lambda", "0", "--output", str(tmp_path / "r.tsv")])
+        assert code == 1
+        assert "zero probability at gram (0,) " in capsys.readouterr().err
+
+    @pytest.mark.parametrize("subcommand", ["select", "scd", "ngram-stats"])
+    def test_order_beyond_int64_codes(self, tmp_path, capsys, subcommand):
+        # 2**63 grams of order 63 over K=2 do not fit in int64 codes.
+        corpus = write_corpus(tmp_path, "c.labels", [[0, 1]], 2)
+        argv = {
+            "select": ["select", corpus, corpus, "--budget-count", "1",
+                       "--output", str(tmp_path / "r.tsv")],
+            "scd": ["scd", corpus, corpus],
+            "ngram-stats": ["ngram-stats", corpus, "--output", str(tmp_path / "s.tsv")],
+        }[subcommand]
+        assert main(argv + ["--order", "63"]) == 1
+        assert "K=2 at order 63" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [("--alpha", "inf"), ("--alpha", "nan"),
+                                            ("--budget-seconds", "nan"), ("--budget-seconds", "inf")])
+    def test_non_finite_number_is_usage_error(self, tmp_path, flag, value):
+        corpus = write_corpus(tmp_path, "c.labels", [[0, 1], [1, 1]], 2)
+        budget = [] if flag == "--budget-seconds" else ["--budget-count", "1"]
+        with pytest.raises(SystemExit) as exc:
+            main(["select", corpus, corpus, *budget, flag, value,
+                  "--output", str(tmp_path / "r.tsv")])
+        assert exc.value.code == 2

@@ -212,3 +212,17 @@ class TestManifest:
     def test_empty_path_rejected(self):
         with pytest.raises(ValueError, match="empty audio path"):
             AudioManifest(entries=(ManifestEntry(id="a", audio_path=""),))
+
+
+class TestNonFiniteDurations:
+    @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN", "infinity"])
+    def test_load_rejects_with_path_and_line(self, tmp_path, text):
+        path = tmp_path / "c.labels"
+        write(path, f"#K=4\na\t1.0\t0 1\nb\t{text}\t2\n")
+        with pytest.raises(CorpusFormatError, match=f"c.labels:3: duration '{text}' is not finite"):
+            load_label_corpus(path)
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_label_sequence_rejects(self, value):
+        with pytest.raises(ValueError, match="finite"):
+            LabelSequence(id="a", duration_s=value, labels=np.array([0], dtype=np.int32))

@@ -143,3 +143,18 @@ class TestScdIncremental:
         base, query = self._setup()
         with pytest.raises(ValueError, match="outside"):
             scd_incremental(base, [7], query)
+
+
+class TestUndefinedDivergenceMessage:
+    def test_names_the_first_offending_gram(self):
+        # q lacks (1, 0) and (1, 1); the error names the lexicographically first.
+        p = stats_from_counts({(1, 1): 1, (0, 1): 1, (1, 0): 1}, k=2, order=2, alpha=0.0).distribution()
+        q = stats_from_counts({(0, 1): 1}, k=2, order=2, alpha=0.0).distribution()
+        with pytest.raises(DivergenceUndefinedError, match=r"zero probability at gram \(1, 0\) "):
+            scd(p, q)
+
+    def test_unigram_gram_is_a_one_tuple(self):
+        p = stats_from_counts({(0,): 1, (1,): 1}, k=2, alpha=0.0).distribution()
+        q = stats_from_counts({(1,): 1}, k=2, alpha=0.0).distribution()
+        with pytest.raises(DivergenceUndefinedError, match=r"gram \(0,\) "):
+            scd(p, q)

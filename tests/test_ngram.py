@@ -219,3 +219,37 @@ class TestStatsDump:
         assert lines[3] == "#alpha=0.5"
         body = [line for line in lines if not line.startswith("#")]
         assert body == ["0\t2", "1\t2", "2\t1"]
+
+
+class TestEncodeLimit:
+    def test_count_ngrams_rejects_codes_beyond_int64(self):
+        corpus = make_corpus([[0, 1, 2]], alphabet_size=3)
+        # 3**40 > 2**62 >= 3**39
+        with pytest.raises(ValueError, match=r"K=3 at order 40"):
+            count_ngrams(corpus, 40)
+        assert count_ngrams(corpus, 39).total == 0
+
+    def test_build_target_distribution_rejects_up_front(self):
+        from scdselect.selection import SelectionConfig, build_target_distribution
+
+        corpus = make_corpus([[0, 1, 2]], alphabet_size=3)
+        with pytest.raises(ValueError, match=r"K=3 at order 40"):
+            build_target_distribution(corpus, corpus, SelectionConfig(budget_c=1, order=40))
+
+    def test_stats_and_sequence_counts_reject(self):
+        with pytest.raises(ValueError, match=r"K=2 at order 63"):
+            NGramStats(order=63, alphabet_size=2, counts={}, total=0, smoothing_alpha=0.5)
+        with pytest.raises(ValueError, match=r"K=2 at order 63"):
+            sequence_gram_counts([0, 1], 63, 2)
+
+
+class TestCodeOrder:
+    def test_dump_order_is_lexicographic(self, tmp_path):
+        rng = np.random.default_rng(4)
+        seqs = [rng.integers(0, 12, size=30).tolist() for _ in range(5)]
+        stats = count_ngrams(make_corpus(seqs, alphabet_size=12), 3)
+        path = tmp_path / "stats.tsv"
+        save_stats_dump(stats, path)
+        body = [line for line in path.read_text(encoding="utf-8").splitlines() if not line.startswith("#")]
+        expected = brute_force_counts(seqs, 3)
+        assert body == [f"{' '.join(map(str, g))}\t{expected[g]}" for g in sorted(expected)]

@@ -1,0 +1,114 @@
+"""Property tests: fast paths against their slow references.
+
+``scd`` is checked against full enumeration of the K**N grams, and the
+batched bucket scorer of greedy selection against ``scd_incremental``.
+"""
+
+import itertools
+import math
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from scdselect import selection
+from scdselect.divergence import CandidateStats, DivergenceUndefinedError, scd, scd_incremental
+from scdselect.ngram import count_ngrams, interpolate
+
+from conftest import make_corpus
+from test_divergence import brute_force_scd, stats_from_counts
+
+ALPHAS = [0.0, 0.1, 0.5, 1.0, 2.0]
+
+
+@st.composite
+def count_tables(draw):
+    """Two gram count tables over one alphabet and order, with their smoothing."""
+    k = draw(st.integers(2, 5))
+    order = draw(st.integers(1, 3))
+    grams = list(itertools.product(range(k), repeat=order))
+    table = st.dictionaries(st.sampled_from(grams), st.integers(1, 9), max_size=len(grams))
+    p_counts = draw(table)
+    q_counts = draw(table)
+    if draw(st.booleans()):
+        q_counts = {g: c for g, c in q_counts.items() if g not in p_counts}
+    alpha_p = draw(st.sampled_from(ALPHAS))
+    alpha_q = draw(st.sampled_from(ALPHAS))
+    # alpha=0 needs counts to normalize
+    assume(p_counts or alpha_p > 0)
+    assume(q_counts or alpha_q > 0)
+    return k, order, p_counts, q_counts, alpha_p, alpha_q
+
+
+@settings(max_examples=300, deadline=None)
+@given(count_tables())
+def test_scd_matches_enumeration(tables):
+    k, order, p_counts, q_counts, alpha_p, alpha_q = tables
+    p = stats_from_counts(p_counts, k, order, alpha_p).distribution()
+    q = stats_from_counts(q_counts, k, order, alpha_q).distribution()
+    grams = itertools.product(range(k), repeat=order)
+    undefined = [g for g in grams if p.probability(g) > 0 and q.probability(g) <= 0]
+    if undefined:
+        with pytest.raises(DivergenceUndefinedError) as excinfo:
+            scd(p, q)
+        if p.floor <= 0 or q.floor > 0:
+            # the offending grams are explicit ones; the first is named
+            assert f"gram {undefined[0]} " in str(excinfo.value)
+        return
+    value = scd(p, q)
+    assert abs(value.nats - brute_force_scd(p, q)) <= 1e-9
+    assert value.support_terms == len(set(p_counts) | set(q_counts))
+
+
+label_lists = st.lists(st.integers(0, 5), max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_bucket_scores_match_incremental(data):
+    k = data.draw(st.integers(2, 6), label="k")
+    order = data.draw(st.integers(1, 3), label="order")
+    alpha = data.draw(st.sampled_from([0.1, 0.5, 1.0]), label="alpha")
+    lam = data.draw(st.floats(0.0, 1.0), label="lam")
+
+    def corpus(min_size, max_size, prefix):
+        seqs = data.draw(st.lists(label_lists, min_size=min_size, max_size=max_size), label=prefix)
+        seqs = [[label % k for label in seq] for seq in seqs]
+        return make_corpus(seqs, k, ids=[f"{prefix}{i}" for i in range(len(seqs))])
+
+    pool = corpus(1, 8, "u")
+    query = corpus(1, 3, "q")
+    picked = corpus(0, 4, "s")
+    bucket = corpus(1, 6, "b")
+    target = interpolate(count_ngrams(query, order, alpha), count_ngrams(pool, order, alpha), lam)
+    subset = CandidateStats(order, k, alpha)
+    for seq in picked:
+        subset.add(seq)
+
+    # Tiny blocks also exercise the per-block path of the scorer.
+    block_windows = data.draw(st.sampled_from([1, 5, 1 << 16]), label="block_windows")
+    with mock.patch.object(selection, "_BLOCK_WINDOWS", block_windows):
+        scores = selection._IncrementalScorer(target, alpha).score(bucket.sequences, subset)
+    for seq, fast in zip(bucket, scores):
+        exact = scd_incremental(subset, seq, target).nats
+        assert abs(fast - exact) <= 1e-10 * (1.0 + abs(exact))
+
+
+def test_bucket_scores_at_the_int64_key_limit():
+    # K**2 = 2**62: every code fits, but two candidates cannot share one key
+    # space, so the scorer keys each candidate on its own.
+    k = 2**31
+    rng = np.random.default_rng(3)
+    seqs = [rng.integers(0, k, size=n).tolist() for n in (5, 1, 7, 4)]
+    pool = make_corpus(seqs + [[0, 1, 0, 1]], k)
+    query = make_corpus([seqs[0], [1, 0, 1]], k, ids=["q0", "q1"])
+    target = interpolate(count_ngrams(query, 2, 0.5), count_ngrams(pool, 2, 0.5), 0.3)
+    subset = CandidateStats(2, k, 0.5)
+    subset.add(seqs[3])
+    scores = selection._IncrementalScorer(target, 0.5).score(pool.sequences, subset)
+    for seq, fast in zip(pool, scores):
+        exact = scd_incremental(subset, seq, target).nats
+        assert math.isfinite(exact)
+        assert abs(fast - exact) <= 1e-10 * (1.0 + abs(exact))

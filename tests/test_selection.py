@@ -489,3 +489,13 @@ class TestReport:
         assert rank == "1"
         assert utt_id == result.selected_ids[0]
         assert float(nats) == result.scd_trace[0]
+
+
+class TestNonFiniteConfig:
+    def test_rejected(self):
+        with pytest.raises(ValueError, match="alpha"):
+            SelectionConfig(budget_c=1, alpha=math.inf)
+        with pytest.raises(ValueError, match="alpha"):
+            SelectionConfig(budget_c=1, alpha=math.nan)
+        with pytest.raises(ValueError, match="duration_budget_s"):
+            SelectionConfig(duration_budget_s=math.nan)
