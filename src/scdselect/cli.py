@@ -108,6 +108,13 @@ def _nonneg_float(text: str) -> float:
     return value
 
 
+def _positive_float(text: str) -> float:
+    value = float(text)
+    if not (math.isfinite(value) and value > 0):
+        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text}")
+    return value
+
+
 def _closed01(text: str) -> float:
     value = float(text)
     if not 0.0 <= value <= 1.0:
@@ -128,8 +135,8 @@ def _add_ngram_flags(parser: argparse.ArgumentParser) -> None:
 
 def _add_mfcc_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--sample-rate", type=_positive_int, default=16000, help="expected WAV rate in Hz")
-    parser.add_argument("--frame-length-ms", type=float, default=25.0)
-    parser.add_argument("--frame-shift-ms", type=float, default=10.0)
+    parser.add_argument("--frame-length-ms", type=_positive_float, default=25.0)
+    parser.add_argument("--frame-shift-ms", type=_positive_float, default=10.0)
     parser.add_argument("--num-coeffs", type=_positive_int, default=13)
     parser.add_argument("--num-mel-filters", type=_positive_int, default=26)
     parser.add_argument("--no-deltas", action="store_true", help="disable delta and delta-delta features")
@@ -268,7 +275,10 @@ def cmd_discretize(args: argparse.Namespace) -> int:
     manifest = load_audio_manifest(args.manifest)
     model, echo = load_kmeans_model(args.model)
     if "mfcc" in echo:
-        mfcc_config = MfccConfig(**echo["mfcc"])
+        try:
+            mfcc_config = MfccConfig(**echo["mfcc"])
+        except (TypeError, ValueError) as exc:
+            raise ValueError(f"{args.model}: bad MFCC config echo ({exc})") from None
     else:
         mfcc_config = MfccConfig()
         logger.warning("model file carries no MFCC config; using defaults")

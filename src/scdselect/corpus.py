@@ -128,10 +128,6 @@ class LabelCorpus:
     def total_frames(self) -> int:
         return sum(len(seq) for seq in self.sequences)
 
-    @property
-    def total_duration_s(self) -> float:
-        return sum(seq.duration_s for seq in self.sequences)
-
 
 @dataclass(frozen=True)
 class ManifestEntry:
@@ -217,6 +213,11 @@ def load_label_corpus(path: str | Path, source_tag: str | None = None) -> LabelC
                     raise CorpusFormatError(
                         f"{path}:{lineno}: labels must be space-separated integers"
                     ) from None
+                except OverflowError:
+                    raise CorpusFormatError(
+                        f"{path}:{lineno}: utterance {utt_id!r} has a label outside the "
+                        "int32 range"
+                    ) from None
             else:
                 labels = np.empty(0, dtype=LABEL_DTYPE)
             if labels.size and (labels.min() < 0 or labels.max() >= alphabet_size):
@@ -290,10 +291,3 @@ def load_audio_manifest(path: str | Path) -> AudioManifest:
         return AudioManifest(entries=tuple(entries))
     except ValueError as exc:
         raise CorpusFormatError(f"{path}: {exc}") from None
-
-
-def save_audio_manifest(manifest: AudioManifest, path: str | Path) -> None:
-    path = Path(path)
-    with path.open("w", encoding="utf-8", newline="\n") as handle:
-        for entry in manifest.entries:
-            handle.write(f"{entry.id}\t{entry.audio_path}\n")

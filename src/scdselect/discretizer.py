@@ -48,8 +48,13 @@ class MfccConfig:
     def __post_init__(self):
         if self.sample_rate_hz <= 0:
             raise ValueError("sample_rate_hz must be positive")
-        if not self.frame_length_ms > self.frame_shift_ms > 0:
-            raise ValueError("need frame_length_ms > frame_shift_ms > 0")
+        if not (math.isfinite(self.frame_length_ms) and self.frame_length_ms > self.frame_shift_ms > 0):
+            raise ValueError("need finite frame_length_ms > frame_shift_ms > 0")
+        # The length is the larger size, so it spans at least as many samples.
+        if self.frame_shift_samples < 1:
+            raise ValueError(
+                f"frame_shift_ms={self.frame_shift_ms} is below one sample at {self.sample_rate_hz} Hz"
+            )
         if self.num_coeffs > self.num_mel_filters:
             raise ValueError("num_coeffs must not exceed num_mel_filters")
         if not 0.0 <= self.preemphasis < 1.0:
@@ -309,14 +314,24 @@ def save_kmeans_model(model: KMeansModel, path: str | Path, config_echo: dict | 
 
 
 def load_kmeans_model(path: str | Path) -> tuple[KMeansModel, dict]:
-    payload = json.loads(Path(path).read_text(encoding="utf-8"))
-    model = KMeansModel(
-        k=payload["k"],
-        centroids=np.array(payload["centroids"], dtype=np.float64),
-        feature_dim=payload["feature_dim"],
-        iterations_run=payload["iterations_run"],
-        final_inertia=payload["final_inertia"],
-    )
+    """Read a model written by :func:`save_kmeans_model` and its config echo.
+
+    Raises ``ValueError`` naming ``path`` when the file is not a model in
+    that format: not JSON, a missing field, or a field of the wrong shape.
+    """
+    try:
+        payload = json.loads(Path(path).read_text(encoding="utf-8"))
+        model = KMeansModel(
+            k=payload["k"],
+            centroids=np.array(payload["centroids"], dtype=np.float64),
+            feature_dim=payload["feature_dim"],
+            iterations_run=payload["iterations_run"],
+            final_inertia=payload["final_inertia"],
+        )
+    except KeyError as exc:
+        raise ValueError(f"{path}: model file lacks the {exc} field") from None
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: bad model file ({exc})") from None
     return model, payload.get("config_echo", {})
 
 

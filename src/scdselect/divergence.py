@@ -22,7 +22,6 @@ from .corpus import LabelSequence
 from .ngram import (
     Distribution,
     GramCounts,
-    NGramStats,
     check_encodable,
     code_positions,
     decode_gram,
@@ -144,15 +143,6 @@ class CandidateStats:
             codes=self.codes,
             code_counts=self.code_counts,
             total=self.total,
-        )
-
-    def to_stats(self) -> NGramStats:
-        return NGramStats(
-            order=self.order,
-            alphabet_size=self.alphabet_size,
-            counts=self.counts,
-            total=self.total,
-            smoothing_alpha=self.alpha,
         )
 
     def distribution(self) -> Distribution:

@@ -22,7 +22,7 @@ import math
 import random
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -30,7 +30,6 @@ from .corpus import LabelCorpus, LabelSequence, sort_by_length
 from .divergence import CandidateStats, ScdValue, scd, scd_incremental
 from .ngram import (
     Distribution,
-    check_encodable,
     count_ngrams,
     decode_gram,
     group_limit,
@@ -178,7 +177,6 @@ def build_target_distribution(
             f"alphabet mismatch: universal K={universal.alphabet_size}, "
             f"query K={query.alphabet_size}"
         )
-    check_encodable(universal.alphabet_size, config.order)
     stats_u = prune(count_ngrams(universal, config.order, config.alpha), config.prune_min_count)
     stats_q = prune(count_ngrams(query, config.order, config.alpha), config.prune_min_count)
     return interpolate(stats_q, stats_u, config.lam)
@@ -289,67 +287,48 @@ def _pick_from_bucket(
 def select_greedy_scd(
     universal: LabelCorpus, query: LabelCorpus, config: SelectionConfig
 ) -> SelectionResult:
-    """Bucketed greedy divergence search over the length-sorted pool."""
+    """Bucketed greedy divergence search over the length-sorted pool.
+
+    The search makes passes over the utterances not yet picked. A pass splits
+    them into contiguous buckets and, bucket by bucket, picks the one
+    utterance that minimizes the divergence, until the budget is met; so a
+    pass picks at most once from each bucket. A count budget C is one pass
+    over C buckets whose sizes differ by at most one. A seconds budget makes
+    about (seconds left / mean pool duration) buckets of equal cumulative
+    duration per pass and stops at the first pick that reaches the budget:
+    dropping the last pick leaves the total below the budget. Passes repeat
+    until the budget is reached or the pool is used up (a budget equal to the
+    pool total can sum one ulp short of it and take the whole pool).
+    """
     target = build_target_distribution(universal, query, config)
     ordered = sort_by_length(universal).sequences
-
-    if config.budget_c is not None:
-        if config.budget_c > len(ordered):
-            raise ValueError(
-                f"budget {config.budget_c} exceeds corpus size {len(ordered)}"
-            )
-        buckets = [
-            ordered[start:end]
-            for start, end in partition_buckets(len(ordered), config.budget_c)
-        ]
-        stop_when = None
-    else:
-        _require_durations(ordered)
-        total_duration = sum(seq.duration_s for seq in ordered)
-        if config.duration_budget_s > total_duration:
-            raise ValueError(
-                f"duration budget {config.duration_budget_s} s exceeds corpus total "
-                f"{total_duration} s"
-            )
-        buckets = None  # formed per pass below
-        stop_when = config.duration_budget_s
+    mean_duration = _check_budget(ordered, config) / len(ordered)
 
     scorer = _IncrementalScorer(target, config.alpha) if config.alpha > 0 else None
     cand_stats = CandidateStats(config.order, universal.alphabet_size, config.alpha)
     selected: list[LabelSequence] = []
     trace: list[float] = []
     final: ScdValue | None = None
-
-    def pick(bucket: Sequence[LabelSequence]) -> int:
-        nonlocal final
-        chosen, final = _pick_from_bucket(bucket, scorer, cand_stats, target)
-        cand_stats.add(bucket[chosen].labels)
-        selected.append(bucket[chosen])
-        trace.append(final.nats)
-        return chosen
-
-    if stop_when is None:
-        for bucket in buckets:
-            pick(bucket)
-    else:
-        # Experimental duration mode: bucket by cumulative seconds, pick one
-        # utterance per bucket, repeat on the remainder until the budget is met.
-        remaining = list(ordered)
-        picked_duration = 0.0
-        mean_duration = total_duration / len(ordered)
-        while picked_duration < stop_when and remaining:
-            want = max(1, round((stop_when - picked_duration) / mean_duration))
-            want = min(want, len(remaining))
-            next_remaining: list[LabelSequence] = []
-            for start, end in _duration_buckets(remaining, want):
-                if picked_duration >= stop_when:
-                    next_remaining.extend(remaining[start:end])
-                    continue
-                bucket = remaining[start:end]
-                chosen = pick(bucket)
-                picked_duration += bucket[chosen].duration_s
-                next_remaining.extend(bucket[:chosen] + bucket[chosen + 1 :])
-            remaining = next_remaining
+    seconds = 0.0
+    remaining = list(ordered)
+    while remaining and not _budget_met(config, len(selected), seconds):
+        if config.budget_c is not None:
+            bounds = partition_buckets(len(remaining), config.budget_c)
+        else:
+            want = max(1, round((config.duration_budget_s - seconds) / mean_duration))
+            bounds = _duration_buckets(remaining, min(want, len(remaining)))
+        unpicked: list[LabelSequence] = []
+        for start, end in bounds:
+            if _budget_met(config, len(selected), seconds):
+                break
+            bucket = remaining[start:end]
+            chosen, final = _pick_from_bucket(bucket, scorer, cand_stats, target)
+            cand_stats.add(bucket[chosen].labels)
+            selected.append(bucket[chosen])
+            trace.append(final.nats)
+            seconds += bucket[chosen].duration_s
+            unpicked.extend(bucket[:chosen] + bucket[chosen + 1 :])
+        remaining = unpicked
 
     return SelectionResult(
         selected_ids=tuple(seq.id for seq in selected),
@@ -360,13 +339,47 @@ def select_greedy_scd(
     )
 
 
-def _require_durations(sequences: Iterable[LabelSequence]) -> None:
-    missing = [seq.id for seq in sequences if seq.duration_s <= 0]
+def _check_budget(pool: Sequence[LabelSequence], config: SelectionConfig) -> float:
+    """Raise ``ValueError`` unless ``pool`` can fill the budget; return its total seconds.
+
+    A count budget may not exceed the pool size. A seconds budget needs a
+    positive duration on every utterance and may not exceed the pool total.
+    """
+    total = sum(seq.duration_s for seq in pool)
+    if config.budget_c is not None:
+        if config.budget_c > len(pool):
+            raise ValueError(f"budget {config.budget_c} exceeds corpus size {len(pool)}")
+        return total
+    missing = [seq.id for seq in pool if seq.duration_s <= 0]
     if missing:
         raise ValueError(
             f"duration budget requires positive durations; missing for "
             f"{missing[:5]}{'...' if len(missing) > 5 else ''}"
         )
+    if config.duration_budget_s > total:
+        raise ValueError(
+            f"duration budget {config.duration_budget_s} s exceeds corpus total {total} s"
+        )
+    return total
+
+
+def _budget_met(config: SelectionConfig, picks: int, seconds: float) -> bool:
+    """Whether ``picks`` utterances lasting ``seconds`` in total fill the budget."""
+    if config.budget_c is not None:
+        return picks >= config.budget_c
+    return seconds >= config.duration_budget_s
+
+
+def _take_until_met(ranked: Sequence[LabelSequence], config: SelectionConfig) -> list[LabelSequence]:
+    """The shortest prefix of ``ranked`` that fills the budget, or all of it."""
+    picked: list[LabelSequence] = []
+    seconds = 0.0
+    for seq in ranked:
+        if _budget_met(config, len(picked), seconds):
+            break
+        picked.append(seq)
+        seconds += seq.duration_s
+    return picked
 
 
 def _duration_buckets(
@@ -389,17 +402,31 @@ def _duration_buckets(
     return bounds
 
 
-def _trace_against_target(
-    picked: Sequence[LabelSequence], target: Distribution, config: SelectionConfig
-) -> tuple[tuple[float, ...], ScdValue | None]:
-    cand_stats = CandidateStats(config.order, target.alphabet_size, config.alpha)
+def _traced_result(
+    picked: Sequence[LabelSequence],
+    target: Distribution | None,
+    config: SelectionConfig,
+    strategy: str,
+) -> SelectionResult:
+    """Result for ``picked`` with the divergence from ``target`` after each pick.
+
+    Without a target the trace is empty and ``final_scd`` is None.
+    """
     trace: list[float] = []
     final: ScdValue | None = None
-    for seq in picked:
-        cand_stats.add(seq.labels)
-        final = scd(target, cand_stats.distribution())
-        trace.append(final.nats)
-    return tuple(trace), final
+    if target is not None:
+        cand_stats = CandidateStats(config.order, target.alphabet_size, config.alpha)
+        for seq in picked:
+            cand_stats.add(seq.labels)
+            final = scd(target, cand_stats.distribution())
+            trace.append(final.nats)
+    return SelectionResult(
+        selected_ids=tuple(seq.id for seq in picked),
+        scd_trace=tuple(trace),
+        final_scd=final,
+        strategy=strategy,
+        config_echo=config,
+    )
 
 
 def select_random(
@@ -417,42 +444,10 @@ def select_random(
     rng = random.Random(config.seed)
     shuffled = list(universal.sequences)
     rng.shuffle(shuffled)
-
-    if config.budget_c is not None:
-        if config.budget_c > len(shuffled):
-            raise ValueError(
-                f"budget {config.budget_c} exceeds corpus size {len(shuffled)}"
-            )
-        picked = shuffled[: config.budget_c]
-    else:
-        _require_durations(universal.sequences)
-        total_duration = universal.total_duration_s
-        if config.duration_budget_s > total_duration:
-            raise ValueError(
-                f"duration budget {config.duration_budget_s} s exceeds corpus total "
-                f"{total_duration} s"
-            )
-        picked = []
-        acc = 0.0
-        for seq in shuffled:
-            if acc >= config.duration_budget_s:
-                break
-            picked.append(seq)
-            acc += seq.duration_s
-
-    if query is not None:
-        target = build_target_distribution(universal, query, config)
-        trace, final = _trace_against_target(picked, target, config)
-    else:
-        trace, final = (), None
-
-    return SelectionResult(
-        selected_ids=tuple(seq.id for seq in picked),
-        scd_trace=trace,
-        final_scd=final,
-        strategy=STRATEGY_RANDOM,
-        config_echo=config,
-    )
+    _check_budget(universal.sequences, config)
+    picked = _take_until_met(shuffled, config)
+    target = None if query is None else build_target_distribution(universal, query, config)
+    return _traced_result(picked, target, config, STRATEGY_RANDOM)
 
 
 def contrastive_scores(
@@ -511,38 +506,17 @@ def select_contrastive(
     # Stable sort on the negated score keeps sorted-corpus position as tie-break.
     ranked.sort(key=lambda seq: -scores[seq.id])
 
-    if config.budget_c is not None:
-        if config.budget_c > len(ordered):
-            raise ValueError(
-                f"budget {config.budget_c} exceeds corpus size {len(ordered)}"
-            )
-        if config.budget_c > len(ranked):
-            raise ValueError(
-                f"budget {config.budget_c} exceeds the {len(ranked)} utterances with "
-                f"grams at order {config.order}"
-            )
-        picked = ranked[: config.budget_c]
-    else:
-        _require_durations(universal.sequences)
-        if config.duration_budget_s > universal.total_duration_s:
-            raise ValueError("duration budget exceeds corpus total")
-        picked = []
-        acc = 0.0
-        for seq in ranked:
-            if acc >= config.duration_budget_s:
-                break
-            picked.append(seq)
-            acc += seq.duration_s
-
+    _check_budget(universal.sequences, config)
+    # A seconds budget takes what the ranked utterances hold; a count budget
+    # needs that many of them.
+    if not _budget_met(config, len(ranked), math.inf):
+        raise ValueError(
+            f"budget {config.budget_c} exceeds the {len(ranked)} utterances with "
+            f"grams at order {config.order}"
+        )
+    picked = _take_until_met(ranked, config)
     target = build_target_distribution(universal, query, config)
-    trace, final = _trace_against_target(picked, target, config)
-    return SelectionResult(
-        selected_ids=tuple(seq.id for seq in picked),
-        scd_trace=trace,
-        final_scd=final,
-        strategy=STRATEGY_CONTRASTIVE,
-        config_echo=config,
-    )
+    return _traced_result(picked, target, config, STRATEGY_CONTRASTIVE)
 
 
 def select_oracle(
@@ -564,10 +538,7 @@ def select_oracle(
             f"oracle limited to |U| <= {max_universe} and C <= {max_budget}; "
             f"got |U|={len(universal)}, C={config.budget_c}"
         )
-    if config.budget_c > len(universal):
-        raise ValueError(
-            f"budget {config.budget_c} exceeds corpus size {len(universal)}"
-        )
+    _check_budget(universal.sequences, config)
     target = build_target_distribution(universal, query, config)
     ordered = sort_by_length(universal).sequences
 
@@ -588,14 +559,7 @@ def select_oracle(
             best_ids = ids
 
     by_id = {seq.id: seq for seq in ordered}
-    trace, final = _trace_against_target([by_id[i] for i in best_ids], target, config)
-    return SelectionResult(
-        selected_ids=best_ids,
-        scd_trace=trace,
-        final_scd=final,
-        strategy=STRATEGY_ORACLE,
-        config_echo=config,
-    )
+    return _traced_result([by_id[i] for i in best_ids], target, config, STRATEGY_ORACLE)
 
 
 def generate_synthetic(

@@ -66,6 +66,21 @@ class TestTrainKmeans:
         assert echo["mfcc"]["sample_rate_hz"] == 16000
 
 
+    @pytest.mark.parametrize("flag", ["--frame-length-ms", "--frame-shift-ms"])
+    @pytest.mark.parametrize("value", ["inf", "nan", "0", "-5"])
+    def test_bad_frame_size_is_usage_error(self, audio_setup, tmp_path, flag, value):
+        with pytest.raises(SystemExit) as exc:
+            main(["train-kmeans", audio_setup, flag, value, "--output", str(tmp_path / "m.json")])
+        assert exc.value.code == 2
+
+    def test_shift_below_one_sample_runtime_error(self, audio_setup, tmp_path, capsys):
+        code = main(["train-kmeans", audio_setup, "--frame-shift-ms", "1e-9",
+                     "--output", str(tmp_path / "m.json")])
+        assert code == 1
+        assert "below one sample" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
+
 class TestDiscretize:
     @pytest.fixture
     def model_path(self, audio_setup, tmp_path):
@@ -95,6 +110,28 @@ class TestDiscretize:
         assert recovered.subcommand == "discretize"
         assert recovered.options["model"] == model_path
         assert recovered == RunConfig(subcommand="discretize", options=recovered.options)
+
+    def test_bad_mfcc_echo_names_model(self, audio_setup, model_path, tmp_path, capsys):
+        import json
+
+        payload = json.loads(open(model_path, encoding="utf-8").read())
+        payload["config_echo"]["mfcc"]["frame_length_ms"] = float("inf")
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        code = main(["discretize", audio_setup, "--model", str(bad),
+                     "--output", str(tmp_path / "c.labels")])
+        assert code == 1
+        assert "bad.json: bad MFCC config echo" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text", ['{"k": 2}', "{not json"])
+    def test_malformed_model_file_runtime_error(self, audio_setup, tmp_path, capsys, text):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text, encoding="utf-8")
+        code = main(["discretize", audio_setup, "--model", str(bad),
+                     "--output", str(tmp_path / "c.labels")])
+        assert code == 1
+        assert "bad.json: " in capsys.readouterr().err
+        assert not (tmp_path / "c.labels").exists()
 
 
 class TestNgramStats:
@@ -252,6 +289,16 @@ class TestEarlyFailures:
                      "--output", str(tmp_path / "r.tsv")])
         assert code == 1
         assert "u.labels:3: duration 'nan' is not finite" in capsys.readouterr().err
+        assert not (tmp_path / "r.tsv").exists()
+
+    def test_label_outside_int32_fails_before_selection(self, tmp_path, capsys):
+        universal = tmp_path / "u.labels"
+        universal.write_text("#K=4\nu1\t1.0\t0 1\nu2\t1.0\t1 99999999999 2\n", encoding="utf-8")
+        query = write_corpus(tmp_path, "q.labels", [[0, 1]], 4, ids=["q0"])
+        code = main(["select", str(universal), query, "--budget-count", "1",
+                     "--output", str(tmp_path / "r.tsv")])
+        assert code == 1
+        assert "u.labels:3: utterance 'u2' has a label outside the int32 range" in capsys.readouterr().err
         assert not (tmp_path / "r.tsv").exists()
 
     def test_undefined_divergence_names_the_gram(self, tmp_path, capsys):

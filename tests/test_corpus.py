@@ -67,6 +67,13 @@ class TestLoad:
         with pytest.raises(CorpusFormatError, match=":1:"):
             load_label_corpus(path)
 
+    @pytest.mark.parametrize("label", ["99999999999", "-99999999999", "2147483648", "9" * 30])
+    def test_label_outside_int32_names_line_and_id(self, tmp_path, label):
+        path = tmp_path / "c.labels"
+        write(path, f"#K=4\na\t1.0\t0 1\nb\t1.0\t1 {label} 2\n")
+        with pytest.raises(CorpusFormatError, match="c.labels:3: utterance 'b' .*int32"):
+            load_label_corpus(path)
+
     def test_negative_label_rejected(self, tmp_path):
         path = tmp_path / "c.labels"
         write(path, "#K=4\na\t1.0\t0 -1\n")

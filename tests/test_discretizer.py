@@ -79,6 +79,19 @@ class TestMfcc:
         with pytest.raises(ValueError):
             MfccConfig(num_coeffs=30, num_mel_filters=26)
 
+    @pytest.mark.parametrize("length,shift", [(float("inf"), 10.0), (float("nan"), 10.0),
+                                              (25.0, float("nan"))])
+    def test_non_finite_frame_sizes_rejected(self, length, shift):
+        with pytest.raises(ValueError, match="finite"):
+            MfccConfig(frame_length_ms=length, frame_shift_ms=shift)
+
+    @pytest.mark.parametrize("shift", [1e-9, 0.03])
+    def test_shift_below_one_sample_rejected(self, shift):
+        # 0.03 ms is 0.48 samples at 16 kHz and rounds to 0.
+        with pytest.raises(ValueError, match="below one sample"):
+            MfccConfig(frame_shift_ms=shift)
+        assert MfccConfig(frame_length_ms=0.1, frame_shift_ms=0.04).frame_shift_samples == 1
+
 
 def two_clouds(n_per=40, seed=0):
     rng = np.random.default_rng(seed)
@@ -147,6 +160,19 @@ class TestKMeans:
         assert loaded.iterations_run == model.iterations_run
         assert loaded.final_inertia == model.final_inertia
         np.testing.assert_array_equal(loaded.centroids, model.centroids)
+
+    @pytest.mark.parametrize("text,message", [
+        ('{"k": 2}', "model file lacks the 'centroids' field"),
+        ("{not json", "bad model file"),
+        ("[1, 2]", "bad model file"),
+        ('{"k": 2, "feature_dim": 2, "iterations_run": 1, "final_inertia": 0.0, '
+         '"centroids": [[0.0, 0.0]]}', "bad model file"),
+    ])
+    def test_malformed_model_file_named(self, tmp_path, text, message):
+        path = tmp_path / "model.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ValueError, match=f"model.json: {message}"):
+            load_kmeans_model(path)
 
 
 class TestApplyKMeans:

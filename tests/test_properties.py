@@ -1,7 +1,9 @@
 """Property tests: fast paths against their slow references.
 
 ``scd`` is checked against full enumeration of the K**N grams, and the
-batched bucket scorer of greedy selection against ``scd_incremental``.
+batched bucket scorer of greedy selection against ``scd_incremental``. The
+seconds-budget contract of the selection strategies is checked on random
+pools.
 """
 
 import itertools
@@ -14,6 +16,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scdselect import selection
+from scdselect.corpus import sort_by_length
 from scdselect.divergence import CandidateStats, DivergenceUndefinedError, scd, scd_incremental
 from scdselect.ngram import count_ngrams, interpolate
 
@@ -112,3 +115,72 @@ def test_bucket_scores_at_the_int64_key_limit():
         exact = scd_incremental(subset, seq, target).nats
         assert math.isfinite(exact)
         assert abs(fast - exact) <= 1e-10 * (1.0 + abs(exact))
+
+
+@st.composite
+def seconds_budget_runs(draw):
+    """A pool with positive durations, a query, and a selection config with a seconds budget.
+
+    The budget is a fraction of the pool total, summed in the order the
+    strategy sums it, and is often zero or the whole pool.
+    """
+    k = draw(st.integers(2, 4))
+    n = draw(st.integers(1, 10))
+    seqs = draw(st.lists(st.lists(st.integers(0, k - 1), min_size=1, max_size=8), min_size=n, max_size=n))
+    durations = draw(st.lists(st.floats(0.01, 10.0), min_size=n, max_size=n))
+    pool = make_corpus(seqs, k, durations=durations)
+    query = make_corpus([draw(st.lists(st.integers(0, k - 1), min_size=1, max_size=8))], k, ids=["q"])
+    strategy = draw(st.sampled_from(["greedy", "random", "contrastive"]))
+    # Greedy sums the durations of the length-sorted pool.
+    summed = sort_by_length(pool) if strategy == "greedy" else pool
+    fraction = draw(st.one_of(st.sampled_from([0.0, 1.0]), st.floats(0.0, 1.0)))
+    config = selection.SelectionConfig(
+        duration_budget_s=fraction * sum(seq.duration_s for seq in summed),
+        order=draw(st.integers(1, 2)),
+        seed=draw(st.integers(0, 3)),
+    )
+    return strategy, pool, query, config
+
+
+def _select(strategy, pool, query, config):
+    if strategy == "greedy":
+        return selection.select_greedy_scd(pool, query, config)
+    if strategy == "random":
+        return selection.select_random(pool, config, query=query)
+    return selection.select_contrastive(pool, query, config)
+
+
+@settings(max_examples=150, deadline=None)
+@given(seconds_budget_runs())
+def test_seconds_budget_contract(run):
+    strategy, pool, query, config = run
+    budget = config.duration_budget_s
+    # Greedy passes: the bounds each pass makes, and the buckets it picks from.
+    passes = []
+    real_buckets, real_pick = selection._duration_buckets, selection._pick_from_bucket
+
+    def duration_buckets(sequences, n_buckets):
+        bounds = real_buckets(sequences, n_buckets)
+        passes.append(([tuple(sequences[a:b]) for a, b in bounds], []))
+        return bounds
+
+    def pick_from_bucket(bucket, *args):
+        passes[-1][1].append(tuple(bucket))
+        return real_pick(bucket, *args)
+
+    with mock.patch.object(selection, "_duration_buckets", duration_buckets), \
+            mock.patch.object(selection, "_pick_from_bucket", pick_from_bucket):
+        result = _select(strategy, pool, query, config)
+    assert result == _select(strategy, pool, query, config)
+    assert len(set(result.selected_ids)) == len(result.selected_ids)
+
+    seconds = {seq.id: seq.duration_s for seq in pool}
+    picked = [seconds[i] for i in result.selected_ids]
+    # Contrastive ranks only utterances with a gram at this order.
+    eligible = {seq.id for seq in pool if strategy != "contrastive" or len(seq) >= config.order}
+    assert sum(picked) >= budget or set(result.selected_ids) == eligible
+    assert sum(picked[:-1]) < budget or not picked
+
+    for buckets, picked_from in passes:
+        assert len(set(picked_from)) == len(picked_from)
+        assert set(picked_from) <= set(buckets)
