@@ -2,14 +2,23 @@
 
 A label corpus is a list of utterances, each discretized into a sequence of
 integer cluster labels drawn from a shared alphabet of size K. The on-disk
-format is line-oriented UTF-8 text:
+format is line-oriented UTF-8 text with LF line ends:
 
     line 1:     ``#K=<int>``
-    each record: ``<id>\\t<duration_s>\\t<space-separated labels>``
+    each record: ``<id>\\t<duration_s>\\t<labels>``
 
-An empty label list is encoded as an empty third field. Extra ``#``-prefixed
-lines directly after the header are tolerated on load (tools may embed a
-config echo there) but never written by :func:`save_label_corpus`.
+``<labels>`` is zero or more ``[0-9]+`` tokens, each below K and within
+int32, separated by single ASCII spaces; an empty field is a zero-length
+utterance. Signs, ``_`` digit separators, non-ASCII digits, other
+whitespace and a CR before the LF are rejected. ``<duration_s>`` is anything
+``float()`` reads as a finite number >= 0, or empty for an absent duration
+(stored as 0.0). Ids are non-empty, unique and hold no CR. Extra
+``#``-prefixed lines directly after the header are tolerated on load (tools
+may embed a config echo there) but never written by
+:func:`save_label_corpus`.
+
+In memory a :class:`LabelCorpus` is columnar (see its docstring): one flat
+label array shared by all utterances, plus per-utterance columns.
 
 Audio manifests are ``<id>\\t<path>`` lines.
 """
@@ -18,15 +27,25 @@ from __future__ import annotations
 
 import logging
 import math
+import os
+import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterator, Sequence
+from typing import BinaryIO, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
 logger = logging.getLogger(__name__)
 
 LABEL_DTYPE = np.int32
+
+# Bytes of label-file body read per chunk (extended to the next line end).
+_CHUNK_BYTES = 1 << 18
+
+_INT32_END = 2**31
+_LABEL_FIELD_BYTES = b"0123456789 "
+_LABEL_FIELD = re.compile("[0-9]+( [0-9]+)*")
+_SIGNED_TOKEN = re.compile("[+-]?[0-9]+")
 
 
 class CorpusFormatError(ValueError):
@@ -39,7 +58,7 @@ def _as_label_array(labels) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class LabelSequence:
     """One utterance as an ordered run of integer cluster labels.
 
@@ -66,6 +85,15 @@ class LabelSequence:
         object.__setattr__(self, "duration_s", duration)
         object.__setattr__(self, "labels", _as_label_array(self.labels))
 
+    @classmethod
+    def _view(cls, utt_id: str, duration_s: float, labels: np.ndarray) -> LabelSequence:
+        """A sequence over values its corpus has already checked; nothing is copied."""
+        seq = object.__new__(cls)
+        object.__setattr__(seq, "id", utt_id)
+        object.__setattr__(seq, "duration_s", duration_s)
+        object.__setattr__(seq, "labels", labels)
+        return seq
+
     def __len__(self) -> int:
         return int(self.labels.shape[0])
 
@@ -82,31 +110,81 @@ class LabelSequence:
         return hash((self.id, self.duration_s, self.labels.tobytes()))
 
 
-@dataclass(frozen=True, eq=False)
 class LabelCorpus:
-    """A collection of label sequences over one alphabet of size K."""
+    """A collection of label sequences over one alphabet of size K, held as columns.
 
-    alphabet_size: int
-    sequences: tuple[LabelSequence, ...]
-    source_tag: str = ""
+    Utterance ``i`` has id ``ids[i]``, duration ``durations[i]`` and the labels
+    ``labels[starts[i] : starts[i] + lengths[i]]``. ``labels`` is one flat
+    read-only int32 array that the utterances partition; ``starts`` and
+    ``lengths`` (int64) and ``durations`` (float64) are read-only too. This is
+    the offsets-plus-values list layout of the Arrow columnar format, with an
+    explicit start per utterance so that reordering utterances permutes the
+    small columns and shares ``labels`` (see :func:`sort_by_length`).
+    ``sequences`` presents the utterances as :class:`LabelSequence` views into
+    ``labels``.
 
-    def __post_init__(self):
-        if self.alphabet_size < 1:
+    The constructor packs ``sequences`` into these columns and checks that ids
+    are unique and every label lies in ``[0, alphabet_size)``.
+    """
+
+    __slots__ = (
+        "alphabet_size", "source_tag", "labels", "starts", "lengths", "ids", "durations",
+        "_sequences",
+    )
+
+    def __init__(self, alphabet_size: int, sequences: Iterable[LabelSequence], source_tag: str = ""):
+        if alphabet_size < 1:
             raise ValueError("alphabet_size must be >= 1")
-        object.__setattr__(self, "sequences", tuple(self.sequences))
-        seen: set[str] = set()
-        for seq in self.sequences:
-            if seq.id in seen:
-                raise ValueError(f"duplicate utterance id {seq.id!r}")
-            seen.add(seq.id)
-            if len(seq) and (seq.labels.min() < 0 or seq.labels.max() >= self.alphabet_size):
-                bad = seq.labels[(seq.labels < 0) | (seq.labels >= self.alphabet_size)][0]
-                raise ValueError(
-                    f"utterance {seq.id!r}: label {int(bad)} outside [0, {self.alphabet_size})"
+        sequences = tuple(sequences)
+        ids = tuple(seq.id for seq in sequences)
+        duplicate = _first_duplicate(ids)
+        if duplicate is not None:
+            raise ValueError(f"duplicate utterance id {ids[duplicate]!r}")
+        lengths = np.array([len(seq) for seq in sequences], dtype=np.int64)
+        labels = np.concatenate([seq.labels for seq in sequences] or [np.empty(0, LABEL_DTYPE)])
+        if labels.size and (labels.min() < 0 or labels.max() >= alphabet_size):
+            position = int(np.argmax((labels < 0) | (labels >= alphabet_size)))
+            owner = int(np.searchsorted(np.cumsum(lengths), position, side="right"))
+            raise ValueError(
+                f"utterance {ids[owner]!r}: label {int(labels[position])} "
+                f"outside [0, {alphabet_size})"
+            )
+        durations = np.array([seq.duration_s for seq in sequences], dtype=np.float64)
+        self._assign(
+            alphabet_size, source_tag, labels, np.cumsum(lengths) - lengths, lengths, ids, durations
+        )
+
+    def _assign(self, alphabet_size, source_tag, labels, starts, lengths, ids, durations) -> None:
+        self.alphabet_size = alphabet_size
+        self.source_tag = source_tag
+        self.labels, self.starts, self.lengths, self.durations = labels, starts, lengths, durations
+        for column in (labels, starts, lengths, durations):
+            column.flags.writeable = False
+        self.ids = ids
+        self._sequences: tuple[LabelSequence, ...] | None = None
+
+    @classmethod
+    def _from_columns(cls, *columns) -> LabelCorpus:
+        """A corpus over columns that are already checked (the arguments of ``_assign``)."""
+        corpus = cls.__new__(cls)
+        corpus._assign(*columns)
+        return corpus
+
+    @property
+    def sequences(self) -> tuple[LabelSequence, ...]:
+        """The utterances in order, as views into ``labels`` (built on first use)."""
+        if self._sequences is None:
+            ends = (self.starts + self.lengths).tolist()
+            self._sequences = tuple(
+                LabelSequence._view(utt_id, duration, self.labels[start:end])
+                for utt_id, duration, start, end in zip(
+                    self.ids, self.durations.tolist(), self.starts.tolist(), ends
                 )
+            )
+        return self._sequences
 
     def __len__(self) -> int:
-        return len(self.sequences)
+        return len(self.ids)
 
     def __iter__(self) -> Iterator[LabelSequence]:
         return iter(self.sequences)
@@ -121,12 +199,20 @@ class LabelCorpus:
         )
 
     @property
-    def ids(self) -> tuple[str, ...]:
-        return tuple(seq.id for seq in self.sequences)
-
-    @property
     def total_frames(self) -> int:
-        return sum(len(seq) for seq in self.sequences)
+        return int(self.lengths.sum())
+
+
+def _first_duplicate(ids: Sequence[str]) -> int | None:
+    """Index of the first id that repeats an earlier one, or None."""
+    if len(set(ids)) == len(ids):
+        return None
+    seen: set[str] = set()
+    for index, utt_id in enumerate(ids):
+        if utt_id in seen:
+            return index
+        seen.add(utt_id)
+    return None
 
 
 @dataclass(frozen=True)
@@ -164,81 +250,156 @@ class AudioManifest:
 def load_label_corpus(path: str | Path, source_tag: str | None = None) -> LabelCorpus:
     """Read a label-corpus file, preserving record order exactly.
 
-    Raises :class:`CorpusFormatError` naming the line number for malformed
-    lines, the utterance id for out-of-alphabet labels, and the id for
-    duplicates. Never silently drops a record.
+    The body is read in line-aligned chunks of about ``_CHUNK_BYTES``: ids and
+    durations are split per line, and the label fields of a chunk are parsed
+    in one numpy pass into a preallocated int32 array. Every check runs in
+    bulk; if one fails, the file is read again line by line and the first
+    faulty line raises :class:`CorpusFormatError` naming ``path:line`` (and
+    the utterance id for label and id faults). Never silently drops a record.
     """
     path = Path(path)
-    sequences: list[LabelSequence] = []
-    with path.open("r", encoding="utf-8", newline="\n") as handle:
-        header = handle.readline().rstrip("\n")
-        if not header.startswith("#K="):
-            raise CorpusFormatError(f"{path}:1: expected '#K=<int>' header")
+    with path.open("rb") as handle:
+        alphabet_size = _read_header(path, handle.readline())
         try:
-            alphabet_size = int(header[3:])
+            columns = _parse_body(handle, alphabet_size, os.fstat(handle.fileno()).st_size // 2)
         except ValueError:
-            raise CorpusFormatError(f"{path}:1: bad alphabet size in header {header!r}") from None
-        if alphabet_size < 1:
-            raise CorpusFormatError(f"{path}:1: alphabet size must be >= 1, got {alphabet_size}")
+            columns = None
+        if columns is None:  # outside the handler, so the parse buffer is already freed
+            _raise_first_fault(path, handle, alphabet_size)
+    tag = source_tag if source_tag is not None else path.name
+    return LabelCorpus._from_columns(alphabet_size, tag, *columns)
 
-        body_started = False
-        for lineno, line in enumerate(handle, start=2):
-            line = line.rstrip("\n")
-            if not body_started and line.startswith("#") and "\t" not in line:
-                continue  # tolerated extra header comment (e.g. a config echo)
-            body_started = True
-            fields = line.split("\t")
-            if len(fields) != 3:
-                raise CorpusFormatError(
-                    f"{path}:{lineno}: expected 3 tab-separated fields, got {len(fields)}"
-                )
-            utt_id, duration_text, label_text = fields
-            if duration_text == "":
-                duration_s = 0.0  # absent duration; duration-budget selection refuses these
-            else:
-                try:
-                    duration_s = float(duration_text)
-                except ValueError:
-                    raise CorpusFormatError(
-                        f"{path}:{lineno}: bad duration {duration_text!r}"
-                    ) from None
-                if not math.isfinite(duration_s):
-                    raise CorpusFormatError(
-                        f"{path}:{lineno}: duration {duration_text!r} is not finite"
-                    )
-            if label_text:
-                try:
-                    labels = np.array(label_text.split(" "), dtype=LABEL_DTYPE)
-                except ValueError:
-                    raise CorpusFormatError(
-                        f"{path}:{lineno}: labels must be space-separated integers"
-                    ) from None
-                except OverflowError:
-                    raise CorpusFormatError(
-                        f"{path}:{lineno}: utterance {utt_id!r} has a label outside the "
-                        "int32 range"
-                    ) from None
-            else:
-                labels = np.empty(0, dtype=LABEL_DTYPE)
-            if labels.size and (labels.min() < 0 or labels.max() >= alphabet_size):
-                bad = labels[(labels < 0) | (labels >= alphabet_size)][0]
-                raise CorpusFormatError(
-                    f"{path}:{lineno}: utterance {utt_id!r} has label {int(bad)} "
-                    f"outside [0, {alphabet_size})"
-                )
-            try:
-                sequences.append(LabelSequence(utt_id, duration_s, labels))
-            except ValueError as exc:
-                raise CorpusFormatError(f"{path}:{lineno}: {exc}") from None
 
+def _read_header(path: Path, line: bytes) -> int:
+    header = line.decode("utf-8", errors="replace").rstrip("\n")
+    if not header.startswith("#K="):
+        raise CorpusFormatError(f"{path}:1: expected '#K=<int>' header")
     try:
-        return LabelCorpus(
-            alphabet_size=alphabet_size,
-            sequences=tuple(sequences),
-            source_tag=source_tag if source_tag is not None else path.name,
-        )
-    except ValueError as exc:
-        raise CorpusFormatError(f"{path}: {exc}") from None
+        alphabet_size = int(header[3:])
+    except ValueError:
+        raise CorpusFormatError(f"{path}:1: bad alphabet size in header {header!r}") from None
+    if alphabet_size < 1:
+        raise CorpusFormatError(f"{path}:1: alphabet size must be >= 1, got {alphabet_size}")
+    return alphabet_size
+
+
+def _is_comment(line: bytes) -> bool:
+    """Whether a line before the first record is a tolerated ``#`` comment."""
+    return line.startswith(b"#") and b"\t" not in line
+
+
+def _parse_body(handle: BinaryIO, alphabet_size: int, capacity: int) -> tuple:
+    """Label, start, length, id and duration columns of the records; ValueError on any fault.
+
+    ``capacity`` bounds the label count: every label but the file's last
+    takes a digit and a following space or LF, and the header alone
+    takes four bytes, so half the file size is enough.
+    """
+    labels = np.empty(capacity, dtype=LABEL_DTYPE)
+    filled = 0
+    ids: list[str] = []
+    durations: list[float] = []
+    lengths: list[int] = []
+    label_end = min(alphabet_size, _INT32_END)
+    body = handle.tell()
+    while _is_comment(line := handle.readline()):
+        line.decode("utf-8")
+        body = handle.tell()
+    handle.seek(body)
+    while chunk := handle.read(_CHUNK_BYTES):
+        if not chunk.endswith(b"\n"):
+            chunk += handle.readline()
+        lines = chunk.split(b"\n")
+        if not lines[-1]:
+            lines.pop()
+        fields = []
+        expected = 0
+        for line in lines:
+            utt_id, duration, field = line.split(b"\t")
+            ids.append(utt_id.decode("utf-8"))
+            durations.append(float(duration.decode("utf-8")) if duration else 0.0)
+            tokens = field.count(b" ") + 1 if field else 0
+            lengths.append(tokens)
+            expected += tokens
+            if field:
+                fields.append(field)
+        # With digits and spaces only, each parsed value is one run of digits,
+        # so as many values as space-separated tokens means no token is empty.
+        # Values are >= 0, and int64 parsing saturates rather than wraps, so
+        # the upper bound also catches labels beyond int32.
+        text = b" ".join(fields)
+        if text.translate(None, _LABEL_FIELD_BYTES):
+            raise ValueError("label field holds a byte other than a digit or space")
+        values = np.fromstring(text, dtype=np.int64, sep=" ")
+        if values.shape[0] != expected or (expected and values.max() >= label_end):
+            raise ValueError("empty or out-of-range label")
+        labels[filled : filled + values.shape[0]] = values
+        filled += values.shape[0]
+    duration_column = np.array(durations, dtype=np.float64)
+    if not (np.isfinite(duration_column).all() and (duration_column >= 0).all()):
+        raise ValueError("duration")
+    if not all(ids) or any("\r" in utt_id for utt_id in ids) or _first_duplicate(ids) is not None:
+        raise ValueError("utterance id")
+    labels.resize(filled, refcheck=False)
+    length_column = np.array(lengths, dtype=np.int64)
+    return labels, np.cumsum(length_column) - length_column, length_column, tuple(ids), duration_column
+
+
+def _raise_first_fault(path: Path, handle: BinaryIO, alphabet_size: int) -> NoReturn:
+    """Read the body again line by line and raise for the first faulty record."""
+    handle.seek(0)
+    handle.readline()
+    seen: set[str] = set()
+    in_header = True
+    for lineno, raw in enumerate(handle, start=2):
+        raw = raw.removesuffix(b"\n")
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            raise CorpusFormatError(f"{path}:{lineno}: not valid UTF-8") from None
+        if in_header and _is_comment(raw):
+            continue
+        in_header = False
+        fault = _record_fault(line, alphabet_size, seen)
+        if fault:
+            raise CorpusFormatError(f"{path}:{lineno}: {fault}")
+    raise RuntimeError(f"{path}: bulk parse failed but every line checks out")
+
+
+def _record_fault(line: str, alphabet_size: int, seen: set[str]) -> str | None:
+    """What is wrong with one record line, or None; adds its id to ``seen``."""
+    fields = line.split("\t")
+    if len(fields) != 3:
+        return f"expected 3 tab-separated fields, got {len(fields)}"
+    utt_id, duration_text, label_text = fields
+    try:
+        duration = float(duration_text) if duration_text else 0.0
+    except ValueError:
+        return f"bad duration {duration_text!r}"
+    if not math.isfinite(duration):
+        return f"duration {duration_text!r} is not finite"
+    int32_fault = f"utterance {utt_id!r} has a label outside the int32 range"
+    if label_text and not _LABEL_FIELD.fullmatch(label_text):
+        tokens = label_text.split(" ")
+        if any(_SIGNED_TOKEN.fullmatch(t) and not -_INT32_END <= int(t) < _INT32_END for t in tokens):
+            return int32_fault
+        return "labels must be space-separated integers"
+    values = np.fromstring(label_text, dtype=np.int64, sep=" ") if label_text else np.empty(0, np.int64)
+    outside = values[values >= min(alphabet_size, _INT32_END)]
+    if outside.size and outside.max() >= _INT32_END:
+        return int32_fault
+    if outside.size:
+        return f"utterance {utt_id!r} has label {int(outside[0])} outside [0, {alphabet_size})"
+    if not utt_id:
+        return "utterance id must be non-empty"
+    if "\r" in utt_id:
+        return f"utterance id {utt_id!r} contains tab/newline"
+    if duration < 0:
+        return f"utterance {utt_id!r}: duration_s must be a finite number >= 0, got {duration!r}"
+    if utt_id in seen:
+        return f"duplicate utterance id {utt_id!r}"
+    seen.add(utt_id)
+    return None
 
 
 def save_label_corpus(
@@ -263,12 +424,21 @@ def save_label_corpus(
 
 
 def sort_by_length(corpus: LabelCorpus) -> LabelCorpus:
-    """Order sequences by ascending label count, ties by ascending id."""
-    ordered = sorted(corpus.sequences, key=lambda seq: (len(seq), seq.id))
-    return LabelCorpus(
-        alphabet_size=corpus.alphabet_size,
-        sequences=tuple(ordered),
-        source_tag=corpus.source_tag,
+    """Order sequences by ascending label count, ties by ascending id.
+
+    Only the per-utterance columns are permuted: the result shares the label
+    array, and nothing is checked again.
+    """
+    by_id = np.array(sorted(range(len(corpus)), key=corpus.ids.__getitem__), dtype=np.intp)
+    order = by_id[np.argsort(corpus.lengths[by_id], kind="stable")]
+    return LabelCorpus._from_columns(
+        corpus.alphabet_size,
+        corpus.source_tag,
+        corpus.labels,
+        corpus.starts[order],
+        corpus.lengths[order],
+        tuple(map(corpus.ids.__getitem__, order.tolist())),
+        corpus.durations[order],
     )
 
 

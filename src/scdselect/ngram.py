@@ -153,10 +153,11 @@ def _tally(chunks: Iterable[np.ndarray], n_keys: int, space: int) -> tuple[np.nd
     return keys, dense[keys]
 
 
-def _inside_windows(sequences: Sequence[np.ndarray], order: int, alphabet_size: int) -> np.ndarray:
-    """Window codes of several sequences, in order; no window spans two sequences."""
-    lengths = np.array([seq.shape[0] for seq in sequences], dtype=np.int64)
-    flat = _window_codes(np.concatenate(sequences), order, alphabet_size)
+def _inside_windows(
+    labels: np.ndarray, lengths: np.ndarray, order: int, alphabet_size: int
+) -> np.ndarray:
+    """Window codes of consecutive sequences packed in ``labels``; no window spans two."""
+    flat = _window_codes(labels, order, alphabet_size)
     if order == 1:
         return flat
     windows = np.maximum(lengths - order + 1, 0)
@@ -165,15 +166,15 @@ def _inside_windows(sequences: Sequence[np.ndarray], order: int, alphabet_size: 
 
 
 def _window_batches(
-    sequences: Sequence[np.ndarray], order: int, alphabet_size: int
+    labels: np.ndarray, lengths: np.ndarray, order: int, alphabet_size: int
 ) -> Iterator[np.ndarray]:
-    """:func:`_inside_windows` over runs of sequences holding about ``_COUNT_BATCH`` labels."""
-    start = size = 0
-    for end, seq in enumerate(sequences, start=1):
-        size += seq.shape[0]
-        if size >= _COUNT_BATCH or end == len(sequences):
-            yield _inside_windows(sequences[start:end], order, alphabet_size)
-            start, size = end, 0
+    """:func:`_inside_windows` over runs of packed sequences of about ``_COUNT_BATCH`` labels."""
+    first = offset = size = 0
+    for end, length in enumerate(lengths.tolist(), start=1):
+        size += length
+        if size >= _COUNT_BATCH or end == lengths.shape[0]:
+            yield _inside_windows(labels[offset : offset + size], lengths[first:end], order, alphabet_size)
+            first, offset, size = end, offset + size, 0
 
 
 def grouped_codes(
@@ -196,7 +197,7 @@ def grouped_codes(
     if n_windows == 0:
         return _EMPTY_CODES, _EMPTY_CODES, _EMPTY_CODES
     # Key each window as code * n_rows + row, so that one tally groups them.
-    flat = _inside_windows(sequences, order, alphabet_size)
+    flat = _inside_windows(np.concatenate(sequences), lengths, order, alphabet_size)
     flat *= n_rows
     flat += np.repeat(np.arange(n_rows, dtype=np.int64), windows)
     keys, counts = _tally([flat], n_windows, n_rows * alphabet_size**order)
@@ -394,10 +395,11 @@ def count_ngrams(corpus: LabelCorpus, order: int, alpha: float = 0.5) -> NGramSt
         raise ValueError("smoothing alpha must be >= 0")
     k = corpus.alphabet_size
     check_encodable(k, order)
-    sequences = [seq.labels for seq in corpus]
+    # In order of their starts the utterances tile the corpus label array.
+    lengths = corpus.lengths[np.argsort(corpus.starts, kind="stable")]
     codes, counts = _tally(
-        _window_batches(sequences, order, k),
-        sum(max(seq.shape[0] - order + 1, 0) for seq in sequences),
+        _window_batches(corpus.labels, lengths, order, k),
+        int(np.maximum(lengths - order + 1, 0).sum()),
         k**order,
     )
     return NGramStats(

@@ -344,8 +344,12 @@ def _check_budget(pool: Sequence[LabelSequence], config: SelectionConfig) -> flo
 
     A count budget may not exceed the pool size. A seconds budget needs a
     positive duration on every utterance and may not exceed the pool total.
+    The total is the correctly rounded sum (``math.fsum``), so the verdict
+    does not depend on the pool's order, which differs between strategies. A
+    budget within ``len(pool)`` ulps above it passes, because summing the
+    pool in some order can land that far above the correctly rounded total.
     """
-    total = sum(seq.duration_s for seq in pool)
+    total = math.fsum(seq.duration_s for seq in pool)
     if config.budget_c is not None:
         if config.budget_c > len(pool):
             raise ValueError(f"budget {config.budget_c} exceeds corpus size {len(pool)}")
@@ -356,7 +360,7 @@ def _check_budget(pool: Sequence[LabelSequence], config: SelectionConfig) -> flo
             f"duration budget requires positive durations; missing for "
             f"{missing[:5]}{'...' if len(missing) > 5 else ''}"
         )
-    if config.duration_budget_s > total:
+    if config.duration_budget_s - total > len(pool) * math.ulp(total):
         raise ValueError(
             f"duration budget {config.duration_budget_s} s exceeds corpus total {total} s"
         )

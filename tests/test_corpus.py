@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from scdselect import corpus as corpus_module
 from scdselect.corpus import (
     AudioManifest,
     CorpusFormatError,
@@ -233,3 +234,164 @@ class TestNonFiniteDurations:
     def test_label_sequence_rejects(self, value):
         with pytest.raises(ValueError, match="finite"):
             LabelSequence(id="a", duration_s=value, labels=np.array([0], dtype=np.int32))
+
+
+class TestLabelGrammar:
+    """Labels are [0-9]+ tokens separated by single ASCII spaces, lines end in LF."""
+
+    @pytest.mark.parametrize(
+        "field",
+        [
+            "+1",  # sign
+            "0 -0",  # sign on zero
+            "1_0",  # digit separator
+            "١",  # Arabic-Indic digit one
+            "0 1\r",  # CR before the LF
+            "\r",  # CR as the whole field
+            " 1",  # leading space
+            "1 ",  # trailing space
+            "1  2",  # double space
+            "1 2",  # no-break space
+            "0x1",
+        ],
+    )
+    def test_rejected_with_path_and_line(self, tmp_path, field):
+        path = tmp_path / "c.labels"
+        write(path, f"#K=4\na\t1.0\t0 1\nb\t1.0\t{field}\nc\t1.0\t2\n")
+        with pytest.raises(CorpusFormatError, match="c.labels:3: labels must be space-separated integers"):
+            load_label_corpus(path)
+
+    def test_leading_zeros_accepted(self, tmp_path):
+        path = tmp_path / "c.labels"
+        write(path, "#K=4\na\t1.0\t003 0\n")
+        assert load_label_corpus(path).sequences[0].labels.tolist() == [3, 0]
+
+    def test_no_final_newline(self, tmp_path):
+        path = tmp_path / "c.labels"
+        write(path, "#K=4\na\t1.0\t0 1\nb\t2.0\t3")
+        corpus = load_label_corpus(path)
+        assert corpus.ids == ("a", "b")
+        assert corpus.sequences[1].labels.tolist() == [3]
+
+    def test_blank_line_rejected(self, tmp_path):
+        path = tmp_path / "c.labels"
+        write(path, "#K=4\na\t1.0\t0 1\n\n")
+        with pytest.raises(CorpusFormatError, match="c.labels:3: expected 3 tab-separated fields"):
+            load_label_corpus(path)
+
+    def test_negative_duration_names_line(self, tmp_path):
+        path = tmp_path / "c.labels"
+        write(path, "#K=4\na\t1.0\t0\nb\t-0.5\t1\n")
+        with pytest.raises(CorpusFormatError, match="c.labels:3: utterance 'b': duration_s must be"):
+            load_label_corpus(path)
+
+    def test_invalid_utf8_in_comment_names_line(self, tmp_path):
+        path = tmp_path / "c.labels"
+        path.write_bytes(b"#K=4\n#cfg=\xff\na\t1.0\t0\n")
+        with pytest.raises(CorpusFormatError, match="c.labels:2: not valid UTF-8"):
+            load_label_corpus(path)
+
+    def test_invalid_utf8_names_line(self, tmp_path):
+        path = tmp_path / "c.labels"
+        path.write_bytes(b"#K=4\na\t1.0\t0\nb\xff\t1.0\t1\n")
+        with pytest.raises(CorpusFormatError, match="c.labels:3: not valid UTF-8"):
+            load_label_corpus(path)
+
+
+def _big_label_file(path, n_lines, bad_line=None, bad_record=None, final_newline=True):
+    """A label file of ``n_lines`` records over K=50, several read chunks long.
+
+    Record ``bad_line`` (a file line number) is replaced by ``bad_record``.
+    """
+    lines = ["#K=50"]
+    for lineno in range(2, n_lines + 2):
+        labels = " ".join(str((lineno * 7 + j) % 50) for j in range(40))
+        lines.append(f"utt{lineno:06d}\t1.5\t{labels}")
+    if bad_line is not None:
+        lines[bad_line - 1] = bad_record
+    text = "\n".join(lines) + ("\n" if final_newline else "")
+    write(path, text)
+    return text
+
+
+class TestChunkBoundaryErrors:
+    """Faults far past the first read chunk are reported at their exact line."""
+
+    N_LINES = 12_000  # about 1.4 MB, several chunks
+
+    @pytest.mark.parametrize(
+        "bad_record, message",
+        [
+            ("utt-bad\t1.0\t1 2x 3", "labels must be space-separated integers"),
+            ("utt-bad\t1.0\t1 50 3", "utterance 'utt-bad' has label 50 outside \\[0, 50\\)"),
+            ("utt000002\t1.0\t1 2 3", "duplicate utterance id 'utt000002'"),
+            ("utt-bad\t1.0\t1 4294967296 3", "utterance 'utt-bad' has a label outside the int32 range"),
+            ("utt-bad\tfast\t1", "bad duration 'fast'"),
+        ],
+    )
+    def test_exact_line(self, tmp_path, bad_record, message):
+        path = tmp_path / "big.labels"
+        text = _big_label_file(path, self.N_LINES, bad_line=9_001, bad_record=bad_record)
+        assert len("\n".join(text.split("\n")[:9_000])) > 4 * corpus_module._CHUNK_BYTES
+        with pytest.raises(CorpusFormatError, match=f"big.labels:9001: {message}"):
+            load_label_corpus(path)
+
+    @pytest.mark.parametrize("bad_record", ["utt-bad\t1.0\t1 2 +3", "utt-bad\t1.0\t7 99"])
+    def test_last_line_without_final_newline(self, tmp_path, bad_record):
+        path = tmp_path / "big.labels"
+        last = self.N_LINES + 1
+        _big_label_file(path, self.N_LINES, bad_line=last, bad_record=bad_record, final_newline=False)
+        with pytest.raises(CorpusFormatError, match=f"big.labels:{last}: "):
+            load_label_corpus(path)
+
+    def test_good_file_loads_whole(self, tmp_path):
+        path = tmp_path / "big.labels"
+        _big_label_file(path, self.N_LINES, final_newline=False)
+        corpus = load_label_corpus(path)
+        assert len(corpus) == self.N_LINES
+        assert corpus.total_frames == 40 * self.N_LINES
+        assert corpus.sequences[-1].labels.tolist() == [
+            ((self.N_LINES + 1) * 7 + j) % 50 for j in range(40)
+        ]
+
+    def test_select_exits_1_naming_the_line(self, tmp_path, capsys):
+        from scdselect.cli import main
+
+        path = tmp_path / "big.labels"
+        _big_label_file(path, self.N_LINES, bad_line=9_001, bad_record="utt-bad\t1.0\t1 -2 3")
+        query = tmp_path / "q.labels"
+        write(query, "#K=50\nq\t1.0\t1 2 3\n")
+        code = main(["select", str(path), str(query), "--budget-count", "1",
+                     "--output", str(tmp_path / "r.tsv")])
+        assert code == 1
+        assert "big.labels:9001: labels must be space-separated integers" in capsys.readouterr().err
+        assert not (tmp_path / "r.tsv").exists()
+
+
+class TestColumns:
+    def test_sequences_are_views_of_the_label_array(self, tmp_path, tiny_corpus):
+        path = tmp_path / "c.labels"
+        save_label_corpus(tiny_corpus, path)
+        corpus = load_label_corpus(path)
+        assert corpus.labels.tolist() == [0, 0, 1, 1, 2]
+        assert corpus.starts.tolist() == [0, 3, 5]
+        assert corpus.lengths.tolist() == [3, 2, 0]
+        assert corpus.durations.tolist() == [1.0, 1.0, 1.0]
+        for seq in corpus.sequences[:2]:
+            assert np.shares_memory(seq.labels, corpus.labels)
+
+    def test_sort_shares_labels_and_permutes_columns(self, tiny_corpus):
+        ordered = sort_by_length(tiny_corpus)
+        assert ordered.labels is tiny_corpus.labels
+        assert ordered.ids == ("u2", "u1", "u0")
+        assert ordered.starts.tolist() == [5, 3, 0]
+        assert [seq.labels.tolist() for seq in ordered] == [[], [1, 2], [0, 0, 1]]
+
+    def test_columns_read_only(self, tiny_corpus):
+        for column in (tiny_corpus.labels, tiny_corpus.starts, tiny_corpus.lengths, tiny_corpus.durations):
+            with pytest.raises(ValueError):
+                column[0] = 1
+
+    def test_constructor_names_first_bad_utterance(self):
+        with pytest.raises(ValueError, match="utterance 'u2': label 3 outside \\[0, 3\\)"):
+            make_corpus([[0], [], [1, 3, 4]], alphabet_size=3)

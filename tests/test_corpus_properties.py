@@ -1,0 +1,172 @@
+"""Property tests of the columnar label corpus against slow references.
+
+A label file written by ``save_label_corpus`` loads back to the same corpus;
+on randomly corrupted files the bulk loader and a small line-by-line
+reference parser agree on accepting and on the first bad line; and
+``count_ngrams`` matches a brute-force recount on corpora built by the
+loader, by the constructor and by ``sort_by_length``.
+"""
+
+import math
+import re
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from scdselect.corpus import CorpusFormatError, load_label_corpus, save_label_corpus, sort_by_length
+from scdselect import ngram
+from scdselect.ngram import count_ngrams
+
+from conftest import make_corpus
+from test_ngram import brute_force_counts
+
+# Ids: any non-empty text UTF-8 can encode, without tab, LF or CR.
+IDS = st.text(
+    st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"), min_size=1, max_size=12
+)
+DURATIONS = st.one_of(
+    st.floats(min_value=0.0, allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, 0.1 + 0.2, 5e-324, 1e308]),
+)
+
+
+@st.composite
+def corpora(draw, max_k=1000, max_len=12):
+    k = draw(st.integers(1, max_k))
+    ids = draw(st.lists(IDS, max_size=8, unique=True))
+    seqs = [draw(st.lists(st.integers(0, k - 1), max_size=max_len)) for _ in ids]
+    durations = [draw(DURATIONS) for _ in ids]
+    return make_corpus(seqs, k, ids=ids, durations=durations)
+
+
+def _load_bytes(data: bytes):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.labels"
+        path.write_bytes(data)
+        return load_label_corpus(path, source_tag="test")
+
+
+def _save_bytes(corpus, comments=()) -> bytes:
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "c.labels"
+        save_label_corpus(corpus, path, comments=comments)
+        return path.read_bytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(corpora())
+def test_load_after_save_is_identity(corpus):
+    loaded = _load_bytes(_save_bytes(corpus))
+    assert loaded == corpus
+    assert loaded.total_frames == corpus.total_frames
+
+
+def reference_parse(data: bytes):
+    """The records of a label file as ``(id, duration, labels)``, or the first bad line number.
+
+    Written line by line from the format description, independently of the
+    bulk loader; the header line is taken to be a valid ``#K=<int>``.
+    """
+    lines = data.split(b"\n")
+    if lines[-1] == b"":
+        lines.pop()  # the final LF is optional
+    k = int(lines[0].decode()[3:])
+    records, seen, body = [], set(), False
+    for lineno, raw in enumerate(lines[1:], start=2):
+        try:
+            line = raw.decode("utf-8")
+        except UnicodeDecodeError:
+            return lineno
+        if not body and line.startswith("#") and "\t" not in line:
+            continue
+        body = True
+        fields = line.split("\t")
+        if len(fields) != 3:
+            return lineno
+        utt_id, duration_text, label_text = fields
+        try:
+            duration = float(duration_text) if duration_text else 0.0
+        except ValueError:
+            return lineno
+        tokens = label_text.split(" ") if label_text else []
+        if not all(re.fullmatch("[0-9]+", t) and int(t) < k for t in tokens):
+            return lineno
+        if not (math.isfinite(duration) and duration >= 0) or not utt_id or "\r" in utt_id:
+            return lineno
+        if utt_id in seen:
+            return lineno
+        seen.add(utt_id)
+        records.append((utt_id, duration, [int(t) for t in tokens]))
+    return records
+
+
+# Bytes a corruption inserts or writes: separators, signs, digit look-alikes,
+# comment and exponent characters, and bytes that are not UTF-8.
+NOISE = [b"0", b"7", b"9", b" ", b"\t", b"\n", b"\r", b"+", b"-", b"_", b".", b"e", b"#",
+         b"x", "١".encode(), b"\xff", b"\xc3", b"99999999999"]
+
+
+@st.composite
+def corrupted_files(draw):
+    corpus = draw(corpora(max_k=30))
+    data = bytearray(_save_bytes(corpus, comments=draw(st.lists(st.sampled_from(["cfg=1", ""]), max_size=2))))
+    body_start = data.index(b"\n") + 1
+    for _ in range(draw(st.integers(1, 3))):
+        at = draw(st.integers(body_start, len(data)))
+        noise = draw(st.sampled_from(NOISE))
+        action = draw(st.sampled_from(["insert", "replace", "delete", "repeat_line", "after_tab"]))
+        tabs = [i + 1 for i in range(body_start, len(data)) if data[i] == ord("\t")]
+        if action == "after_tab" and tabs:
+            at = draw(st.sampled_from(tabs))
+            action = "insert"
+        if action == "insert":
+            data[at:at] = noise
+        elif action == "replace" and at < len(data):
+            data[at : at + 1] = noise
+        elif action == "delete" and at < len(data):
+            del data[at]
+        elif action == "repeat_line":
+            lines = [line for line in bytes(data[body_start:]).split(b"\n") if line]
+            if lines:
+                copy = draw(st.sampled_from(lines))
+                lines.insert(draw(st.integers(0, len(lines))), copy)
+                data[body_start:] = b"\n".join(lines) + b"\n"
+    return bytes(data)
+
+
+@settings(max_examples=400, deadline=None)
+@given(corrupted_files())
+def test_bulk_loader_agrees_with_reference(data):
+    expected = reference_parse(data)
+    try:
+        loaded = _load_bytes(data)
+    except CorpusFormatError as exc:
+        assert isinstance(expected, int), f"reference accepted, loader said {exc}"
+        assert f"c.labels:{expected}: " in str(exc)
+        return
+    assert not isinstance(expected, int), f"loader accepted, reference rejects line {expected}"
+    assert [(s.id, s.duration_s, s.labels.tolist()) for s in loaded] == expected
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    corpora(max_k=12, max_len=10),
+    st.integers(1, 4),
+    st.sampled_from(["loader", "constructor"]),
+    st.sampled_from([1, 3, 8, 1 << 16]),
+)
+def test_count_ngrams_matches_brute_force(corpus, order, built_by, batch):
+    if built_by == "loader":
+        corpus = _load_bytes(_save_bytes(corpus))
+    expected = brute_force_counts([seq.labels.tolist() for seq in corpus], order)
+    for counted in (corpus, sort_by_length(corpus)):
+        # Small batches cut the corpus into many runs of utterances.
+        with mock.patch.object(ngram, "_COUNT_BATCH", batch):
+            stats = count_ngrams(counted, order)
+        assert dict(stats.counts) == expected
+        assert stats.total == sum(expected.values())
+        assert np.array_equal(stats.counts.codes, np.sort(stats.counts.codes))

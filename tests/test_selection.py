@@ -499,3 +499,60 @@ class TestNonFiniteConfig:
             SelectionConfig(budget_c=1, alpha=math.nan)
         with pytest.raises(ValueError, match="duration_budget_s"):
             SelectionConfig(duration_budget_s=math.nan)
+
+
+class TestSecondsBudgetTotalIsOrderFree:
+    """One seconds budget gets the same verdict from every strategy.
+
+    Summed in file order (random, contrastive) this pool totals one ulp more
+    than summed in length order (greedy), and two ulps more than the
+    correctly rounded total.
+    """
+
+    DURATIONS = [
+        9.3275180489861, 6.6698778603263, 6.3541334864103, 6.6960205751385, 4.0002928158119,
+        1.7158685452017, 6.9933950617467, 5.2281889022815, 3.2921768800306, 4.8725182294861,
+        8.505390509141, 8.9063916436062, 3.7201567703816, 5.6437684765678, 3.3968245196835,
+        5.8487002717973, 3.5412010295642, 4.0245710047535,
+    ]
+    LENGTHS = [3, 8, 3, 2, 6, 5, 1, 1, 4, 7, 4, 7, 3, 2, 7, 8, 1, 1]
+
+    def pool_and_query(self):
+        seqs = [[i % 3] * n for i, n in enumerate(self.LENGTHS)]
+        pool = make_corpus(seqs, 3, ids=[f"u{i:02d}" for i in range(18)], durations=self.DURATIONS)
+        return pool, make_corpus([[0, 1, 2]], 3, ids=["q"])
+
+    def run_all(self, budget):
+        pool, query = self.pool_and_query()
+        config = SelectionConfig(duration_budget_s=budget)
+        outcomes = []
+        for select in (
+            lambda: select_greedy_scd(pool, query, config),
+            lambda: select_random(pool, config, query=query),
+            lambda: select_contrastive(pool, query, config),
+        ):
+            try:
+                outcomes.append(len(select().selected_ids))
+            except ValueError as exc:
+                outcomes.append(str(exc))
+        return outcomes
+
+    def test_sums_differ_by_order(self):
+        pool, _ = self.pool_and_query()
+        file_order = sum(self.DURATIONS)
+        length_order = sum(seq.duration_s for seq in sort_by_length(pool))
+        assert file_order > length_order > math.fsum(self.DURATIONS)
+
+    def test_every_order_sum_is_accepted_by_all(self):
+        pool, _ = self.pool_and_query()
+        for budget in (
+            sum(self.DURATIONS),
+            sum(seq.duration_s for seq in sort_by_length(pool)),
+            math.fsum(self.DURATIONS),
+        ):
+            assert self.run_all(budget) == [18, 18, 18]
+
+    def test_budget_beyond_rounding_rejected_by_all(self):
+        total = math.fsum(self.DURATIONS)
+        outcomes = self.run_all(total + 19 * math.ulp(total))
+        assert all("exceeds corpus total" in str(outcome) for outcome in outcomes)
