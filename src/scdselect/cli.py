@@ -36,6 +36,7 @@ from .discretizer import (
     compute_mfcc,
     discretize_manifest,
     load_kmeans_model,
+    map_manifest,
     read_wav_mono,
     save_kmeans_model,
     train_kmeans,
@@ -226,16 +227,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _pool_mfcc_frames(manifest, config: MfccConfig, threads: int) -> np.ndarray:
-    from concurrent.futures import ThreadPoolExecutor
-
     def worker(entry):
         return compute_mfcc(read_wav_mono(entry.audio_path, config.sample_rate_hz), config)
 
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            blocks = list(pool.map(worker, manifest.entries))
-    else:
-        blocks = [worker(entry) for entry in manifest.entries]
+    blocks = map_manifest(worker, manifest, threads)
     if not blocks:
         raise AudioError("manifest is empty; nothing to train on")
     return np.concatenate(blocks, axis=0)

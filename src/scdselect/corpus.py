@@ -7,15 +7,20 @@ format is line-oriented UTF-8 text with LF line ends:
     line 1:     ``#K=<int>``
     each record: ``<id>\\t<duration_s>\\t<labels>``
 
-``<labels>`` is zero or more ``[0-9]+`` tokens, each below K and within
-int32, separated by single ASCII spaces; an empty field is a zero-length
-utterance. Signs, ``_`` digit separators, non-ASCII digits, other
-whitespace and a CR before the LF are rejected. ``<duration_s>`` is anything
-``float()`` reads as a finite number >= 0, or empty for an absent duration
-(stored as 0.0). Ids are non-empty, unique and hold no CR. Extra
-``#``-prefixed lines directly after the header are tolerated on load (tools
-may embed a config echo there) but never written by
-:func:`save_label_corpus`.
+The header's ``<int>`` is ``[0-9]+`` with a value >= 1 and nothing else
+before the LF (no sign, space, ``_``, non-ASCII digit or CR). ``<labels>``
+is zero or more ``[0-9]+`` tokens, each below K and within int32, separated
+by single ASCII spaces; an empty field is a zero-length utterance. Signs,
+``_`` digit separators, non-ASCII digits, other whitespace and a CR before
+the LF are rejected. ``<duration_s>`` is anything ``float()`` reads as a
+finite number >= 0, or empty for an absent duration (stored as 0.0). Ids
+are non-empty, unique and hold no CR. Extra ``#``-prefixed lines directly
+after the header are tolerated on load (tools may embed a config echo
+there) but never written by :func:`save_label_corpus`.
+
+The loader checks each line-aligned chunk of the body in bulk with the one
+record parser, :func:`_parse_records`, and checks only a chunk that fails
+again, line by line, to name its first faulty line.
 
 In memory a :class:`LabelCorpus` is columnar (see its docstring): one flat
 label array shared by all utterances, plus per-utterance columns.
@@ -31,7 +36,7 @@ import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import BinaryIO, Iterable, Iterator, NoReturn, Sequence
+from typing import AbstractSet, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
@@ -44,8 +49,7 @@ _CHUNK_BYTES = 1 << 18
 
 _INT32_END = 2**31
 _LABEL_FIELD_BYTES = b"0123456789 "
-_LABEL_FIELD = re.compile("[0-9]+( [0-9]+)*")
-_SIGNED_TOKEN = re.compile("[+-]?[0-9]+")
+_SIGNED_TOKEN = re.compile(rb"[+-]?[0-9]+")
 
 
 class CorpusFormatError(ValueError):
@@ -72,18 +76,22 @@ class LabelSequence:
     labels: np.ndarray
 
     def __post_init__(self):
-        if not self.id:
+        object.__setattr__(self, "duration_s", self._checked_duration(self.id, self.duration_s))
+        object.__setattr__(self, "labels", _as_label_array(self.labels))
+
+    @staticmethod
+    def _checked_duration(utt_id: str, duration_s) -> float:
+        """``duration_s`` as a float; ValueError unless the id and the duration are valid."""
+        if not utt_id:
             raise ValueError("utterance id must be non-empty")
-        if "\t" in self.id or "\n" in self.id or "\r" in self.id:
-            raise ValueError(f"utterance id {self.id!r} contains tab/newline")
-        duration = float(self.duration_s)
+        if "\t" in utt_id or "\n" in utt_id or "\r" in utt_id:
+            raise ValueError(f"utterance id {utt_id!r} contains tab/newline")
+        duration = float(duration_s)
         if not (math.isfinite(duration) and duration >= 0):
             raise ValueError(
-                f"utterance {self.id!r}: duration_s must be a finite number >= 0, "
-                f"got {self.duration_s!r}"
+                f"utterance {utt_id!r}: duration_s must be a finite number >= 0, got {duration_s!r}"
             )
-        object.__setattr__(self, "duration_s", duration)
-        object.__setattr__(self, "labels", _as_label_array(self.labels))
+        return duration
 
     @classmethod
     def _view(cls, utt_id: str, duration_s: float, labels: np.ndarray) -> LabelSequence:
@@ -137,9 +145,7 @@ class LabelCorpus:
             raise ValueError("alphabet_size must be >= 1")
         sequences = tuple(sequences)
         ids = tuple(seq.id for seq in sequences)
-        duplicate = _first_duplicate(ids)
-        if duplicate is not None:
-            raise ValueError(f"duplicate utterance id {ids[duplicate]!r}")
+        _check_unique(ids)
         lengths = np.array([len(seq) for seq in sequences], dtype=np.int64)
         labels = np.concatenate([seq.labels for seq in sequences] or [np.empty(0, LABEL_DTYPE)])
         if labels.size and (labels.min() < 0 or labels.max() >= alphabet_size):
@@ -203,16 +209,15 @@ class LabelCorpus:
         return int(self.lengths.sum())
 
 
-def _first_duplicate(ids: Sequence[str]) -> int | None:
-    """Index of the first id that repeats an earlier one, or None."""
-    if len(set(ids)) == len(ids):
-        return None
-    seen: set[str] = set()
-    for index, utt_id in enumerate(ids):
+def _check_unique(ids: Sequence[str], earlier: AbstractSet[str] = frozenset()) -> None:
+    """ValueError naming the first id that repeats an earlier one of ``ids`` or of ``earlier``."""
+    if len(set(ids)) == len(ids) and earlier.isdisjoint(ids):
+        return
+    seen = set(earlier)
+    for utt_id in ids:
         if utt_id in seen:
-            return index
+            raise ValueError(f"duplicate utterance id {utt_id!r}")
         seen.add(utt_id)
-    return None
 
 
 @dataclass(frozen=True)
@@ -250,34 +255,66 @@ class AudioManifest:
 def load_label_corpus(path: str | Path, source_tag: str | None = None) -> LabelCorpus:
     """Read a label-corpus file, preserving record order exactly.
 
-    The body is read in line-aligned chunks of about ``_CHUNK_BYTES``: ids and
-    durations are split per line, and the label fields of a chunk are parsed
-    in one numpy pass into a preallocated int32 array. Every check runs in
-    bulk; if one fails, the file is read again line by line and the first
-    faulty line raises :class:`CorpusFormatError` naming ``path:line`` (and
-    the utterance id for label and id faults). Never silently drops a record.
+    The body is read in line-aligned chunks of about ``_CHUNK_BYTES``, and
+    each chunk is checked and parsed in bulk by :func:`_parse_records` into a
+    label buffer preallocated for the whole file. Every check, the uniqueness
+    of ids across chunks included, runs per chunk, so the first chunk that
+    fails holds the first faulty line: only that chunk's lines are then
+    checked one at a time, and the first that fails raises
+    :class:`CorpusFormatError` naming ``path:line`` (and the utterance id for
+    label and id faults). Never silently drops a record.
     """
     path = Path(path)
     with path.open("rb") as handle:
         alphabet_size = _read_header(path, handle.readline())
-        try:
-            columns = _parse_body(handle, alphabet_size, os.fstat(handle.fileno()).st_size // 2)
-        except ValueError:
-            columns = None
-        if columns is None:  # outside the handler, so the parse buffer is already freed
-            _raise_first_fault(path, handle, alphabet_size)
+        # Every label but the file's last takes a digit and a following space
+        # or LF, and the header alone takes four bytes, so half the file size
+        # bounds the label count.
+        labels = np.empty(os.fstat(handle.fileno()).st_size // 2, dtype=LABEL_DTYPE)
+        filled = 0
+        ids: list[str] = []
+        durations: list[float] = []
+        lengths: list[int] = []
+        seen: set[str] = set()
+        lineno = 2
+        body = handle.tell()
+        while _is_comment(line := handle.readline()):
+            _check_utf8(path, lineno, line)
+            lineno += 1
+            body = handle.tell()
+        handle.seek(body)
+        while chunk := handle.read(_CHUNK_BYTES):
+            if not chunk.endswith(b"\n"):
+                chunk += handle.readline()
+            lines = chunk.split(b"\n")
+            if not lines[-1]:
+                lines.pop()
+            try:
+                values, n_labels, utt_ids, seconds = _parse_records(lines, alphabet_size, seen)
+            except ValueError:
+                _raise_first_fault(path, lineno, lines, alphabet_size, seen)
+            labels[filled : filled + values.shape[0]] = values
+            filled += values.shape[0]
+            ids.extend(utt_ids)
+            durations.extend(seconds)
+            lengths.extend(n_labels)
+            lineno += len(lines)
+    labels.resize(filled, refcheck=False)
+    length_column = np.array(lengths, dtype=np.int64)
     tag = source_tag if source_tag is not None else path.name
-    return LabelCorpus._from_columns(alphabet_size, tag, *columns)
+    return LabelCorpus._from_columns(
+        alphabet_size, tag, labels, np.cumsum(length_column) - length_column, length_column,
+        tuple(ids), np.array(durations, dtype=np.float64),
+    )
 
 
 def _read_header(path: Path, line: bytes) -> int:
-    header = line.decode("utf-8", errors="replace").rstrip("\n")
+    header = line.decode("utf-8", errors="replace").removesuffix("\n")
     if not header.startswith("#K="):
         raise CorpusFormatError(f"{path}:1: expected '#K=<int>' header")
-    try:
-        alphabet_size = int(header[3:])
-    except ValueError:
-        raise CorpusFormatError(f"{path}:1: bad alphabet size in header {header!r}") from None
+    if not (header[3:].isascii() and header[3:].isdigit()):
+        raise CorpusFormatError(f"{path}:1: bad alphabet size in header {header!r}")
+    alphabet_size = int(header[3:])
     if alphabet_size < 1:
         raise CorpusFormatError(f"{path}:1: alphabet size must be >= 1, got {alphabet_size}")
     return alphabet_size
@@ -288,118 +325,81 @@ def _is_comment(line: bytes) -> bool:
     return line.startswith(b"#") and b"\t" not in line
 
 
-def _parse_body(handle: BinaryIO, alphabet_size: int, capacity: int) -> tuple:
-    """Label, start, length, id and duration columns of the records; ValueError on any fault.
+def _check_utf8(path: Path, lineno: int, line: bytes) -> None:
+    try:
+        line.decode("utf-8")
+    except UnicodeDecodeError:
+        raise CorpusFormatError(f"{path}:{lineno}: not valid UTF-8") from None
 
-    ``capacity`` bounds the label count: every label but the file's last
-    takes a digit and a following space or LF, and the header alone
-    takes four bytes, so half the file size is enough.
+
+def _parse_records(lines: Sequence[bytes], alphabet_size: int, seen: set[str]) -> tuple:
+    """Labels (int64), lengths, ids and durations of record lines, checked in bulk.
+
+    This is the one definition of a record line. Any fault raises
+    ValueError; given a single line, its text is that line's fault message.
+    ``seen`` holds the ids of earlier records; the ids of ``lines`` join it
+    only when every line checks out.
     """
-    labels = np.empty(capacity, dtype=LABEL_DTYPE)
-    filled = 0
     ids: list[str] = []
     durations: list[float] = []
     lengths: list[int] = []
-    label_end = min(alphabet_size, _INT32_END)
-    body = handle.tell()
-    while _is_comment(line := handle.readline()):
-        line.decode("utf-8")
-        body = handle.tell()
-    handle.seek(body)
-    while chunk := handle.read(_CHUNK_BYTES):
-        if not chunk.endswith(b"\n"):
-            chunk += handle.readline()
-        lines = chunk.split(b"\n")
-        if not lines[-1]:
-            lines.pop()
-        fields = []
-        expected = 0
-        for line in lines:
-            utt_id, duration, field = line.split(b"\t")
-            ids.append(utt_id.decode("utf-8"))
-            durations.append(float(duration.decode("utf-8")) if duration else 0.0)
-            tokens = field.count(b" ") + 1 if field else 0
-            lengths.append(tokens)
-            expected += tokens
-            if field:
-                fields.append(field)
-        # With digits and spaces only, each parsed value is one run of digits,
-        # so as many values as space-separated tokens means no token is empty.
-        # Values are >= 0, and int64 parsing saturates rather than wraps, so
-        # the upper bound also catches labels beyond int32.
-        text = b" ".join(fields)
-        if text.translate(None, _LABEL_FIELD_BYTES):
-            raise ValueError("label field holds a byte other than a digit or space")
-        values = np.fromstring(text, dtype=np.int64, sep=" ")
-        if values.shape[0] != expected or (expected and values.max() >= label_end):
-            raise ValueError("empty or out-of-range label")
-        labels[filled : filled + values.shape[0]] = values
-        filled += values.shape[0]
-    duration_column = np.array(durations, dtype=np.float64)
-    if not (np.isfinite(duration_column).all() and (duration_column >= 0).all()):
-        raise ValueError("duration")
-    if not all(ids) or any("\r" in utt_id for utt_id in ids) or _first_duplicate(ids) is not None:
-        raise ValueError("utterance id")
-    labels.resize(filled, refcheck=False)
-    length_column = np.array(lengths, dtype=np.int64)
-    return labels, np.cumsum(length_column) - length_column, length_column, tuple(ids), duration_column
-
-
-def _raise_first_fault(path: Path, handle: BinaryIO, alphabet_size: int) -> NoReturn:
-    """Read the body again line by line and raise for the first faulty record."""
-    handle.seek(0)
-    handle.readline()
-    seen: set[str] = set()
-    in_header = True
-    for lineno, raw in enumerate(handle, start=2):
-        raw = raw.removesuffix(b"\n")
+    fields: list[bytes] = []
+    for line in lines:
+        parts = line.split(b"\t")
+        if len(parts) != 3:
+            raise ValueError(f"expected 3 tab-separated fields, got {len(parts)}")
+        utt_id, duration_text, field = parts
+        duration_text = duration_text.decode("utf-8")
         try:
-            line = raw.decode("utf-8")
-        except UnicodeDecodeError:
-            raise CorpusFormatError(f"{path}:{lineno}: not valid UTF-8") from None
-        if in_header and _is_comment(raw):
-            continue
-        in_header = False
-        fault = _record_fault(line, alphabet_size, seen)
-        if fault:
-            raise CorpusFormatError(f"{path}:{lineno}: {fault}")
-    raise RuntimeError(f"{path}: bulk parse failed but every line checks out")
+            duration = float(duration_text) if duration_text else 0.0
+        except ValueError:
+            raise ValueError(f"bad duration {duration_text!r}") from None
+        if not math.isfinite(duration):
+            raise ValueError(f"duration {duration_text!r} is not finite")
+        ids.append(utt_id.decode("utf-8"))
+        durations.append(duration)
+        lengths.append(field.count(b" ") + 1 if field else 0)
+        fields.append(field)
+    # With digits and spaces only, each parsed value is one run of digits,
+    # so as many values as space-separated tokens means no token is empty.
+    # Values are >= 0, and int64 parsing saturates rather than wraps, so
+    # the upper bound also catches labels beyond int32.
+    text = b" ".join(filter(None, fields))
+    values = None if text.translate(None, _LABEL_FIELD_BYTES) else np.fromstring(text, np.int64, sep=" ")
+    expected = sum(lengths)
+    well_formed = values is not None and values.shape[0] == expected
+    label_end = min(alphabet_size, _INT32_END)
+    if not well_formed or (expected and values.max() >= label_end):
+        for utt_id, field in zip(ids, fields):
+            if any(_SIGNED_TOKEN.fullmatch(t) and not -_INT32_END <= int(t) < _INT32_END
+                   for t in field.split(b" ")):
+                raise ValueError(f"utterance {utt_id!r} has a label outside the int32 range")
+        if not well_formed:
+            raise ValueError("labels must be space-separated integers")
+        position = int(np.argmax(values >= label_end))
+        owner = int(np.searchsorted(np.cumsum(lengths), position, side="right"))
+        raise ValueError(
+            f"utterance {ids[owner]!r} has label {int(values[position])} outside [0, {alphabet_size})"
+        )
+    if not all(ids) or any("\r" in utt_id for utt_id in ids) or min(durations, default=0.0) < 0:
+        for utt_id, duration in zip(ids, durations):
+            LabelSequence._checked_duration(utt_id, duration)
+    _check_unique(ids, seen)
+    seen.update(ids)
+    return values, lengths, ids, durations
 
 
-def _record_fault(line: str, alphabet_size: int, seen: set[str]) -> str | None:
-    """What is wrong with one record line, or None; adds its id to ``seen``."""
-    fields = line.split("\t")
-    if len(fields) != 3:
-        return f"expected 3 tab-separated fields, got {len(fields)}"
-    utt_id, duration_text, label_text = fields
-    try:
-        duration = float(duration_text) if duration_text else 0.0
-    except ValueError:
-        return f"bad duration {duration_text!r}"
-    if not math.isfinite(duration):
-        return f"duration {duration_text!r} is not finite"
-    int32_fault = f"utterance {utt_id!r} has a label outside the int32 range"
-    if label_text and not _LABEL_FIELD.fullmatch(label_text):
-        tokens = label_text.split(" ")
-        if any(_SIGNED_TOKEN.fullmatch(t) and not -_INT32_END <= int(t) < _INT32_END for t in tokens):
-            return int32_fault
-        return "labels must be space-separated integers"
-    values = np.fromstring(label_text, dtype=np.int64, sep=" ") if label_text else np.empty(0, np.int64)
-    outside = values[values >= min(alphabet_size, _INT32_END)]
-    if outside.size and outside.max() >= _INT32_END:
-        return int32_fault
-    if outside.size:
-        return f"utterance {utt_id!r} has label {int(outside[0])} outside [0, {alphabet_size})"
-    if not utt_id:
-        return "utterance id must be non-empty"
-    if "\r" in utt_id:
-        return f"utterance id {utt_id!r} contains tab/newline"
-    if duration < 0:
-        return f"utterance {utt_id!r}: duration_s must be a finite number >= 0, got {duration!r}"
-    if utt_id in seen:
-        return f"duplicate utterance id {utt_id!r}"
-    seen.add(utt_id)
-    return None
+def _raise_first_fault(
+    path: Path, lineno: int, lines: Sequence[bytes], alphabet_size: int, seen: set[str]
+) -> NoReturn:
+    """Check ``lines``, numbered from ``lineno``, one at a time; raise for the first faulty one."""
+    for lineno, line in enumerate(lines, start=lineno):
+        _check_utf8(path, lineno, line)
+        try:
+            _parse_records([line], alphabet_size, seen)
+        except ValueError as exc:
+            raise CorpusFormatError(f"{path}:{lineno}: {exc}") from None
+    raise RuntimeError(f"{path}: a chunk failed to parse but each of its lines checks out")
 
 
 def save_label_corpus(

@@ -358,6 +358,14 @@ def read_wav_mono(path: str | Path, expected_rate_hz: int) -> np.ndarray:
     return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
 
 
+def map_manifest(function, manifest: AudioManifest, threads: int) -> list:
+    """``function`` of each manifest entry, in manifest order, run on ``threads`` threads."""
+    if threads > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(function, manifest.entries))
+    return [function(entry) for entry in manifest.entries]
+
+
 def _discretize_entry(entry, model: KMeansModel, config: MfccConfig) -> LabelSequence:
     samples = read_wav_mono(entry.audio_path, config.sample_rate_hz)
     try:
@@ -398,14 +406,8 @@ def discretize_manifest(
         except AudioError as exc:
             return None, (entry.id, exc)
 
-    if max_workers > 1:
-        with ThreadPoolExecutor(max_workers=max_workers) as pool:
-            outcomes = list(pool.map(worker, manifest.entries))
-    else:
-        outcomes = [worker(entry) for entry in manifest.entries]
-
     sequences = []
-    for seq, failure in outcomes:
+    for seq, failure in map_manifest(worker, manifest, max_workers):
         if failure is not None:
             utt_id, exc = failure
             if skip_bad:

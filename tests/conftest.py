@@ -1,7 +1,16 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from scdselect.corpus import LabelCorpus, LabelSequence
+
+# pytest puts src/ on its own sys.path (pyproject.toml); the tests that run
+# ``python -m scdselect`` in a child process need it on the child's path too.
+os.environ["PYTHONPATH"] = os.pathsep.join(
+    filter(None, [str(Path(__file__).resolve().parents[1] / "src"), os.environ.get("PYTHONPATH")])
+)
 
 
 def make_corpus(seqs, alphabet_size, ids=None, durations=None, source_tag="test"):

@@ -1,3 +1,5 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 
@@ -67,6 +69,31 @@ class TestLoad:
         write(path, "K=4\na\t1.0\t0\n")
         with pytest.raises(CorpusFormatError, match=":1:"):
             load_label_corpus(path)
+
+    @pytest.mark.parametrize(
+        "header",
+        [
+            "#K=1_0",  # digit separator (int() read K=10)
+            "#K= +4\r",  # space, sign and CR (int() read K=4)
+            "#K=+4",  # sign
+            "#K=-4",  # negative (was reported as below 1)
+            "#K=٤",  # Arabic-Indic digit four
+            "#K=4 ",  # trailing space
+            "#K=4\r",  # CR before the LF
+            "#K=",  # no digits
+        ],
+    )
+    def test_bad_alphabet_size_forms(self, tmp_path, header):
+        path = tmp_path / "c.labels"
+        write(path, f"{header}\na\t1.0\t0\n")
+        with pytest.raises(CorpusFormatError, match="c.labels:1: bad alphabet size in header"):
+            load_label_corpus(path)
+
+    @pytest.mark.parametrize("text, k", [("#K=004\n", 4), ("#K=7", 7)])
+    def test_header_leading_zeros_and_no_final_newline(self, tmp_path, text, k):
+        path = tmp_path / "c.labels"
+        write(path, text)
+        assert load_label_corpus(path).alphabet_size == k
 
     @pytest.mark.parametrize("label", ["99999999999", "-99999999999", "2147483648", "9" * 30])
     def test_label_outside_int32_names_line_and_id(self, tmp_path, label):
@@ -366,6 +393,28 @@ class TestChunkBoundaryErrors:
         assert code == 1
         assert "big.labels:9001: labels must be space-separated integers" in capsys.readouterr().err
         assert not (tmp_path / "r.tsv").exists()
+
+
+class TestFaultLocation:
+    """A fault is located inside the chunk that holds it, not by reading the file again."""
+
+    def test_line_by_line_pass_checks_only_the_failing_chunk(self, tmp_path):
+        path = tmp_path / "big.labels"
+        bad_record = "utt-bad\t1.0\t1 50 3"
+        _big_label_file(path, 12_000, bad_line=9_001, bad_record=bad_record)
+        with mock.patch.object(
+            corpus_module, "_parse_records", wraps=corpus_module._parse_records
+        ) as parse, pytest.raises(CorpusFormatError, match="big.labels:9001: utterance 'utt-bad'"):
+            load_label_corpus(path)
+        line_calls = [call.args[0] for call in parse.call_args_list if len(call.args[0]) == 1]
+        chunks = [call.args[0] for call in parse.call_args_list if len(call.args[0]) > 1]
+        assert len(chunks) > 4
+        # The pass starts at the first line of the last (failing) chunk and
+        # stops at the bad line, so it sees fewer lines than that chunk holds.
+        assert line_calls[0] == chunks[-1][:1]
+        assert line_calls[-1] == [bad_record.encode()]
+        assert len(line_calls) <= len(chunks[-1])
+        assert parse.call_count == len(chunks) + len(line_calls)
 
 
 class TestColumns:

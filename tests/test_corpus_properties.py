@@ -2,9 +2,10 @@
 
 A label file written by ``save_label_corpus`` loads back to the same corpus;
 on randomly corrupted files the bulk loader and a small line-by-line
-reference parser agree on accepting and on the first bad line; and
-``count_ngrams`` matches a brute-force recount on corpora built by the
-loader, by the constructor and by ``sort_by_length``.
+reference parser agree on accepting and on the first bad line, also when
+the loader reads chunks of a few bytes; and ``count_ngrams`` matches a
+brute-force recount on corpora built by the loader, by the constructor and
+by ``sort_by_length``.
 """
 
 import math
@@ -14,10 +15,11 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scdselect.corpus import CorpusFormatError, load_label_corpus, save_label_corpus, sort_by_length
+from scdselect import corpus as corpus_module
 from scdselect import ngram
 from scdselect.ngram import count_ngrams
 
@@ -150,6 +152,16 @@ def test_bulk_loader_agrees_with_reference(data):
         return
     assert not isinstance(expected, int), f"loader accepted, reference rejects line {expected}"
     assert [(s.id, s.duration_s, s.labels.tolist()) for s in loaded] == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(corrupted_files(), st.sampled_from([1, 16, 64]))
+# A duplicate id whose first copy is a chunk before it, behind a comment line.
+@example(b"#K=4\n#cfg\na\t1.0\t0 1 2 3\nb\t0.5\t3 3 3 3 3 3\nc\t\t\nd\t2\t1\na\t1.0\t0\n", 16)
+def test_small_chunks_agree_with_reference(data, chunk_bytes):
+    """The loader agrees with the reference when every chunk holds a few lines or one."""
+    with mock.patch.object(corpus_module, "_CHUNK_BYTES", chunk_bytes):
+        test_bulk_loader_agrees_with_reference.hypothesis.inner_test(data)
 
 
 @settings(max_examples=200, deadline=None)

@@ -3,9 +3,10 @@
 ``scd`` is checked against full enumeration of the K**N grams, and the
 batched bucket scorer of greedy selection against ``scd_incremental``. The
 seconds-budget contract of the selection strategies is checked on random
-pools.
+pools, and greedy with a seconds budget against a from-scratch recount.
 """
 
+import dataclasses
 import itertools
 import math
 from unittest import mock
@@ -184,3 +185,48 @@ def test_seconds_budget_contract(run):
     for buckets, picked_from in passes:
         assert len(set(picked_from)) == len(picked_from)
         assert set(picked_from) <= set(buckets)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    seconds_budget_runs().filter(lambda run: run[0] == "greedy"),
+    st.sampled_from([0.0, 0.3, 0.7, 1.0]),
+    st.sampled_from([0.25, 0.5, 1.0]),
+)
+def test_greedy_seconds_budget_matches_naive_recount(run, lam, alpha):
+    """AC-2 for seconds budgets, on greedy's passes over duration buckets.
+
+    Each trace entry is the from-scratch SCD of the picks so far, bit for
+    bit, and each pick is the exact minimizer of its bucket (the first one
+    on ties).
+    """
+    _, pool, query, config = run
+    config = dataclasses.replace(config, lam=lam, alpha=alpha)
+    passes = []
+    real_buckets = selection._duration_buckets
+
+    def duration_buckets(sequences, n_buckets):
+        bounds = real_buckets(sequences, n_buckets)
+        passes.append([tuple(sequences[a:b]) for a, b in bounds])
+        return bounds
+
+    with mock.patch.object(selection, "_duration_buckets", duration_buckets):
+        result = selection.select_greedy_scd(pool, query, config)
+    target = selection.build_target_distribution(pool, query, config)
+    by_id = {seq.id: seq for seq in pool}
+    picks = [by_id[utt_id] for utt_id in result.selected_ids]
+
+    def naive_scd(sequences):
+        stats = CandidateStats(config.order, pool.alphabet_size, config.alpha)
+        for seq in sequences:
+            stats.add(seq.labels)
+        return scd(target, stats.distribution()).nats
+
+    assert result.scd_trace == tuple(naive_scd(picks[: i + 1]) for i in range(len(picks)))
+    # Passes pick once per bucket, in bucket order, until the budget is met,
+    # so pick i comes from the i-th bucket over all passes.
+    buckets = [bucket for buckets in passes for bucket in buckets]
+    assert len(buckets) >= len(picks)
+    for i, pick in enumerate(picks):
+        values = [naive_scd(picks[:i] + [seq]) for seq in buckets[i]]
+        assert buckets[i].index(pick) == values.index(min(values))
