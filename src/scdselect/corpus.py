@@ -47,6 +47,11 @@ LABEL_DTYPE = np.int32
 # Bytes of label-file body read per chunk (extended to the next line end).
 _CHUNK_BYTES = 1 << 18
 
+# Utterances formatted per write, and the most rows of a writer's token
+# table indexed by label value (beyond it, rows hold the distinct labels).
+_WRITE_CHUNK_UTTS = 4096
+_TOKEN_TABLE_ROWS = 1 << 16
+
 _INT32_END = 2**31
 _LABEL_FIELD_BYTES = b"0123456789 "
 _SIGNED_TOKEN = re.compile(rb"[+-]?[0-9]+")
@@ -409,18 +414,55 @@ def save_label_corpus(
 
     ``comments`` become extra ``#``-prefixed lines between the header and the
     body; they are skipped on load and must not contain tabs or newlines.
+    Labels are formatted in bulk, ``_WRITE_CHUNK_UTTS`` utterances at a time,
+    by gathering rows of an ASCII token table.
     """
     path = Path(path)
     for comment in comments:
         if "\t" in comment or "\n" in comment:
             raise ValueError("header comments must not contain tabs or newlines")
-    with path.open("w", encoding="utf-8", newline="\n") as handle:
-        handle.write(f"#K={corpus.alphabet_size}\n")
+    table, token_len, codes = _token_table(corpus.labels)
+    token_bytes = np.arange(table.shape[1]) < token_len[:, None]
+    with path.open("wb") as handle:
+        handle.write(f"#K={corpus.alphabet_size}\n".encode())
         for comment in comments:
-            handle.write(f"#{comment}\n")
-        for seq in corpus.sequences:
-            labels = " ".join(map(str, seq.labels.tolist()))
-            handle.write(f"{seq.id}\t{seq.duration_s!r}\t{labels}\n")
+            handle.write(f"#{comment}\n".encode())
+        for first in range(0, len(corpus), _WRITE_CHUNK_UTTS):
+            rows = slice(first, first + _WRITE_CHUNK_UTTS)
+            lengths = corpus.lengths[rows]
+            offsets = np.cumsum(lengths) - lengths
+            # Where in ``labels`` each label of these utterances sits, in output order.
+            positions = np.arange(lengths.sum()) + np.repeat(corpus.starts[rows] - offsets, lengths)
+            tokens = codes[positions]
+            widths = token_len[tokens]
+            text = np.take(table, tokens, axis=0)[np.take(token_bytes, tokens, axis=0)]
+            body = memoryview(text.tobytes())
+            byte_ends = np.concatenate(([0], np.cumsum(widths)))
+            line_starts = byte_ends[offsets]
+            # An utterance's labels end before its last token's space.
+            line_ends = np.maximum(byte_ends[offsets + lengths] - 1, line_starts)
+            parts = []
+            for utt_id, duration, start, end in zip(
+                corpus.ids[rows], corpus.durations[rows].tolist(), line_starts.tolist(), line_ends.tolist()
+            ):
+                parts += (f"{utt_id}\t{duration!r}\t".encode(), body[start:end], b"\n")
+            handle.write(b"".join(parts))
+
+
+def _token_table(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ASCII ``"<label> "`` rows (uint8, zero-padded), their lengths, and each label's row.
+
+    Rows cover ``0 .. max(labels)``, or only the distinct labels when that
+    range is large.
+    """
+    top = int(labels.max(initial=0)) + 1
+    if top <= _TOKEN_TABLE_ROWS:
+        values, codes = range(top), labels
+    else:
+        values, codes = np.unique(labels, return_inverse=True)
+        values = values.tolist()
+    text = np.array([f"{value} " for value in values], dtype=bytes)
+    return text.view(np.uint8).reshape(len(text), -1), np.char.str_len(text), codes
 
 
 def sort_by_length(corpus: LabelCorpus) -> LabelCorpus:

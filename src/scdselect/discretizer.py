@@ -5,10 +5,35 @@ model: WAV in, MFCC frames out, each frame mapped to its nearest centroid.
 Externally produced label files bypass this module entirely.
 
 Everything here is deterministic given (audio bytes, seed, config).
+
+K-means runs in bounded working memory. Besides the n x dim input,
+:func:`train_kmeans` holds one transposed copy of it for the centroid sums,
+a few length-n vectors, and temporaries of at most ``_BLOCK`` rows x dim or
+``_BLOCK_CELLS`` distances; no step allocates an n x dim or n x k
+temporary. The blocking gives the bytes of the unblocked computation:
+
+- ``np.sum((x - c) ** 2, axis=1)`` reduces each row on its own, so a block
+  of rows gets the values that all rows at once get.
+- k-means++ needs ``np.minimum(d2, exact)`` per row after each draw. The
+  norm expansion ``approx = |x|^2 + |c|^2 - 2 x.c`` (one matrix-vector
+  product) errs by at most about ``4 * dim * 1.1e-16`` of
+  ``|x|^2 + |c|^2`` (2e-14 at dim 39), far below the margin
+  ``1e-9 * (|x|^2 + |c|^2)``, so a row with ``approx - margin >= d2`` has
+  ``exact >= d2`` and keeps ``d2``. Only the other rows, about 2% per draw
+  on MFCC frames, get the exact distance. The draws are unchanged.
+- A BLAS product gives each element the same value whatever the number of
+  rows in the call, except on small-matrix paths (a one-row call, or one
+  of few elements), which round differently. The assignment therefore
+  splits each ``_ASSIGN_CHUNK`` rows into even blocks far above that size,
+  a chunk that fits one block is one call as before, and the inertia still
+  sums the clamped minima per chunk.
+- ``np.bincount`` adds a column's weights in row order, so the centroid
+  sums are those of adding the rows one by one.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
 import math
@@ -26,6 +51,11 @@ logger = logging.getLogger(__name__)
 # Power floor applied before the log so silent input stays finite.
 LOG_FLOOR = 1e-10
 
+# Rows per block of a k-means distance pass; cells (rows x centroids) per
+# block of the assignment; rows whose clamped minimum distances the inertia
+# sums together.
+_BLOCK = 2048
+_BLOCK_CELLS = 2048 * 256
 _ASSIGN_CHUNK = 16384
 
 
@@ -115,6 +145,19 @@ def _dct_matrix(n_out: int, n_in: int) -> np.ndarray:
     return basis
 
 
+@functools.lru_cache(maxsize=16)
+def _frame_tables(config: MfccConfig, n_fft: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Hamming window, mel filterbank and DCT basis of ``config``, built once, read-only."""
+    tables = (
+        np.hamming(config.frame_length_samples),
+        _mel_filterbank(config, n_fft),
+        _dct_matrix(config.num_coeffs, config.num_mel_filters),
+    )
+    for table in tables:
+        table.flags.writeable = False
+    return tables
+
+
 def _deltas(feats: np.ndarray, width: int = 2) -> np.ndarray:
     """Regression deltas over +-width frames, edges replicated."""
     padded = np.pad(feats, ((width, width), (0, 0)), mode="edge")
@@ -148,16 +191,16 @@ def compute_mfcc(
     if config.preemphasis > 0:
         samples = np.concatenate(([samples[0]], samples[1:] - config.preemphasis * samples[:-1]))
 
-    idx = shift * np.arange(n_out)[:, None] + np.arange(flen)[None, :]
-    frames = samples[idx] * np.hamming(flen)
-
     n_fft = 1
     while n_fft < flen:
         n_fft *= 2
+    window, bank, dct = _frame_tables(config, n_fft)
+
+    idx = shift * np.arange(n_out)[:, None] + np.arange(flen)[None, :]
+    frames = samples[idx] * window
     power = np.abs(np.fft.rfft(frames, n=n_fft, axis=1)) ** 2 / n_fft
-    bank = _mel_filterbank(config, n_fft)
     log_mel = np.log(np.maximum(power @ bank.T, LOG_FLOOR))
-    cepstra = log_mel @ _dct_matrix(config.num_coeffs, config.num_mel_filters).T
+    cepstra = log_mel @ dct.T
 
     if config.include_deltas:
         d1 = _deltas(cepstra)
@@ -190,39 +233,90 @@ class KMeansModel:
         object.__setattr__(self, "centroids", centroids)
 
 
+def _sq_dist(features: np.ndarray, rows: np.ndarray, centres: np.ndarray, which) -> np.ndarray:
+    """``np.sum((features[rows] - centres[which]) ** 2, axis=1)``, ``_BLOCK`` rows at a time.
+
+    ``which`` is one index into ``centres`` or one per entry of ``rows``.
+    Each row is summed on its own, so the values are those of the whole
+    expression.
+    """
+    out = np.empty(rows.shape[0])
+    for start in range(0, rows.shape[0], _BLOCK):
+        block = slice(start, start + _BLOCK)
+        centre = centres[which if np.ndim(which) == 0 else which[block]]
+        out[block] = np.sum((features[rows[block]] - centre) ** 2, axis=1)
+    return out
+
+
 def _assign(features: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, float]:
-    """Nearest-centroid label per row (lowest index wins ties) and total inertia."""
-    n = features.shape[0]
+    """Nearest-centroid label per row (lowest index wins ties) and total inertia.
+
+    Each ``_ASSIGN_CHUNK`` rows are split into even blocks of at most
+    ``_BLOCK_CELLS`` distances; a block's ``(|x|^2 + |c|^2) - (2x) @ c`` is
+    built in two preallocated buffers. The clamped minima are summed per
+    chunk.
+    """
+    n, k = features.shape[0], centroids.shape[0]
+    block_rows = max(1, _BLOCK_CELLS // k)
     labels = np.empty(n, dtype=np.int64)
     inertia = 0.0
     cent_sq = np.einsum("ij,ij->i", centroids, centroids)
-    for start in range(0, n, _ASSIGN_CHUNK):
-        chunk = features[start : start + _ASSIGN_CHUNK]
-        d2 = (
-            np.einsum("ij,ij->i", chunk, chunk)[:, None]
-            + cent_sq[None, :]
-            - 2.0 * chunk @ centroids.T
-        )
-        chunk_labels = np.argmin(d2, axis=1)
-        labels[start : start + chunk.shape[0]] = chunk_labels
-        inertia += float(np.maximum(d2[np.arange(chunk.shape[0]), chunk_labels], 0.0).sum())
+    d2_buf = np.empty((min(n, block_rows), k))
+    prod_buf = np.empty_like(d2_buf)
+    best = np.empty(min(n, _ASSIGN_CHUNK))
+    for first in range(0, n, _ASSIGN_CHUNK):
+        chunk = features[first : first + _ASSIGN_CHUNK]
+        x_sq = np.einsum("ij,ij->i", chunk, chunk)
+        # Even blocks, so none is small enough for BLAS to take a
+        # small-matrix path (with other rounding) that the chunk would not.
+        n_blocks = -(-chunk.shape[0] // block_rows)
+        bounds = [chunk.shape[0] * b // n_blocks for b in range(n_blocks + 1)]
+        for start, stop in zip(bounds, bounds[1:]):
+            d2, prod = d2_buf[: stop - start], prod_buf[: stop - start]
+            np.add(x_sq[start:stop, None], cent_sq[None, :], out=d2)
+            np.matmul(2.0 * chunk[start:stop], centroids.T, out=prod)
+            np.subtract(d2, prod, out=d2)
+            nearest = np.argmin(d2, axis=1)
+            labels[first + start : first + stop] = nearest
+            best[start:stop] = d2[np.arange(stop - start), nearest]
+        inertia += float(np.maximum(best[: chunk.shape[0]], 0.0).sum())
     return labels, inertia
 
 
 def _kmeanspp_init(features: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding (Arthur & Vassilvitskii 2007): each draw weighted by d2.
+
+    After each draw only the rows that the new centre might bring closer get
+    their exact distance (see the module docstring).
+    """
     n = features.shape[0]
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = rng.integers(n)
-    d2 = np.sum((features - features[chosen[0]]) ** 2, axis=1)
+    d2 = _sq_dist(features, np.arange(n), features, chosen[0])
+    row_sq = np.einsum("ij,ij->i", features, features)
+    cumulative = np.empty(n)
+    approx = np.empty(n)
+    margin = np.empty(n)
+    mask = np.empty(n, dtype=bool)
     for i in range(1, k):
         total = d2.sum()
         if total <= 0.0:
             chosen[i] = rng.integers(n)
         else:
-            cumulative = np.cumsum(d2)
+            np.cumsum(d2, out=cumulative)
             draw = rng.random() * total
             chosen[i] = np.searchsorted(cumulative, draw, side="right")
-        d2 = np.minimum(d2, np.sum((features - features[chosen[i]]) ** 2, axis=1))
+        centre = chosen[i]
+        np.add(row_sq, row_sq[centre], out=margin)
+        np.matmul(features, features[centre], out=approx)
+        approx *= -2.0
+        approx += margin
+        margin *= 1e-9
+        approx -= margin
+        # Rows failing approx - margin >= d2; NaN and inf fail it too.
+        np.greater_equal(approx, d2, out=mask)
+        rows = np.flatnonzero(np.logical_not(mask, out=mask))
+        d2[rows] = np.minimum(d2[rows], _sq_dist(features, rows, features, centre))
     return features[chosen].copy()
 
 
@@ -252,15 +346,17 @@ def train_kmeans(
 
     rng = np.random.default_rng(seed)
     centroids = _kmeanspp_init(features, k, rng)
+    columns = np.ascontiguousarray(features.T)
     iterations = 0
     for _ in range(max_iters):
         labels, _ = _assign(features, centroids)
-        sums = np.zeros((k, dim))
-        np.add.at(sums, labels, features)
+        sums = np.empty((k, dim))
+        for j, column in enumerate(columns):
+            sums[:, j] = np.bincount(labels, weights=column, minlength=k)
         sizes = np.bincount(labels, minlength=k)
         empty = np.nonzero(sizes == 0)[0]
         if empty.size:
-            point_d2 = np.sum((features - centroids[labels]) ** 2, axis=1)
+            point_d2 = _sq_dist(features, np.arange(n), centroids, labels)
             farthest = np.argsort(-point_d2, kind="stable")
             for slot, cluster in enumerate(empty):
                 donor = farthest[slot]

@@ -182,3 +182,50 @@ def test_count_ngrams_matches_brute_force(corpus, order, built_by, batch):
         assert dict(stats.counts) == expected
         assert stats.total == sum(expected.values())
         assert np.array_equal(stats.counts.codes, np.sort(stats.counts.codes))
+
+
+def reference_save_bytes(corpus, comments=()) -> bytes:
+    """The label file of ``corpus`` written one utterance at a time."""
+    lines = [f"#K={corpus.alphabet_size}", *(f"#{comment}" for comment in comments)]
+    for seq in corpus.sequences:
+        lines.append(f"{seq.id}\t{seq.duration_s!r}\t{' '.join(map(str, seq.labels.tolist()))}")
+    return "".join(line + "\n" for line in lines).encode("utf-8")
+
+
+COMMENTS = st.lists(
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n"), max_size=10),
+    max_size=3,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.one_of(corpora(), corpora(max_k=2**31 - 1)),
+    COMMENTS,
+    st.booleans(),
+    st.sampled_from([1, 3, 4096]),
+    st.sampled_from([1, 10, 1 << 16]),
+)
+def test_bulk_writer_matches_reference(corpus, comments, sort, chunk_utts, table_rows):
+    """Small chunks split the body into many writes; small tables take the distinct-label path."""
+    if sort:
+        corpus = sort_by_length(corpus)
+    with (
+        mock.patch.object(corpus_module, "_WRITE_CHUNK_UTTS", chunk_utts),
+        mock.patch.object(corpus_module, "_TOKEN_TABLE_ROWS", table_rows),
+    ):
+        assert _save_bytes(corpus, comments) == reference_save_bytes(corpus, comments)
+
+
+def test_bulk_writer_edge_cases():
+    corpus = make_corpus(
+        [[3, 1, 10], [], [0], [], [10, 10]],
+        11,
+        ids=["b", "é ü", "a", "日本", "c"],
+        durations=[0.1 + 0.2, 0.0, 1e308, 5e-324, 2.5],
+    )
+    for written in (corpus, sort_by_length(corpus)):
+        for comments in ((), ("config echo", "ü x=1", "")):
+            assert _save_bytes(written, comments) == reference_save_bytes(written, comments)
+    assert _save_bytes(make_corpus([], 5)) == b"#K=5\n"
+    assert _save_bytes(make_corpus([[]], 2)) == b"#K=2\nu0\t1.0\t\n"

@@ -1,8 +1,12 @@
+import tracemalloc
 import wave
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from scdselect import discretizer
 from scdselect.corpus import AudioManifest, ManifestEntry
 from scdselect.discretizer import (
     AudioError,
@@ -298,3 +302,147 @@ class TestReadWav:
         loaded = read_wav_mono(path, 16000)
         assert loaded.shape == (1000,)
         np.testing.assert_allclose(loaded, samples, atol=1e-4)
+
+
+# Reference k-means: the whole-matrix implementation that the blocked one
+# in ``discretizer`` must reproduce bit for bit.
+
+
+def reference_assign(features, centroids):
+    n = features.shape[0]
+    labels = np.empty(n, dtype=np.int64)
+    inertia = 0.0
+    cent_sq = np.einsum("ij,ij->i", centroids, centroids)
+    for start in range(0, n, 16384):
+        chunk = features[start : start + 16384]
+        d2 = (
+            np.einsum("ij,ij->i", chunk, chunk)[:, None]
+            + cent_sq[None, :]
+            - 2.0 * chunk @ centroids.T
+        )
+        chunk_labels = np.argmin(d2, axis=1)
+        labels[start : start + chunk.shape[0]] = chunk_labels
+        inertia += float(np.maximum(d2[np.arange(chunk.shape[0]), chunk_labels], 0.0).sum())
+    return labels, inertia
+
+
+def reference_kmeanspp_init(features, k, rng):
+    n = features.shape[0]
+    chosen = np.empty(k, dtype=np.int64)
+    chosen[0] = rng.integers(n)
+    d2 = np.sum((features - features[chosen[0]]) ** 2, axis=1)
+    for i in range(1, k):
+        total = d2.sum()
+        if total <= 0.0:
+            chosen[i] = rng.integers(n)
+        else:
+            cumulative = np.cumsum(d2)
+            draw = rng.random() * total
+            chosen[i] = np.searchsorted(cumulative, draw, side="right")
+        d2 = np.minimum(d2, np.sum((features - features[chosen[i]]) ** 2, axis=1))
+    return features[chosen].copy()
+
+
+def reference_train_kmeans(features, k, seed, max_iters, tol=1e-6):
+    """(centroids, iterations, final inertia) of the reference Lloyd loop."""
+    n, dim = features.shape
+    rng = np.random.default_rng(seed)
+    centroids = reference_kmeanspp_init(features, k, rng)
+    iterations = 0
+    for _ in range(max_iters):
+        labels, _ = reference_assign(features, centroids)
+        sums = np.zeros((k, dim))
+        np.add.at(sums, labels, features)
+        sizes = np.bincount(labels, minlength=k)
+        empty = np.nonzero(sizes == 0)[0]
+        if empty.size:
+            point_d2 = np.sum((features - centroids[labels]) ** 2, axis=1)
+            farthest = np.argsort(-point_d2, kind="stable")
+            for slot, cluster in enumerate(empty):
+                sums[cluster] = features[farthest[slot]]
+                sizes[cluster] = 1
+        new_centroids = sums / sizes[:, None]
+        shift = float(np.sqrt(np.sum((new_centroids - centroids) ** 2, axis=1)).max())
+        centroids = new_centroids
+        iterations += 1
+        if shift < tol:
+            break
+    _, final_inertia = reference_assign(features, centroids)
+    return centroids, iterations, final_inertia
+
+
+# Row counts on both sides of the assignment's block (2048 rows at k=256)
+# and chunk (16384 rows) edges.
+EDGE_ROWS = [2047, 2048, 2049, 2050, 2064, 4097, 16383, 16384, 16385, 16384 + 2049]
+
+
+@st.composite
+def kmeans_inputs(draw, rows):
+    """(features, k, seed): normal rows, duplicated rows, all-identical rows
+    (which take the ``total <= 0`` draw), or rows close together around a
+    common 1e6 offset, where the norm expansion keeps few correct digits."""
+    n = draw(rows)
+    dim = draw(st.sampled_from([1, 2, 5, 39]))
+    k = draw(st.one_of(st.integers(1, min(n, 8)), st.sampled_from([min(n, 80), 256, 300]).filter(lambda k: k <= n)))
+    kind = draw(st.sampled_from(["normal", "duplicated", "identical", "offset"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    features = rng.standard_normal((n, dim))
+    if kind == "duplicated":
+        features = features[rng.integers(0, max(1, n // 3), n)]
+    elif kind == "identical":
+        features = np.repeat(features[:1], n, axis=0)
+    elif kind == "offset":
+        features = 1e6 + features * draw(st.sampled_from([1.0, 1e-3]))
+    return features, k, draw(st.integers(0, 1000))
+
+
+def assert_same_as_reference(features, k, seed, max_iters):
+    expected = reference_kmeanspp_init(features, k, np.random.default_rng(seed))
+    got = discretizer._kmeanspp_init(features, k, np.random.default_rng(seed))
+    assert got.tobytes() == expected.tobytes()
+    expected_labels, expected_inertia = reference_assign(features, expected)
+    labels, inertia = discretizer._assign(features, expected)
+    assert np.array_equal(labels, expected_labels)
+    assert repr(inertia) == repr(expected_inertia)
+    centroids, iterations, final_inertia = reference_train_kmeans(features, k, seed, max_iters)
+    model = train_kmeans(features, k=k, seed=seed, max_iters=max_iters)
+    assert model.centroids.tobytes() == centroids.tobytes()
+    assert model.iterations_run == iterations
+    assert repr(model.final_inertia) == repr(final_inertia)
+
+
+class TestKMeansMatchesReference:
+    @settings(max_examples=150, deadline=None)
+    @given(kmeans_inputs(st.integers(1, 80)))
+    def test_small_inputs(self, case):
+        features, k, seed = case
+        assert_same_as_reference(features, k, seed, max_iters=4)
+
+    @settings(max_examples=10, deadline=None)
+    @given(kmeans_inputs(st.sampled_from(EDGE_ROWS)))
+    def test_block_and_chunk_edges(self, case):
+        features, k, seed = case
+        assert_same_as_reference(features, k, seed, max_iters=2)
+
+    @pytest.mark.parametrize(
+        "n, k, offset",
+        [(2049, 256, 0.0), (2049, 256, 1e6), (16385, 256, 0.0), (18433, 256, 1e6), (18433, 300, 0.0), (4097, 1, 1e6)],
+    )
+    def test_mfcc_like_edges(self, n, k, offset):
+        rng = np.random.default_rng(n + k)
+        centres = 5.0 * rng.standard_normal((40, 39))
+        features = offset + centres[rng.integers(0, 40, n)] + rng.standard_normal((n, 39))
+        assert_same_as_reference(features, k, seed=k, max_iters=2)
+
+
+def test_train_kmeans_working_memory_is_bounded():
+    # Traced numpy allocations during training stay within a small multiple
+    # of the input; whole-matrix distance temporaries would take ~8x.
+    features = np.random.default_rng(4).standard_normal((40_000, 39))
+    tracemalloc.start()
+    try:
+        train_kmeans(features, k=256, seed=0, max_iters=2)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * features.nbytes
