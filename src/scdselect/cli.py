@@ -24,12 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from .corpus import (
-    CorpusFormatError,
-    load_audio_manifest,
-    load_label_corpus,
-    save_label_corpus,
-)
+from .corpus import load_audio_manifest, load_label_corpus, save_label_corpus
 from .discretizer import (
     AudioError,
     MfccConfig,
@@ -41,7 +36,7 @@ from .discretizer import (
     save_kmeans_model,
     train_kmeans,
 )
-from .divergence import DivergenceUndefinedError, scd
+from .divergence import scd
 from .ngram import count_ngrams, prune, save_stats_dump
 from .selection import (
     STRATEGY_CONTRASTIVE,
@@ -360,7 +355,7 @@ def main(argv: list[str] | None = None) -> int:
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     try:
         return args.func(args)
-    except (CorpusFormatError, AudioError, DivergenceUndefinedError, ValueError, OSError) as exc:
+    except (AudioError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -10,7 +10,8 @@ K-means runs in bounded working memory. Besides the n x dim input,
 :func:`train_kmeans` holds one transposed copy of it for the centroid sums,
 a few length-n vectors, and temporaries of at most ``_BLOCK`` rows x dim or
 ``_BLOCK_CELLS`` distances; no step allocates an n x dim or n x k
-temporary. The blocking gives the bytes of the unblocked computation:
+temporary. Where a step works row by row, blocking keeps the bytes of the
+unblocked computation:
 
 - ``np.sum((x - c) ** 2, axis=1)`` reduces each row on its own, so a block
   of rows gets the values that all rows at once get.
@@ -21,14 +22,14 @@ temporary. The blocking gives the bytes of the unblocked computation:
   ``1e-9 * (|x|^2 + |c|^2)``, so a row with ``approx - margin >= d2`` has
   ``exact >= d2`` and keeps ``d2``. Only the other rows, about 2% per draw
   on MFCC frames, get the exact distance. The draws are unchanged.
-- A BLAS product gives each element the same value whatever the number of
-  rows in the call, except on small-matrix paths (a one-row call, or one
-  of few elements), which round differently. The assignment therefore
-  splits each ``_ASSIGN_CHUNK`` rows into even blocks far above that size,
-  a chunk that fits one block is one call as before, and the inertia still
-  sums the clamped minima per chunk.
 - ``np.bincount`` adds a column's weights in row order, so the centroid
   sums are those of adding the rows one by one.
+
+The assignment's ``(2x) @ C.T`` is not row by row: a BLAS product of a row
+block may round unlike the product of its whole ``_ASSIGN_CHUNK`` (with
+OpenBLAS 0.3.31 on SkylakeX it matches at k=256, almost never at k=300 or
+500). Labels and inertia then equal the unblocked ones only where rounding
+does not decide the argmin, which it can for identical or far-offset rows.
 """
 
 from __future__ import annotations

@@ -25,8 +25,8 @@ from .ngram import (
     check_encodable,
     code_positions,
     decode_gram,
+    grouped_codes,
     merge_counts,
-    sequence_codes,
     smoothed_distribution,
     values_at,
 )
@@ -125,9 +125,7 @@ class CandidateStats:
         labels = _label_array(labels)
         if labels.size and (labels.min() < 0 or labels.max() >= self.alphabet_size):
             raise ValueError(f"labels outside [0, {self.alphabet_size})")
-        codes, counts = sequence_codes(labels, self.order, self.alphabet_size)
-        if codes.shape[0] == 0:
-            return
+        codes, _, counts = grouped_codes([labels], self.order, self.alphabet_size)
         self.codes, self.code_counts = merge_counts(self.codes, self.code_counts, codes, counts)
         self.total += int(counts.sum())
 

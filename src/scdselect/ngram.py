@@ -210,13 +210,6 @@ def group_limit(alphabet_size: int, order: int) -> int:
     return max(1, _ENCODE_LIMIT // alphabet_size**order)
 
 
-def sequence_codes(labels, order: int, alphabet_size: int) -> tuple[np.ndarray, np.ndarray]:
-    """Distinct gram codes of one label sequence, ascending, and their counts."""
-    codes = np.sort(_window_codes(np.asarray(labels).reshape(-1), order, alphabet_size))
-    starts = run_starts(codes)
-    return codes[starts], np.diff(starts, append=codes.shape[0])
-
-
 class GramCounts(Mapping):
     """Read-only ``gram tuple -> count`` view of sorted codes and aligned counts.
 
@@ -383,7 +376,7 @@ def smoothed_distribution(
 def sequence_gram_counts(labels, order: int, alphabet_size: int) -> GramCounts:
     """Sliding-window gram counts of a single label sequence."""
     check_encodable(alphabet_size, order)
-    codes, counts = sequence_codes(labels, order, alphabet_size)
+    codes, _, counts = grouped_codes([np.asarray(labels).reshape(-1)], order, alphabet_size)
     return GramCounts(order, alphabet_size, codes, counts)
 
 

@@ -1,13 +1,15 @@
 """Subset selection strategies over label corpora.
 
-``select_greedy_scd`` implements the bucketed greedy divergence search:
-sort the pool by length, build the interpolated target distribution once,
-split the sorted pool into C contiguous buckets, and pick from each bucket
-the utterance whose addition to the growing subset minimizes the divergence
-from the target. ``select_random``, ``select_contrastive`` and
-``select_oracle`` are the baselines and the exact reference; they all report
-their divergence trace against the same interpolated target so results are
-directly comparable.
+``select_greedy_scd`` is the bucketed greedy divergence search: from each
+of C contiguous buckets of the length-sorted pool it picks the utterance
+whose addition to the growing subset minimizes the divergence from the
+interpolated target. ``select_random``, ``select_contrastive`` and
+``select_oracle`` are the baselines and the exact reference; all report
+their divergence trace against the same target, so results compare
+directly. Greedy's fast scorer and the contrastive scores share one block
+pass over the pool's grams (:func:`_block_sums`). Contrastive excludes an
+utterance that has no grams at the order or, at alpha=0, holds a gram of
+zero query probability.
 
 Every strategy is deterministic given its inputs and config.
 """
@@ -30,6 +32,7 @@ from .corpus import LabelCorpus, LabelSequence, sort_by_length
 from .divergence import CandidateStats, ScdValue, scd, scd_incremental
 from .ngram import (
     Distribution,
+    NGramStats,
     count_ngrams,
     decode_gram,
     group_limit,
@@ -37,7 +40,6 @@ from .ngram import (
     interpolate,
     prune,
     run_starts,
-    sequence_codes,
 )
 
 logger = logging.getLogger(__name__)
@@ -158,16 +160,10 @@ class MarkovSource:
         return out
 
 
-def build_target_distribution(
+def _component_stats(
     universal: LabelCorpus, query: LabelCorpus, config: SelectionConfig
-) -> Distribution:
-    """Interpolated target: lam * P_query + (1 - lam) * P_pool.
-
-    Both component models are estimated on the full corpora at
-    ``config.order``, pruned at ``config.prune_min_count``, and smoothed with
-    ``config.alpha``. The pool model is computed once, never on a shrinking
-    remainder.
-    """
+) -> tuple[NGramStats, NGramStats]:
+    """Pool and query models: each full corpus counted once at ``config.order``, then pruned."""
     if len(universal) == 0:
         raise ValueError("universal corpus is empty")
     if len(query) == 0:
@@ -179,6 +175,17 @@ def build_target_distribution(
         )
     stats_u = prune(count_ngrams(universal, config.order, config.alpha), config.prune_min_count)
     stats_q = prune(count_ngrams(query, config.order, config.alpha), config.prune_min_count)
+    return stats_u, stats_q
+
+
+def build_target_distribution(
+    universal: LabelCorpus, query: LabelCorpus, config: SelectionConfig
+) -> Distribution:
+    """Interpolated target lam * P_query + (1 - lam) * P_pool of :func:`_component_stats`.
+
+    The pool model is computed once, never on a shrinking remainder.
+    """
+    stats_u, stats_q = _component_stats(universal, query, config)
     return interpolate(stats_q, stats_u, config.lam)
 
 
@@ -190,13 +197,8 @@ def partition_buckets(n_items: int, n_buckets: int) -> list[tuple[int, int]]:
     if not 1 <= n_buckets <= n_items:
         raise ValueError(f"need 1 <= n_buckets <= n_items, got {n_buckets}, {n_items}")
     base, extra = divmod(n_items, n_buckets)
-    bounds = []
-    start = 0
-    for i in range(n_buckets):
-        size = base + (1 if i < extra else 0)
-        bounds.append((start, start + size))
-        start += size
-    return bounds
+    edges = [i * base + min(i, extra) for i in range(n_buckets + 1)]
+    return list(zip(edges, edges[1:]))
 
 
 class _IncrementalScorer:
@@ -234,24 +236,34 @@ class _IncrementalScorer:
 
     def score(self, sequences: Sequence[LabelSequence], subset: CandidateStats) -> np.ndarray:
         """Fast SCD of ``subset`` plus each of ``sequences``, one per candidate."""
-        order, k = self.target.order, self.target.alphabet_size
-        windows = np.array([max(len(seq) - order + 1, 0) for seq in sequences], dtype=np.int64)
-        corrections = np.zeros(len(sequences))
-        per_block = max(1, _BLOCK_WINDOWS // max(1, int(windows.mean())))
-        per_block = min(per_block, group_limit(k, order))
-        for lo in range(0, len(sequences), per_block):
-            hi = min(lo + per_block, len(sequences))
-            codes, rows, added = grouped_codes([seq.labels for seq in sequences[lo:hi]], order, k)
-            # Look up each distinct code once; codes arrive sorted.
-            starts = run_starts(codes)
-            repeats = np.diff(starts, append=codes.shape[0])
-            distinct = codes[starts]
-            weight = np.repeat(self.target.lookup(distinct), repeats)
-            base = np.repeat(subset.count_at(distinct), repeats)
-            terms = weight * np.log((base + added + self.alpha) / (base + self.alpha))
-            corrections[lo:hi] = np.bincount(rows, weights=terms, minlength=hi - lo)
+        def terms(codes, rows, added, weight, base):
+            return weight * np.log((base + added + self.alpha) / (base + self.alpha))
+
+        corrections, windows = _block_sums(sequences, self.target, (self.target.lookup, subset.count_at), terms)
         x = self._a_sum(subset) + corrections - np.log(subset.total + windows + self.alpha_mass)
         return self.h_const - x
+
+
+def _block_sums(sequences: Sequence[LabelSequence], model: Distribution, lookups, term):
+    """Per-sequence sums of ``term`` over the grams of ``model``'s order, and window counts.
+
+    :func:`grouped_codes` tallies blocks of about ``_BLOCK_WINDOWS`` windows; each of
+    ``lookups`` maps a block's distinct codes once. ``term(codes, rows, counts, *values)``
+    gets the entries, by code then row, with each lookup's values repeated per entry.
+    """
+    order, k = model.order, model.alphabet_size
+    windows = np.array([max(len(seq) - order + 1, 0) for seq in sequences], dtype=np.int64)
+    sums = np.zeros(len(sequences))
+    per_block = max(1, _BLOCK_WINDOWS // max(1, int(windows.mean())))
+    per_block = min(per_block, group_limit(k, order))
+    for lo in range(0, len(sequences), per_block):
+        hi = min(lo + per_block, len(sequences))
+        codes, rows, counts = grouped_codes([seq.labels for seq in sequences[lo:hi]], order, k)
+        starts = run_starts(codes)
+        repeats = np.diff(starts, append=codes.shape[0])
+        values = [np.repeat(lookup(codes[starts]), repeats) for lookup in lookups]
+        sums[lo:hi] = np.bincount(rows, weights=term(codes, rows, counts, *values), minlength=hi - lo)
+    return sums, windows
 
 
 def _pick_from_bucket(
@@ -460,36 +472,36 @@ def contrastive_scores(
     """Per-utterance mean log-likelihood gap between query and pool models.
 
     score(u) = mean over u's gram occurrences of log P_query(g) - log P_pool(g).
-    Utterances with no grams at this order score -inf.
+    Utterances with no grams at this order, or with a gram of zero query
+    probability (alpha=0 only), score -inf.
     """
-    if universal.alphabet_size != query.alphabet_size:
-        raise ValueError("alphabet mismatch between universal and query")
-    stats_u = prune(count_ngrams(universal, config.order, config.alpha), config.prune_min_count)
-    stats_q = prune(count_ngrams(query, config.order, config.alpha), config.prune_min_count)
-    dist_u = stats_u.distribution()
-    dist_q = stats_q.distribution()
+    return _scores_from_stats(universal, *_component_stats(universal, query, config))
 
-    scores: dict[str, float] = {}
-    for seq in universal:
-        codes, counts = sequence_codes(seq.labels, config.order, universal.alphabet_size)
-        if codes.shape[0] == 0:
-            scores[seq.id] = -math.inf
-            continue
-        pq = dist_q.lookup(codes)
-        pu = dist_u.lookup(codes)
-        undefined = (pq <= 0.0) | (pu <= 0.0)
-        if undefined.any():
-            first = int(np.argmax(undefined))
-            if pu[first] <= 0.0:
-                gram = decode_gram(int(codes[first]), universal.alphabet_size, config.order)
-                raise ValueError(
-                    f"pool probability is zero at gram {gram}; contrastive score "
-                    "undefined (use alpha > 0)"
-                )
-            scores[seq.id] = -math.inf
-            continue
-        scores[seq.id] = float(np.dot(counts, np.log(pq) - np.log(pu))) / int(counts.sum())
-    return scores
+
+def _scores_from_stats(
+    universal: LabelCorpus, stats_u: NGramStats, stats_q: NGramStats
+) -> dict[str, float]:
+    """:func:`contrastive_scores` from already counted pool and query models."""
+    dist_u, dist_q = stats_u.distribution(), stats_q.distribution()
+
+    def gaps(codes, rows, counts, pq, pu):
+        # Entries run by code, so a row's first undefined entry holds its
+        # smallest undefined gram; np.unique lists the rows in file order.
+        undefined = np.flatnonzero((pq <= 0.0) | (pu <= 0.0))
+        first = undefined[np.unique(rows[undefined], return_index=True)[1]]
+        pool_zero = first[pu[first] <= 0.0]
+        if pool_zero.shape[0]:
+            gram = decode_gram(int(codes[pool_zero[0]]), dist_u.alphabet_size, dist_u.order)
+            raise ValueError(
+                f"pool probability is zero at gram {gram}; contrastive score undefined (use alpha > 0)"
+            )
+        terms = counts * (np.log(np.where(pq > 0.0, pq, 1.0)) - np.log(np.where(pu > 0.0, pu, 1.0)))
+        terms[undefined] = -math.inf
+        return terms
+
+    sums, windows = _block_sums(universal.sequences, dist_u, (dist_q.lookup, dist_u.lookup), gaps)
+    scores = np.divide(sums, windows, out=np.full(len(windows), -math.inf), where=windows > 0)
+    return dict(zip(universal.ids, scores.tolist()))
 
 
 def select_contrastive(
@@ -497,15 +509,17 @@ def select_contrastive(
 ) -> SelectionResult:
     """Top-scoring utterances by query-vs-pool log-likelihood gap; no bucketing."""
     ordered = sort_by_length(universal).sequences
-    scores = contrastive_scores(universal, query, config)
+    stats_u, stats_q = _component_stats(universal, query, config)
+    scores = _scores_from_stats(universal, stats_u, stats_q)
 
-    skipped = [seq.id for seq in ordered if scores[seq.id] == -math.inf]
-    if skipped:
-        logger.warning(
-            "contrastive: %d utterances have no grams at order %d and are excluded",
-            len(skipped),
-            config.order,
-        )
+    excluded = [seq for seq in ordered if scores[seq.id] == -math.inf]
+    gramless = sum(len(seq) < config.order for seq in excluded)
+    causes = (
+        f"{gramless} have no grams at order {config.order}, "
+        f"{len(excluded) - gramless} hold a gram of zero query probability"
+    )
+    if excluded:
+        logger.warning("contrastive: %d utterances are excluded: %s", len(excluded), causes)
     ranked = [seq for seq in ordered if scores[seq.id] != -math.inf]
     # Stable sort on the negated score keeps sorted-corpus position as tie-break.
     ranked.sort(key=lambda seq: -scores[seq.id])
@@ -515,12 +529,11 @@ def select_contrastive(
     # needs that many of them.
     if not _budget_met(config, len(ranked), math.inf):
         raise ValueError(
-            f"budget {config.budget_c} exceeds the {len(ranked)} utterances with "
-            f"grams at order {config.order}"
+            f"budget {config.budget_c} exceeds the {len(ranked)} scored utterances "
+            f"({len(excluded)} excluded: {causes})"
         )
     picked = _take_until_met(ranked, config)
-    target = build_target_distribution(universal, query, config)
-    return _traced_result(picked, target, config, STRATEGY_CONTRASTIVE)
+    return _traced_result(picked, interpolate(stats_q, stats_u, config.lam), config, STRATEGY_CONTRASTIVE)
 
 
 def select_oracle(
