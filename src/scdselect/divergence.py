@@ -1,11 +1,14 @@
 """KL divergence between smoothed gram distributions.
 
-The divergence of p from q is summed explicitly over the union of the two
-sparse supports (p's sorted codes, looked up in q's by binary search, then
-q's codes that p lacks); the remaining (K**N - |union|) grams, unseen in both
-operands, all share the constant floor probabilities of the two sides and
-contribute one closed-form term. The result is therefore a pure function of
-the two distributions, independent of how their supports are represented.
+The divergence of p from q is anchored on p. With P and Q the explicit
+supports, f_p and f_q the floors, and M_P and A_P the mass and the sum of
+p ln p over P alone, which p sums once (:attr:`Distribution.anchor`),
+
+    SCD = A_P - sum_{P&Q} p ln q - (M_P - sum_{P&Q} p) ln f_q
+          + sum_{Q-P} f_p ln(f_p / q) + (K**N - |P|Q|) f_p ln(f_p / f_q)
+
+so a call looks q's codes up in p's and costs O(|Q| log |P|). The last term
+covers the grams unseen in both operands.
 
 Natural log throughout; values are in nats.
 """
@@ -38,10 +41,10 @@ class DivergenceUndefinedError(ValueError):
 
 @dataclass(frozen=True)
 class ScdValue:
-    """A divergence in nats plus a breakdown of how it was summed.
+    """A divergence in nats plus a breakdown of its support.
 
-    ``support_terms`` counts the explicitly summed grams; ``implicit_mass``
-    is the aggregated contribution of grams unseen in both operands.
+    ``support_terms`` is the size of the union of the two explicit supports;
+    ``implicit_mass`` is the summed contribution of grams unseen in both.
     """
 
     nats: float
@@ -58,25 +61,32 @@ def scd(p: Distribution, q: Distribution) -> ScdValue:
         raise ValueError(f"order mismatch: {p.order} vs {q.order}")
     if p.alphabet_size != q.alphabet_size:
         raise ValueError(f"alphabet mismatch: {p.alphabet_size} vs {q.alphabet_size}")
-
-    # The union of the supports: p's codes, then q's codes that p lacks.
-    q_only = ~code_positions(p.codes, q.codes)[1]
-    codes = np.concatenate((p.codes, q.codes[q_only]))
-    pp = np.concatenate((p.explicit, np.full(codes.shape[0] - p.codes.shape[0], p.floor)))
-    qq = np.concatenate((q.lookup(p.codes), q.explicit[q_only]))
-
-    live = pp > 0.0
-    undefined = live & (qq <= 0.0)
-    if undefined.any():
-        gram = decode_gram(int(codes[undefined].min()), p.alphabet_size, p.order)
-        raise DivergenceUndefinedError(
-            f"q has zero probability at gram {gram} where p is positive; "
-            "divergence is undefined (use alpha > 0)"
+    index, shared = code_positions(p.codes, q.codes)
+    q_only = q.explicit[~shared]
+    if q.floor <= 0.0 or not np.all(q.explicit > 0.0):
+        undefined = np.append(
+            p.codes[(p.explicit > 0.0) & (q.lookup(p.codes) <= 0.0)],
+            q.codes[~shared][(q_only <= 0.0) & (p.floor > 0.0)],
         )
-    pp, qq = pp[live], qq[live]
-    explicit_sum = float(np.sum(pp * np.log(pp / qq)))
+        if undefined.shape[0]:
+            gram = decode_gram(int(undefined.min()), p.alphabet_size, p.order)
+            raise DivergenceUndefinedError(
+                f"q has zero probability at gram {gram} where p is positive; "
+                "divergence is undefined (use alpha > 0)"
+            )
 
-    remaining = p.support_size - codes.shape[0]
+    p_shared, q_shared = p.explicit[index[shared]], q.explicit[shared]
+    live = p_shared > 0.0
+    mass, plogp = p.anchor
+    nats = plogp - float(np.sum(p_shared[live] * np.log(q_shared[live])))
+    if q.floor > 0.0:
+        # Otherwise the check above found every positive p inside Q.
+        nats -= (mass - float(np.sum(p_shared))) * math.log(q.floor)
+    if p.floor > 0.0:
+        nats += float(np.sum(p.floor * np.log(p.floor / q_only)))
+
+    union = p.codes.shape[0] + q_only.shape[0]
+    remaining = p.support_size - union
     implicit = 0.0
     if remaining > 0 and p.floor > 0.0:
         if q.floor <= 0.0:
@@ -86,11 +96,7 @@ def scd(p: Distribution, q: Distribution) -> ScdValue:
             )
         implicit = float(remaining) * p.floor * math.log(p.floor / q.floor)
 
-    return ScdValue(
-        nats=explicit_sum + implicit,
-        support_terms=int(codes.shape[0]),
-        implicit_mass=implicit,
-    )
+    return ScdValue(nats=nats + implicit, support_terms=union, implicit_mass=implicit)
 
 
 def _no_codes() -> np.ndarray:

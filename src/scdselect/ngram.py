@@ -21,6 +21,7 @@ from __future__ import annotations
 
 from collections.abc import Mapping
 from dataclasses import dataclass
+from functools import cached_property
 from pathlib import Path
 from typing import Iterable, Iterator, Sequence
 
@@ -329,6 +330,12 @@ class Distribution:
     @property
     def support_size(self) -> int:
         return self.alphabet_size**self.order
+
+    @cached_property
+    def anchor(self) -> tuple[float, float]:
+        """Mass and sum of p*ln(p) over the explicit codes only (0*ln 0 = 0), summed once."""
+        live = self.explicit[self.explicit > 0.0]
+        return float(np.sum(self.explicit)), float(np.sum(live * np.log(live)))
 
     def lookup(self, codes: np.ndarray) -> np.ndarray:
         """Probabilities of the grams behind ``codes`` (seen or unseen)."""

@@ -204,13 +204,13 @@ def partition_buckets(n_items: int, n_buckets: int) -> list[tuple[int, int]]:
 class _IncrementalScorer:
     """Evaluates SCD(target, S + {u}) for every candidate u of a bucket at once.
 
-    Uses the factorization
+    Each score is a delta on one exact :func:`scd` of the subset S:
 
-        SCD = H - A - corr(u) + log(T_S + T_u + alpha * K**N)
+        SCD(S + u) = SCD(S) - sum_{g in u} P_t(g) * log((c_S(g) + c_u(g) + alpha) / (c_S(g) + alpha))
+                     + log1p(W_u / (T_S + alpha * K**N))
 
-    where H is the target's entropy-like constant, A is
-    sum_g P_t(g) * log(cnt_S(g) + alpha) over the full support, and corr(u)
-    only touches the grams present in u. Requires alpha > 0.
+    with W_u and T_S the windows of u and S; the last term uses that the
+    target's mass is 1. Requires alpha > 0.
     """
 
     def __init__(self, target: Distribution, alpha: float):
@@ -219,20 +219,6 @@ class _IncrementalScorer:
         self.target = target
         self.alpha = float(alpha)
         self.alpha_mass = self.alpha * float(target.support_size)
-        positive = target.explicit[target.explicit > 0]
-        h = float(np.sum(positive * np.log(positive)))
-        rest = target.support_size - target.codes.shape[0]
-        if rest > 0 and target.floor > 0:
-            h += float(rest) * target.floor * math.log(target.floor)
-        self.h_const = h
-
-    def _a_sum(self, subset: CandidateStats) -> float:
-        # Every gram the subset lacks adds P_t(g) * log(alpha), so A starts
-        # from log(alpha) times the total target mass (exactly 1).
-        weights = self.target.lookup(subset.codes)
-        return math.log(self.alpha) + float(
-            np.dot(weights, np.log((subset.code_counts + self.alpha) / self.alpha))
-        )
 
     def score(self, sequences: Sequence[LabelSequence], subset: CandidateStats) -> np.ndarray:
         """Fast SCD of ``subset`` plus each of ``sequences``, one per candidate."""
@@ -240,8 +226,8 @@ class _IncrementalScorer:
             return weight * np.log((base + added + self.alpha) / (base + self.alpha))
 
         corrections, windows = _block_sums(sequences, self.target, (self.target.lookup, subset.count_at), terms)
-        x = self._a_sum(subset) + corrections - np.log(subset.total + windows + self.alpha_mass)
-        return self.h_const - x
+        base = scd(self.target, subset.distribution()).nats
+        return base - corrections + np.log1p(windows / (subset.total + self.alpha_mass))
 
 
 def _block_sums(sequences: Sequence[LabelSequence], model: Distribution, lookups, term):
@@ -312,9 +298,9 @@ def select_greedy_scd(
     until the budget is reached or the pool is used up (a budget equal to the
     pool total can sum one ulp short of it and take the whole pool).
     """
+    mean_duration = _check_budget(universal, config) / len(universal)
     target = build_target_distribution(universal, query, config)
     ordered = sort_by_length(universal).sequences
-    mean_duration = _check_budget(ordered, config) / len(ordered)
 
     scorer = _IncrementalScorer(target, config.alpha) if config.alpha > 0 else None
     cand_stats = CandidateStats(config.order, universal.alphabet_size, config.alpha)
@@ -351,22 +337,24 @@ def select_greedy_scd(
     )
 
 
-def _check_budget(pool: Sequence[LabelSequence], config: SelectionConfig) -> float:
+def _check_budget(pool: LabelCorpus, config: SelectionConfig) -> float:
     """Raise ``ValueError`` unless ``pool`` can fill the budget; return its total seconds.
 
-    A count budget may not exceed the pool size. A seconds budget needs a
-    positive duration on every utterance and may not exceed the pool total.
-    The total is the correctly rounded sum (``math.fsum``), so the verdict
-    does not depend on the pool's order, which differs between strategies. A
-    budget within ``len(pool)`` ulps above it passes, because summing the
-    pool in some order can land that far above the correctly rounded total.
+    The pool may not be empty, and a count budget may not exceed its size. A
+    seconds budget needs a positive duration on every utterance and may not
+    exceed the pool total, the correctly rounded sum (``math.fsum``), so the
+    verdict does not depend on the pool's order, which differs between
+    strategies. A budget within ``len(pool)`` ulps above it passes, because
+    summing the pool in some order can land that far above the total.
     """
-    total = math.fsum(seq.duration_s for seq in pool)
+    if len(pool) == 0:
+        raise ValueError("universal corpus is empty")
+    total = math.fsum(pool.durations.tolist())
     if config.budget_c is not None:
         if config.budget_c > len(pool):
             raise ValueError(f"budget {config.budget_c} exceeds corpus size {len(pool)}")
         return total
-    missing = [seq.id for seq in pool if seq.duration_s <= 0]
+    missing = [utt_id for utt_id, duration in zip(pool.ids, pool.durations.tolist()) if duration <= 0]
     if missing:
         raise ValueError(
             f"duration budget requires positive durations; missing for "
@@ -455,12 +443,10 @@ def select_random(
     ``query`` is only used to report the divergence trace; the picks never
     depend on it. Without a query the trace fields are None/empty.
     """
-    if len(universal) == 0:
-        raise ValueError("universal corpus is empty")
     rng = random.Random(config.seed)
     shuffled = list(universal.sequences)
     rng.shuffle(shuffled)
-    _check_budget(universal.sequences, config)
+    _check_budget(universal, config)
     picked = _take_until_met(shuffled, config)
     target = None if query is None else build_target_distribution(universal, query, config)
     return _traced_result(picked, target, config, STRATEGY_RANDOM)
@@ -508,6 +494,7 @@ def select_contrastive(
     universal: LabelCorpus, query: LabelCorpus, config: SelectionConfig
 ) -> SelectionResult:
     """Top-scoring utterances by query-vs-pool log-likelihood gap; no bucketing."""
+    _check_budget(universal, config)
     ordered = sort_by_length(universal).sequences
     stats_u, stats_q = _component_stats(universal, query, config)
     scores = _scores_from_stats(universal, stats_u, stats_q)
@@ -524,7 +511,6 @@ def select_contrastive(
     # Stable sort on the negated score keeps sorted-corpus position as tie-break.
     ranked.sort(key=lambda seq: -scores[seq.id])
 
-    _check_budget(universal.sequences, config)
     # A seconds budget takes what the ranked utterances hold; a count budget
     # needs that many of them.
     if not _budget_met(config, len(ranked), math.inf):
@@ -555,7 +541,7 @@ def select_oracle(
             f"oracle limited to |U| <= {max_universe} and C <= {max_budget}; "
             f"got |U|={len(universal)}, C={config.budget_c}"
         )
-    _check_budget(universal.sequences, config)
+    _check_budget(universal, config)
     target = build_target_distribution(universal, query, config)
     ordered = sort_by_length(universal).sequences
 

@@ -1,8 +1,10 @@
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from scdselect import selection
 from scdselect.corpus import LabelCorpus, LabelSequence, sort_by_length
 from scdselect.divergence import CandidateStats, DivergenceUndefinedError, scd
 from scdselect.ngram import count_ngrams
@@ -556,3 +558,17 @@ class TestSecondsBudgetTotalIsOrderFree:
         total = math.fsum(self.DURATIONS)
         outcomes = self.run_all(total + 19 * math.ulp(total))
         assert all("exceeds corpus total" in str(outcome) for outcome in outcomes)
+
+
+@pytest.mark.parametrize("select", [select_greedy_scd, select_contrastive])
+@pytest.mark.parametrize(
+    "budget", [{"budget_c": 3}, {"duration_budget_s": 4.0}], ids=["count", "seconds"]
+)
+def test_budget_beyond_the_pool_fails_before_counting(select, budget):
+    pool = make_corpus([[0, 1, 1], [1, 0]], 2, durations=[1.0, 2.0])
+    config = SelectionConfig(**budget)
+    for query in (make_corpus([[0, 1]], 2, ids=["q"]), make_corpus([], 2)):
+        with mock.patch.object(selection, "count_ngrams", wraps=selection.count_ngrams) as counted:
+            with pytest.raises(ValueError, match="exceeds corpus"):
+                select(pool, query, config)
+        assert counted.call_count == 0
