@@ -118,6 +118,12 @@ def _closed01(text: str) -> float:
     return value
 
 
+_THREADS_HELP = (
+    "parallelize manifest entries over this many worker threads, with one BLAS "
+    "thread per worker (default 1; results do not depend on it)"
+)
+
+
 def _add_ngram_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--order", type=_positive_int, default=1, help="gram order N (default 1)")
     parser.add_argument("--alpha", type=_nonneg_float, default=0.5, help="add-alpha smoothing (default 0.5)")
@@ -172,7 +178,7 @@ def build_parser() -> argparse.ArgumentParser:
         default=None,
         help="uniformly subsample the pooled frames to at most this many",
     )
-    p.add_argument("--threads", type=_positive_int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1, help=_THREADS_HELP)
     _add_mfcc_flags(p)
     p.add_argument("--output", required=True, help="model file to write (JSON)")
     p.set_defaults(func=cmd_train_kmeans)
@@ -181,7 +187,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("manifest")
     p.add_argument("--model", required=True, help="K-means model file")
     p.add_argument("--skip-bad", action="store_true", help="warn and drop unreadable entries instead of aborting")
-    p.add_argument("--threads", type=_positive_int, default=1)
+    p.add_argument("--threads", type=_positive_int, default=1, help=_THREADS_HELP)
     p.add_argument("--output", required=True, help="label-corpus file to write")
     p.set_defaults(func=cmd_discretize)
 

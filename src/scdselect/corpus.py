@@ -67,6 +67,26 @@ def _as_label_array(labels) -> np.ndarray:
     return arr
 
 
+def _tiled_labels(arrays: list[np.ndarray], lengths: np.ndarray) -> np.ndarray | None:
+    """One view spanning ``arrays`` when they tile one buffer in order, else None.
+
+    The non-empty arrays must be contiguous views of one base, each starting
+    where the one before it ends; empty arrays hold no labels and are skipped.
+    """
+    filled = [array for array in arrays if array.size]
+    if not filled:
+        return None
+    base = filled[0].base
+    if base is None or any(array.base is not base or not array.flags.c_contiguous for array in filled):
+        return None
+    itemsize = filled[0].itemsize
+    addresses = np.array([array.ctypes.data for array in filled], dtype=np.uint64)
+    ends = addresses + lengths[lengths > 0].astype(np.uint64) * np.uint64(itemsize)
+    if not np.array_equal(addresses[1:], ends[:-1]):
+        return None
+    return np.lib.stride_tricks.as_strided(filled[0], shape=(int(lengths.sum()),), strides=(itemsize,))
+
+
 @dataclass(frozen=True, eq=False, slots=True)
 class LabelSequence:
     """One utterance as an ordered run of integer cluster labels.
@@ -137,7 +157,9 @@ class LabelCorpus:
     ``labels``.
 
     The constructor packs ``sequences`` into these columns and checks that ids
-    are unique and every label lies in ``[0, alphabet_size)``.
+    are unique and every label lies in ``[0, alphabet_size)``. When the
+    sequences' labels are back-to-back views of one array, ``labels`` is a
+    view of that array, not a copy.
     """
 
     __slots__ = (
@@ -152,7 +174,10 @@ class LabelCorpus:
         ids = tuple(seq.id for seq in sequences)
         _check_unique(ids)
         lengths = np.array([len(seq) for seq in sequences], dtype=np.int64)
-        labels = np.concatenate([seq.labels for seq in sequences] or [np.empty(0, LABEL_DTYPE)])
+        arrays = [seq.labels for seq in sequences]
+        labels = _tiled_labels(arrays, lengths)
+        if labels is None:
+            labels = np.concatenate(arrays or [np.empty(0, LABEL_DTYPE)])
         if labels.size and (labels.min() < 0 or labels.max() >= alphabet_size):
             position = int(np.argmax((labels < 0) | (labels >= alphabet_size)))
             owner = int(np.searchsorted(np.cumsum(lengths), position, side="right"))

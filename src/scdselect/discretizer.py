@@ -30,14 +30,21 @@ block may round unlike the product of its whole ``_ASSIGN_CHUNK`` (with
 OpenBLAS 0.3.31 on SkylakeX it matches at k=256, almost never at k=300 or
 500). Labels and inertia then equal the unblocked ones only where rounding
 does not decide the argmin, which it can for identical or far-offset rows.
+
+``--threads`` parallelizes manifest entries, with one BLAS thread per worker:
+:func:`map_manifest` runs its workers with OpenBLAS set to one thread, so
+workers do not queue on one BLAS thread pool, and restores the count after.
 """
 
 from __future__ import annotations
 
+import ctypes
 import functools
 import json
 import logging
 import math
+import os
+import threading
 import wave
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -455,12 +462,82 @@ def read_wav_mono(path: str | Path, expected_rate_hz: int) -> np.ndarray:
     return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
 
 
+@functools.cache
+def _openblas_thread_calls():
+    """``(get, set)`` of the loaded OpenBLAS's thread count, or None where none is found.
+
+    Looks in ``/proc/self/maps`` for a mapped file whose name contains
+    ``openblas`` and in it for ``openblas_{get,set}_num_threads``, also under
+    the scipy-openblas names (prefix ``scipy_``, ILP64 suffix ``64_``).
+    """
+    try:
+        with open("/proc/self/maps", encoding="utf-8", errors="surrogateescape") as maps:
+            # address, perms, offset, dev, inode, then the path of a mapped file
+            paths = {fields[5] for fields in (line.rstrip("\n").split(maxsplit=5) for line in maps)
+                     if len(fields) == 6}
+    except OSError:
+        return None
+    for path in sorted(p for p in paths if "openblas" in os.path.basename(p).lower()):
+        try:
+            library = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("", ""), ("scipy_", "64_"), ("scipy_", ""), ("", "64_")):
+            get = getattr(library, f"{prefix}openblas_get_num_threads{suffix}", None)
+            set_ = getattr(library, f"{prefix}openblas_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                get.argtypes, get.restype = [], ctypes.c_int
+                set_.argtypes, set_.restype = [ctypes.c_int], None
+                return get, set_
+    return None
+
+
+class _OneBlasThread:
+    """Context manager: OpenBLAS runs on one thread inside, at its earlier count after.
+
+    The count is one setting for the whole process, so one instance serves
+    every caller: overlapping uses share the pin, and the last to leave
+    restores the count that the first one found. Without a loaded OpenBLAS
+    that exports the calls (or without ``/proc``) it does nothing.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._depth = 0
+        self._calls = None
+        self._before = 0
+
+    def __enter__(self):
+        with self._lock:
+            if self._depth == 0:
+                self._calls = _openblas_thread_calls()
+                if self._calls is not None:
+                    self._before = self._calls[0]()
+                    self._calls[1](1)
+            self._depth += 1
+
+    def __exit__(self, *exc_info):
+        with self._lock:
+            self._depth -= 1
+            if self._depth == 0 and self._calls is not None:
+                self._calls[1](self._before)
+
+
+_one_blas_thread = _OneBlasThread()
+
+
 def map_manifest(function, manifest: AudioManifest, threads: int) -> list:
-    """``function`` of each manifest entry, in manifest order, run on ``threads`` threads."""
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(function, manifest.entries))
-    return [function(entry) for entry in manifest.entries]
+    """``function`` of each manifest entry, in manifest order, run on ``threads`` threads.
+
+    The workers run with one BLAS thread each (see :class:`_OneBlasThread`):
+    their matrix products are small, and a BLAS thread pool beside them
+    would make them queue on it.
+    """
+    with _one_blas_thread:
+        if threads > 1:
+            with ThreadPoolExecutor(max_workers=threads) as pool:
+                return list(pool.map(function, manifest.entries))
+        return [function(entry) for entry in manifest.entries]
 
 
 def _discretize_entry(entry, model: KMeansModel, config: MfccConfig) -> LabelSequence:

@@ -2,11 +2,14 @@ from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scdselect import corpus as corpus_module
 from scdselect.corpus import (
     AudioManifest,
     CorpusFormatError,
+    LabelCorpus,
     LabelSequence,
     ManifestEntry,
     load_audio_manifest,
@@ -444,3 +447,105 @@ class TestColumns:
     def test_constructor_names_first_bad_utterance(self):
         with pytest.raises(ValueError, match="utterance 'u2': label 3 outside \\[0, 3\\)"):
             make_corpus([[0], [], [1, 3, 4]], alphabet_size=3)
+
+
+def views_corpus(flat, bounds, alphabet_size=500):
+    """Corpus of ``flat[start:stop]`` views, one per ``(start, stop)``, ids u0, u1, ..."""
+    return LabelCorpus(
+        alphabet_size,
+        tuple(LabelSequence(f"u{i}", 0.0, flat[start:stop]) for i, (start, stop) in enumerate(bounds)),
+    )
+
+
+# Where a sequence's labels come from: a view of the int32 array, a view of
+# an int64 copy of it, a view of a strided int32 copy, or an own copy.
+SOURCES = ("flat", "int64", "strided", "copy")
+
+
+class TestSharedLabels:
+    def test_back_to_back_views_are_shared(self):
+        rng = np.random.default_rng(3)
+        lengths = rng.integers(4, 10, size=200)
+        flat = rng.integers(0, 500, size=int(lengths.sum()), dtype=np.int32)
+        ends = np.cumsum(lengths)
+        bounds = list(zip((ends - lengths).tolist(), ends.tolist()))
+        bounds[10:10] = [(0, 0)]  # an empty view elsewhere in the array
+        corpus = views_corpus(flat, bounds)
+        assert np.shares_memory(corpus.labels, flat)
+        assert not corpus.labels.flags.writeable
+        assert np.array_equal(corpus.labels, flat)
+        assert corpus.lengths.tolist() == [stop - start for start, stop in bounds]
+        assert [seq.labels.tolist() for seq in corpus] == [flat[a:b].tolist() for a, b in bounds]
+        ordered = sort_by_length(corpus)
+        assert ordered.labels is corpus.labels
+
+    @pytest.mark.parametrize(
+        "bounds",
+        [
+            [(0, 3), (4, 6)],  # gap
+            [(3, 6), (0, 3)],  # reordered
+            [(0, 4), (2, 6)],  # overlapping
+        ],
+    )
+    def test_other_views_are_copied(self, bounds):
+        flat = np.arange(8, dtype=np.int32)
+        corpus = views_corpus(flat, bounds)
+        assert not np.shares_memory(corpus.labels, flat)
+        assert corpus.labels.tolist() == [v for a, b in bounds for v in range(a, b)]
+
+    def test_mixed_dtypes_are_copied(self):
+        flat = np.arange(6, dtype=np.int32)
+        wide = flat.astype(np.int64)
+        corpus = LabelCorpus(
+            10, (LabelSequence("a", 0.0, flat[0:3]), LabelSequence("b", 0.0, wide[3:6]))
+        )
+        assert not np.shares_memory(corpus.labels, flat)
+        assert corpus.labels.tolist() == list(range(6))
+
+    def test_adjacent_arrays_are_copied(self):
+        # Back to back in one buffer, but two arrays: a view over both would
+        # keep only the first one alive.
+        buffer = bytearray(np.arange(6, dtype=np.int32).tobytes())
+        first = np.frombuffer(buffer, dtype=np.int32, count=3)
+        second = np.frombuffer(buffer, dtype=np.int32, count=3, offset=12)
+        corpus = LabelCorpus(10, (LabelSequence("a", 0.0, first), LabelSequence("b", 0.0, second)))
+        assert not np.shares_memory(corpus.labels, first)
+        assert corpus.labels.tolist() == list(range(6))
+
+    def test_out_of_range_label_message_unchanged(self):
+        flat = np.array([0, 1, 2, 3, 7, 1], dtype=np.int32)
+        bounds = [(0, 2), (2, 4), (4, 6)]
+        message = "utterance 'u2': label 7 outside \\[0, 5\\)"
+        with pytest.raises(ValueError, match=message):
+            views_corpus(flat, bounds, alphabet_size=5)
+        with pytest.raises(ValueError, match=message):
+            make_corpus([flat[a:b].copy() for a, b in bounds], alphabet_size=5)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        st.lists(
+            st.tuples(st.integers(0, 12), st.integers(0, 4), st.sampled_from(SOURCES)), max_size=8
+        )
+    )
+    def test_shared_exactly_when_views_tile_the_array(self, segments):
+        flat = np.arange(20, dtype=np.int32)
+        wide = flat.astype(np.int64)
+        strided = np.zeros(40, dtype=np.int32)
+        strided[::2] = flat
+        arrays = {"flat": flat, "int64": wide, "strided": strided[::2]}
+        sequences, expected, filled = [], [], []
+        for i, (start, length, source) in enumerate(segments):
+            stop = start + length
+            labels = flat[start:stop].copy() if source == "copy" else arrays[source][start:stop]
+            sequences.append(LabelSequence(f"u{i}", 0.0, labels))
+            expected.extend(range(start, stop))
+            if length:
+                filled.append((start, stop, source))
+        tiled = bool(filled) and all(source == "flat" for _, _, source in filled) and all(
+            b[0] == a[1] for a, b in zip(filled, filled[1:])
+        )
+        corpus = LabelCorpus(20, tuple(sequences))
+        assert corpus.labels.tolist() == expected
+        assert corpus.labels.dtype == np.int32
+        assert np.shares_memory(corpus.labels, flat) == tiled
+        assert [seq.labels.tolist() for seq in corpus] == [seq.labels.tolist() for seq in sequences]
