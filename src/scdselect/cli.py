@@ -32,6 +32,7 @@ from .discretizer import (
     discretize_manifest,
     load_kmeans_model,
     map_manifest,
+    num_frames,
     read_wav_mono,
     save_kmeans_model,
     train_kmeans,
@@ -176,7 +177,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-frames",
         type=_positive_int,
         default=None,
-        help="uniformly subsample the pooled frames to at most this many",
+        help="uniformly subsample the pooled frames to at most this many; memory holds "
+        "only the kept frames, and each WAV is read twice",
     )
     p.add_argument("--threads", type=_positive_int, default=1, help=_THREADS_HELP)
     _add_mfcc_flags(p)
@@ -227,29 +229,56 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _pool_mfcc_frames(manifest, config: MfccConfig, threads: int) -> np.ndarray:
-    def worker(entry):
-        return compute_mfcc(read_wav_mono(entry.audio_path, config.sample_rate_hz), config)
+def _pool_mfcc_frames(manifest, config: MfccConfig, threads: int, max_frames: int | None,
+                      seed: int) -> np.ndarray:
+    """Pooled MFCC frames of a manifest, uniformly subsampled to at most ``max_frames``.
 
-    blocks = map_manifest(worker, manifest, threads)
-    if not blocks:
+    A first pass counts each entry's frames, so the draw of the kept rows
+    needs no frame; the second computes MFCCs and writes only the kept rows
+    into one matrix, each entry into its own rows. Memory is bounded by the
+    kept frames, not by the corpus; each WAV is read twice.
+    """
+    if not manifest.entries:
         raise AudioError("manifest is empty; nothing to train on")
-    return np.concatenate(blocks, axis=0)
+
+    def count(entry):
+        return num_frames(read_wav_mono(entry.audio_path, config.sample_rate_hz).shape[0], config)
+
+    counts = np.array(map_manifest(count, manifest, threads), dtype=np.int64)
+    starts = np.concatenate(([0], np.cumsum(counts)))
+    total = int(starts[-1])
+    logger.info("pooled %d frames of dim %d", total, config.feature_dim)
+    if max_frames is not None and total > max_frames:
+        keep = np.random.default_rng(seed).choice(total, size=max_frames, replace=False)
+        keep.sort()
+        logger.info("subsampled to %d frames", max_frames)
+    else:
+        keep = np.arange(total)
+    # Rows of the output that each entry's kept frames go to.
+    bounds = np.searchsorted(keep, starts)
+
+    frames = np.empty((keep.shape[0], config.feature_dim))
+    position = {entry.id: index for index, entry in enumerate(manifest.entries)}
+
+    def worker(entry):
+        index = position[entry.id]
+        lo, hi = bounds[index], bounds[index + 1]
+        if lo == hi:
+            return
+        feats = compute_mfcc(read_wav_mono(entry.audio_path, config.sample_rate_hz), config)
+        if feats.shape[0] != counts[index]:
+            raise AudioError(f"{entry.audio_path}: file changed while it was read")
+        np.take(feats, keep[lo:hi] - starts[index], axis=0, out=frames[lo:hi])
+
+    map_manifest(worker, manifest, threads)
+    return frames
 
 
 def cmd_train_kmeans(args: argparse.Namespace) -> int:
     run_config = RunConfig.from_args(args)
     manifest = load_audio_manifest(args.manifest)
     mfcc_config = _mfcc_config_from_args(args)
-    frames = _pool_mfcc_frames(manifest, mfcc_config, args.threads)
-    logger.info("pooled %d frames of dim %d", frames.shape[0], frames.shape[1])
-
-    if args.max_frames is not None and frames.shape[0] > args.max_frames:
-        rng = np.random.default_rng(args.seed)
-        keep = rng.choice(frames.shape[0], size=args.max_frames, replace=False)
-        keep.sort()
-        frames = frames[keep]
-        logger.info("subsampled to %d frames", frames.shape[0])
+    frames = _pool_mfcc_frames(manifest, mfcc_config, args.threads, args.max_frames, args.seed)
 
     model = train_kmeans(frames, k=args.k, seed=args.seed, max_iters=args.max_iters, tol=args.tol)
     save_kmeans_model(

@@ -7,9 +7,9 @@ Externally produced label files bypass this module entirely.
 Everything here is deterministic given (audio bytes, seed, config).
 
 K-means runs in bounded working memory. Besides the n x dim input,
-:func:`train_kmeans` holds one transposed copy of it for the centroid sums,
-a few length-n vectors, and temporaries of at most ``_BLOCK`` rows x dim or
-``_BLOCK_CELLS`` distances; no step allocates an n x dim or n x k
+:func:`train_kmeans` holds ``_SUM_COLUMNS`` feature columns for the centroid
+sums, a few length-n vectors, and temporaries of at most ``_BLOCK`` rows x
+dim or ``_BLOCK_CELLS`` distances; no step allocates an n x dim or n x k
 temporary. Where a step works row by row, blocking keeps the bytes of the
 unblocked computation:
 
@@ -38,6 +38,7 @@ workers do not queue on one BLAS thread pool, and restores the count after.
 
 from __future__ import annotations
 
+import collections
 import ctypes
 import functools
 import json
@@ -65,6 +66,10 @@ LOG_FLOOR = 1e-10
 _BLOCK = 2048
 _BLOCK_CELLS = 2048 * 256
 _ASSIGN_CHUNK = 16384
+# Frames per block of the MFCC spectrum pass; feature columns copied out at a
+# time for the centroid sums.
+_MFCC_BLOCK = 64
+_SUM_COLUMNS = 4
 
 
 class AudioError(RuntimeError):
@@ -197,17 +202,34 @@ def compute_mfcc(
     n_out = num_frames(samples.shape[0], config)
 
     if config.preemphasis > 0:
-        samples = np.concatenate(([samples[0]], samples[1:] - config.preemphasis * samples[:-1]))
+        emphasized = np.empty_like(samples)
+        emphasized[0] = samples[0]
+        np.multiply(samples[:-1], config.preemphasis, out=emphasized[1:])
+        np.subtract(samples[1:], emphasized[1:], out=emphasized[1:])
+        samples = emphasized
 
     n_fft = 1
     while n_fft < flen:
         n_fft *= 2
     window, bank, dct = _frame_tables(config, n_fft)
 
-    idx = shift * np.arange(n_out)[:, None] + np.arange(flen)[None, :]
-    frames = samples[idx] * window
-    power = np.abs(np.fft.rfft(frames, n=n_fft, axis=1)) ** 2 / n_fft
-    log_mel = np.log(np.maximum(power @ bank.T, LOG_FLOOR))
+    # Each frame's spectrum is computed on its own, so blocks of frames get
+    # the values of one transform over all frames.
+    frames = np.lib.stride_tricks.sliding_window_view(samples, flen)[::shift]
+    windowed = np.empty((min(n_out, _MFCC_BLOCK), flen))
+    power = np.empty((n_out, n_fft // 2 + 1))
+    for start in range(0, n_out, _MFCC_BLOCK):
+        block = power[start : start + _MFCC_BLOCK]
+        rows = windowed[: block.shape[0]]
+        np.multiply(frames[start : start + _MFCC_BLOCK], window, out=rows)
+        np.abs(np.fft.rfft(rows, n=n_fft, axis=1), out=block)
+        np.square(block, out=block)
+        block /= n_fft
+    # The products run once over the whole utterance: BLAS may round a
+    # product of a row block unlike the product of all rows.
+    log_mel = power @ bank.T
+    np.maximum(log_mel, LOG_FLOOR, out=log_mel)
+    np.log(log_mel, out=log_mel)
     cepstra = log_mel @ dct.T
 
     if config.include_deltas:
@@ -354,13 +376,18 @@ def train_kmeans(
 
     rng = np.random.default_rng(seed)
     centroids = _kmeanspp_init(features, k, rng)
-    columns = np.ascontiguousarray(features.T)
+    # bincount reads its weights as one contiguous column, so the columns
+    # are copied out a few at a time.
+    columns = np.empty((min(dim, _SUM_COLUMNS), n))
     iterations = 0
     for _ in range(max_iters):
         labels, _ = _assign(features, centroids)
         sums = np.empty((k, dim))
-        for j, column in enumerate(columns):
-            sums[:, j] = np.bincount(labels, weights=column, minlength=k)
+        for first in range(0, dim, _SUM_COLUMNS):
+            block = columns[: min(dim - first, _SUM_COLUMNS)]
+            np.copyto(block, features[:, first : first + block.shape[0]].T)
+            for j, column in enumerate(block, start=first):
+                sums[:, j] = np.bincount(labels, weights=column, minlength=k)
         sizes = np.bincount(labels, minlength=k)
         empty = np.nonzero(sizes == 0)[0]
         if empty.size:
@@ -459,6 +486,8 @@ def read_wav_mono(path: str | Path, expected_rate_hz: int) -> np.ndarray:
         raise AudioError(
             f"{path}: sample rate {rate} Hz does not match expected {expected_rate_hz} Hz"
         )
+    if len(raw) % 2:
+        raise AudioError(f"{path}: WAV data ends mid-sample ({len(raw)} bytes of 16-bit samples)")
     return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
 
 
@@ -531,13 +560,23 @@ def map_manifest(function, manifest: AudioManifest, threads: int) -> list:
 
     The workers run with one BLAS thread each (see :class:`_OneBlasThread`):
     their matrix products are small, and a BLAS thread pool beside them
-    would make them queue on it.
+    would make them queue on it. At most ``4 * threads`` entries are
+    submitted ahead of the first unfinished one, so the pool's bookkeeping
+    does not grow with the manifest. The first failing entry, in manifest
+    order, raises.
     """
     with _one_blas_thread:
-        if threads > 1:
-            with ThreadPoolExecutor(max_workers=threads) as pool:
-                return list(pool.map(function, manifest.entries))
-        return [function(entry) for entry in manifest.entries]
+        if threads <= 1:
+            return [function(entry) for entry in manifest.entries]
+        results = []
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            pending = collections.deque()
+            for entry in manifest.entries:
+                if len(pending) == 4 * threads:
+                    results.append(pending.popleft().result())
+                pending.append(pool.submit(function, entry))
+            results.extend(future.result() for future in pending)
+        return results
 
 
 def _discretize_entry(entry, model: KMeansModel, config: MfccConfig) -> LabelSequence:
