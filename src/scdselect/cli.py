@@ -34,6 +34,7 @@ from .discretizer import (
     map_manifest,
     num_frames,
     read_wav_mono,
+    read_wav_pcm16,
     save_kmeans_model,
     train_kmeans,
 )
@@ -221,7 +222,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="query/pool interpolation weight (default 0.5)")
     p.add_argument("--seed", type=int, default=0, help="seed (random strategy)")
     p.add_argument("--threads", type=_positive_int, default=1,
-                   help="reserved: selection runs single-threaded and ignores this")
+                   help="accepted and ignored: label files are parsed on up to 4 usable "
+                        "CPUs, in file order, and selection runs single-threaded; no output "
+                        "depends on either")
     p.add_argument("--output", required=True, help="report file to write")
     p.add_argument("--ids-output", default=None, help="id worklist file (default: <output>.ids)")
     p.set_defaults(func=cmd_select)
@@ -233,16 +236,17 @@ def _pool_mfcc_frames(manifest, config: MfccConfig, threads: int, max_frames: in
                       seed: int) -> np.ndarray:
     """Pooled MFCC frames of a manifest, uniformly subsampled to at most ``max_frames``.
 
-    A first pass counts each entry's frames, so the draw of the kept rows
-    needs no frame; the second computes MFCCs and writes only the kept rows
-    into one matrix, each entry into its own rows. Memory is bounded by the
-    kept frames, not by the corpus; each WAV is read twice.
+    A first pass counts each entry's frames from the length of its checked
+    sample bytes, so the draw of the kept rows needs no frame; the second
+    computes MFCCs and writes only the kept rows into one matrix, each entry
+    into its own rows. Memory is bounded by the kept frames, not by the
+    corpus; each WAV is read twice.
     """
     if not manifest.entries:
         raise AudioError("manifest is empty; nothing to train on")
 
     def count(entry):
-        return num_frames(read_wav_mono(entry.audio_path, config.sample_rate_hz).shape[0], config)
+        return num_frames(len(read_wav_pcm16(entry.audio_path, config.sample_rate_hz)) // 2, config)
 
     counts = np.array(map_manifest(count, manifest, threads), dtype=np.int64)
     starts = np.concatenate(([0], np.cumsum(counts)))

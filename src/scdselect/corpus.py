@@ -19,8 +19,10 @@ after the header are tolerated on load (tools may embed a config echo
 there) but never written by :func:`save_label_corpus`.
 
 The loader checks each line-aligned chunk of the body in bulk with the one
-record parser, :func:`_parse_records`, and checks only a chunk that fails
-again, line by line, to name its first faulty line.
+record parser, :func:`_parse_records`, on up to four threads (one per
+usable CPU), and takes the results in file order. Only the first chunk that
+fails is checked again, line by line, to name its first faulty line. The
+loaded corpus and the error never depend on the number of threads.
 
 In memory a :class:`LabelCorpus` is columnar (see its docstring): one flat
 label array shared by all utterances, plus per-utterance columns.
@@ -30,6 +32,7 @@ Audio manifests are ``<id>\\t<path>`` lines.
 
 from __future__ import annotations
 
+import contextlib
 import logging
 import math
 import os
@@ -40,12 +43,16 @@ from typing import AbstractSet, Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
+from .parallel import map_in_order
+
 logger = logging.getLogger(__name__)
 
 LABEL_DTYPE = np.int32
 
-# Bytes of label-file body read per chunk (extended to the next line end).
+# Bytes of label-file body read per chunk (extended to the next line end),
+# and the most threads that parse chunks.
 _CHUNK_BYTES = 1 << 18
+_MAX_LOAD_WORKERS = 4
 
 # Utterances formatted per write, and the most rows of a writer's token
 # table indexed by label value (beyond it, rows hold the distinct labels).
@@ -285,14 +292,18 @@ class AudioManifest:
 def load_label_corpus(path: str | Path, source_tag: str | None = None) -> LabelCorpus:
     """Read a label-corpus file, preserving record order exactly.
 
-    The body is read in line-aligned chunks of about ``_CHUNK_BYTES``, and
-    each chunk is checked and parsed in bulk by :func:`_parse_records` into a
-    label buffer preallocated for the whole file. Every check, the uniqueness
-    of ids across chunks included, runs per chunk, so the first chunk that
-    fails holds the first faulty line: only that chunk's lines are then
+    The body is read in line-aligned chunks of about ``_CHUNK_BYTES`` on this
+    thread, and :func:`_parse_records` checks and parses each chunk in bulk
+    on up to ``_MAX_LOAD_WORKERS`` threads, one per usable CPU (see
+    :func:`_load_workers`), with at most two chunks per thread in flight.
+    Results are taken in file order: each chunk's ids are checked against
+    those of the chunks before it, and its labels are copied into a buffer
+    preallocated for the whole file. The first chunk that fails, in file
+    order, holds the first faulty line: only that chunk's lines are then
     checked one at a time, and the first that fails raises
     :class:`CorpusFormatError` naming ``path:line`` (and the utterance id for
-    label and id faults). Never silently drops a record.
+    label and id faults). Neither the result nor the error depends on the
+    number of threads. Never silently drops a record.
     """
     path = Path(path)
     with path.open("rb") as handle:
@@ -313,22 +324,37 @@ def load_label_corpus(path: str | Path, source_tag: str | None = None) -> LabelC
             lineno += 1
             body = handle.tell()
         handle.seek(body)
-        while chunk := handle.read(_CHUNK_BYTES):
-            if not chunk.endswith(b"\n"):
-                chunk += handle.readline()
+
+        def chunks() -> Iterator[bytes]:
+            while chunk := handle.read(_CHUNK_BYTES):
+                if not chunk.endswith(b"\n"):
+                    chunk += handle.readline()
+                yield chunk
+
+        def parse(chunk: bytes) -> tuple[list[bytes], tuple | None]:
+            """The chunk's lines and their parsed records, or None if a line fails."""
             lines = chunk.split(b"\n")
             if not lines[-1]:
                 lines.pop()
             try:
-                values, n_labels, utt_ids, seconds = _parse_records(lines, alphabet_size, seen)
+                return lines, _parse_records(lines, alphabet_size, set())
             except ValueError:
-                _raise_first_fault(path, lineno, lines, alphabet_size, seen)
-            labels[filled : filled + values.shape[0]] = values
-            filled += values.shape[0]
-            ids.extend(utt_ids)
-            durations.extend(seconds)
-            lengths.extend(n_labels)
-            lineno += len(lines)
+                return lines, None
+
+        workers = _load_workers()
+        with contextlib.closing(map_in_order(parse, chunks(), workers, 2 * workers)) as parsed:
+            for lines, records in parsed:
+                # A chunk parses on its own, so ids repeated from earlier chunks are checked here.
+                if records is None or not seen.isdisjoint(records[2]):
+                    _raise_first_fault(path, lineno, lines, alphabet_size, seen)
+                values, n_labels, utt_ids, seconds = records
+                seen.update(utt_ids)
+                labels[filled : filled + values.shape[0]] = values
+                filled += values.shape[0]
+                ids.extend(utt_ids)
+                durations.extend(seconds)
+                lengths.extend(n_labels)
+                lineno += len(lines)
     labels.resize(filled, refcheck=False)
     length_column = np.array(lengths, dtype=np.int64)
     tag = source_tag if source_tag is not None else path.name
@@ -336,6 +362,18 @@ def load_label_corpus(path: str | Path, source_tag: str | None = None) -> LabelC
         alphabet_size, tag, labels, np.cumsum(length_column) - length_column, length_column,
         tuple(ids), np.array(durations, dtype=np.float64),
     )
+
+
+def _load_workers() -> int:
+    """Threads that parse a label file: one per usable CPU, at most ``_MAX_LOAD_WORKERS``.
+
+    Usable CPUs are those of the process's affinity mask where the OS has one.
+    """
+    try:
+        cpus = len(os.sched_getaffinity(0))
+    except AttributeError:
+        cpus = os.cpu_count() or 1
+    return min(cpus, _MAX_LOAD_WORKERS)
 
 
 def _read_header(path: Path, line: bytes) -> int:

@@ -38,7 +38,6 @@ workers do not queue on one BLAS thread pool, and restores the count after.
 
 from __future__ import annotations
 
-import collections
 import ctypes
 import functools
 import json
@@ -47,13 +46,13 @@ import math
 import os
 import threading
 import wave
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import AudioManifest, LabelCorpus, LabelSequence
+from .parallel import map_in_order
 
 logger = logging.getLogger(__name__)
 
@@ -468,6 +467,16 @@ def load_kmeans_model(path: str | Path) -> tuple[KMeansModel, dict]:
 
 def read_wav_mono(path: str | Path, expected_rate_hz: int) -> np.ndarray:
     """Samples of a 16-bit PCM mono WAV as float64 in [-1, 1)."""
+    raw = read_wav_pcm16(path, expected_rate_hz)
+    return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
+
+
+def read_wav_pcm16(path: str | Path, expected_rate_hz: int) -> bytes:
+    """The data of a 16-bit PCM mono WAV at ``expected_rate_hz``, two bytes per sample.
+
+    Raises :class:`AudioError` naming the file when it cannot be read, has
+    another channel count, sample width or rate, or its data ends mid-sample.
+    """
     path = Path(path)
     try:
         with wave.open(str(path), "rb") as handle:
@@ -488,7 +497,7 @@ def read_wav_mono(path: str | Path, expected_rate_hz: int) -> np.ndarray:
         )
     if len(raw) % 2:
         raise AudioError(f"{path}: WAV data ends mid-sample ({len(raw)} bytes of 16-bit samples)")
-    return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
+    return raw
 
 
 @functools.cache
@@ -566,17 +575,7 @@ def map_manifest(function, manifest: AudioManifest, threads: int) -> list:
     order, raises.
     """
     with _one_blas_thread:
-        if threads <= 1:
-            return [function(entry) for entry in manifest.entries]
-        results = []
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            pending = collections.deque()
-            for entry in manifest.entries:
-                if len(pending) == 4 * threads:
-                    results.append(pending.popleft().result())
-                pending.append(pool.submit(function, entry))
-            results.extend(future.result() for future in pending)
-        return results
+        return list(map_in_order(function, manifest.entries, threads, 4 * threads))
 
 
 def _discretize_entry(entry, model: KMeansModel, config: MfccConfig) -> LabelSequence:

@@ -1,3 +1,6 @@
+import sys
+import threading
+import time
 from unittest import mock
 
 import numpy as np
@@ -398,6 +401,24 @@ class TestChunkBoundaryErrors:
         assert not (tmp_path / "r.tsv").exists()
 
 
+def _recorded_parses(delay_when=None):
+    """The lines of each ``_parse_records`` call, in call order, and the patch that records them.
+
+    Calls may come from the loader's worker threads. A call whose lines hold
+    ``delay_when`` sleeps 0.2 s first, so the chunks behind it finish before it.
+    """
+    calls = []
+    parse = corpus_module._parse_records
+
+    def recording(lines, *args):
+        calls.append((list(lines), threading.current_thread()))
+        if delay_when is not None and delay_when in lines:
+            time.sleep(0.2)
+        return parse(lines, *args)
+
+    return calls, mock.patch.object(corpus_module, "_parse_records", recording)
+
+
 class TestFaultLocation:
     """A fault is located inside the chunk that holds it, not by reading the file again."""
 
@@ -405,19 +426,138 @@ class TestFaultLocation:
         path = tmp_path / "big.labels"
         bad_record = "utt-bad\t1.0\t1 50 3"
         _big_label_file(path, 12_000, bad_line=9_001, bad_record=bad_record)
-        with mock.patch.object(
-            corpus_module, "_parse_records", wraps=corpus_module._parse_records
-        ) as parse, pytest.raises(CorpusFormatError, match="big.labels:9001: utterance 'utt-bad'"):
+        calls, recording = _recorded_parses()
+        with recording, pytest.raises(CorpusFormatError, match="big.labels:9001: utterance 'utt-bad'"):
             load_label_corpus(path)
-        line_calls = [call.args[0] for call in parse.call_args_list if len(call.args[0]) == 1]
-        chunks = [call.args[0] for call in parse.call_args_list if len(call.args[0]) > 1]
+        line_calls = [lines for lines, _ in calls if len(lines) == 1]
+        chunks = [lines for lines, _ in calls if len(lines) > 1]
         assert len(chunks) > 4
-        # The pass starts at the first line of the last (failing) chunk and
-        # stops at the bad line, so it sees fewer lines than that chunk holds.
-        assert line_calls[0] == chunks[-1][:1]
+        # Chunks after the failing one may be parsed too, so the failing
+        # chunk is the one that holds the bad record. The pass starts at its
+        # first line and stops at the bad line, so it sees fewer lines than
+        # that chunk holds.
+        failing = next(lines for lines in chunks if bad_record.encode() in lines)
+        assert line_calls[0] == failing[:1]
         assert line_calls[-1] == [bad_record.encode()]
-        assert len(line_calls) <= len(chunks[-1])
-        assert parse.call_count == len(chunks) + len(line_calls)
+        assert len(line_calls) <= len(failing)
+        assert len(calls) == len(chunks) + len(line_calls)
+
+    @pytest.mark.parametrize("workers", [2, 3, 4])
+    def test_chunks_parsed_past_the_failing_one_are_bounded(self, tmp_path, workers):
+        # The failing chunk parses slowly, so the other workers run ahead as
+        # far as the loader lets them: at most 2 x workers chunks are in
+        # flight, the failing one among them.
+        path = tmp_path / "big.labels"
+        bad_record = "utt-bad\t1.0\t1 50 3"
+        text = _big_label_file(path, 3_000, bad_line=201, bad_record=bad_record)
+        file_line = {line: index for index, line in enumerate(text.encode().split(b"\n"))}
+        calls, recording = _recorded_parses(delay_when=bad_record.encode())
+        with (
+            recording,
+            mock.patch.object(corpus_module, "_CHUNK_BYTES", 1024),
+            mock.patch.object(corpus_module, "_load_workers", return_value=workers),
+            pytest.raises(CorpusFormatError, match="big.labels:201: utterance 'utt-bad'"),
+        ):
+            load_label_corpus(path)
+        chunks = [lines for lines, _ in calls if len(lines) > 1]
+        failing = next(lines for lines in chunks if bad_record.encode() in lines)
+        after = [lines for lines in chunks if file_line[lines[0]] > file_line[failing[0]]]
+        assert 1 <= len(after) <= 2 * workers
+        # The file has many more chunks than that after the failing one.
+        assert len(text) > 20 * 1024 + text.index(bad_record)
+
+
+class TestLoaderThreads:
+    """Label files parse on a bounded pool of threads that ends with the load."""
+
+    def test_worker_count_follows_usable_cpus(self):
+        for cpus, workers in ((1, 1), (2, 2), (3, 3), (4, 4), (64, 4)):
+            with mock.patch.object(corpus_module.os, "sched_getaffinity", return_value=set(range(cpus))):
+                assert corpus_module._load_workers() == workers
+
+    def test_one_worker_parses_on_the_calling_thread(self, tmp_path):
+        path = tmp_path / "big.labels"
+        _big_label_file(path, 500)
+        calls, recording = _recorded_parses()
+        with (
+            recording,
+            mock.patch.object(corpus_module, "_CHUNK_BYTES", 1024),
+            mock.patch.object(corpus_module, "_load_workers", return_value=1),
+        ):
+            load_label_corpus(path)
+        assert len(calls) > 10
+        assert {thread for _, thread in calls} == {threading.current_thread()}
+
+    @pytest.mark.parametrize("bad_line", [None, 2, 300, 501])
+    def test_no_worker_thread_outlives_a_load(self, tmp_path, bad_line):
+        path = tmp_path / "big.labels"
+        _big_label_file(path, 500, bad_line=bad_line, bad_record="utt-bad\t1.0\t1 50 3")
+        before = set(threading.enumerate())
+        calls, recording = _recorded_parses()
+        with (
+            recording,
+            mock.patch.object(corpus_module, "_CHUNK_BYTES", 1024),
+            mock.patch.object(corpus_module, "_load_workers", return_value=3),
+        ):
+            if bad_line is None:
+                assert len(load_label_corpus(path)) == 500
+            else:
+                # The error is kept, as a caller reporting it would: its
+                # traceback holds the loader's frame.
+                with pytest.raises(CorpusFormatError, match=f"big.labels:{bad_line}: ") as raised:
+                    load_label_corpus(path)
+        workers = {thread for _, thread in calls} - {threading.current_thread()}
+        assert workers
+        assert not any(thread.is_alive() for thread in workers)
+        assert set(threading.enumerate()) <= before
+        if bad_line is not None:
+            assert "utterance 'utt-bad' has label 50" in str(raised.value)
+
+    def test_more_workers_than_cpus_with_fast_thread_switches(self, tmp_path):
+        # Six workers switch threads every microsecond; the columns and the
+        # first fault are those of the serial loop.
+        path = tmp_path / "big.labels"
+        text = _big_label_file(path, 2_000)
+        bad = tmp_path / "bad.labels"
+        lines = text.split("\n")
+        lines[1_500] = "utt000100\t1.0\t1"  # repeats the id of line 100
+        lines[1_700] = "utt-bad\t1.0\t1 50 3"
+        write(bad, "\n".join(lines))
+        with mock.patch.object(corpus_module, "_CHUNK_BYTES", 512):
+            serial = load_label_corpus(path)
+            switch = sys.getswitchinterval()
+            sys.setswitchinterval(1e-6)
+            try:
+                with mock.patch.object(corpus_module, "_load_workers", return_value=6):
+                    for _ in range(3):
+                        loaded = load_label_corpus(path)
+                        assert loaded == serial
+                        assert np.array_equal(loaded.starts, serial.starts)
+                        with pytest.raises(CorpusFormatError, match="bad.labels:1501: duplicate utterance id"):
+                            load_label_corpus(bad)
+            finally:
+                sys.setswitchinterval(switch)
+
+    def test_earlier_of_two_failing_chunks_is_reported(self, tmp_path):
+        # Lines 101 and 113 fail, in different chunks of one window. The
+        # chunk holding line 101 parses slowly, so the later failing chunk
+        # is done first; the earlier fault is reported.
+        path = tmp_path / "big.labels"
+        bad_record, late_record = "utt-bad\t1.0\t1 50 3", "utt-late\tfast\t1"
+        lines = _big_label_file(path, 500, bad_line=101, bad_record=bad_record).split("\n")
+        lines[112] = late_record
+        write(path, "\n".join(lines))
+        calls, recording = _recorded_parses(delay_when=bad_record.encode())
+        with (
+            recording,
+            mock.patch.object(corpus_module, "_CHUNK_BYTES", 1024),
+            mock.patch.object(corpus_module, "_load_workers", return_value=2),
+            pytest.raises(CorpusFormatError, match="big.labels:101: utterance 'utt-bad' has label 50"),
+        ):
+            load_label_corpus(path)
+        chunks = [lines for lines, _ in calls if len(lines) > 1]
+        late = next(lines for lines in chunks if late_record.encode() in lines)
+        assert bad_record.encode() not in late
 
 
 class TestColumns:

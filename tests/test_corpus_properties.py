@@ -154,14 +154,39 @@ def test_bulk_loader_agrees_with_reference(data):
     assert [(s.id, s.duration_s, s.labels.tolist()) for s in loaded] == expected
 
 
+def _load_outcome(data: bytes):
+    """The columns of the loaded corpus, or the loader's error message after the file name."""
+    try:
+        corpus = _load_bytes(data)
+    except CorpusFormatError as exc:
+        return str(exc).partition("c.labels:")[2]
+    return (corpus.alphabet_size, corpus.ids, corpus.labels.tolist(), corpus.starts.tolist(),
+            corpus.lengths.tolist(), corpus.durations.tolist())
+
+
 @settings(max_examples=300, deadline=None)
 @given(corrupted_files(), st.sampled_from([1, 16, 64]))
 # A duplicate id whose first copy is a chunk before it, behind a comment line.
 @example(b"#K=4\n#cfg\na\t1.0\t0 1 2 3\nb\t0.5\t3 3 3 3 3 3\nc\t\t\nd\t2\t1\na\t1.0\t0\n", 16)
+# One line per chunk: the first copy of the duplicate id is in a chunk still
+# in flight when the chunk of its second copy is parsed.
+@example(b"#K=4\na\t1\t0\nb\t1\t1\na\t1\t2\nc\t1\t3\n", 1)
+# Two chunks fail (a label of K, then a bad duration); the earlier is reported.
+@example(b"#K=4\na\t1\t0\nb\t1\t4\nc\t1\t0\nd\tx\t1\n", 1)
 def test_small_chunks_agree_with_reference(data, chunk_bytes):
-    """The loader agrees with the reference when every chunk holds a few lines or one."""
-    with mock.patch.object(corpus_module, "_CHUNK_BYTES", chunk_bytes):
-        test_bulk_loader_agrees_with_reference.hypothesis.inner_test(data)
+    """The loader agrees with the reference when every chunk holds a few lines or one.
+
+    Parsing on 1, 2 or 3 threads gives the same columns or the same error.
+    """
+    outcomes = []
+    for workers in (1, 2, 3):
+        with (
+            mock.patch.object(corpus_module, "_CHUNK_BYTES", chunk_bytes),
+            mock.patch.object(corpus_module, "_load_workers", return_value=workers),
+        ):
+            test_bulk_loader_agrees_with_reference.hypothesis.inner_test(data)
+            outcomes.append(_load_outcome(data))
+    assert outcomes[1:] == outcomes[:1] * 2
 
 
 @settings(max_examples=200, deadline=None)

@@ -205,20 +205,36 @@ class TestPoolErrors:
         assert not (tmp_path / "model.json").exists()
 
     def test_entry_that_changes_between_passes_fails(self, entries, tmp_path, monkeypatch, capsys):
-        # The second read of the file returns fewer samples than the first.
-        reads = []
+        # The second read of the file (the MFCC pass) returns fewer samples
+        # than the count pass's read of its bytes.
         real_read = discretizer.read_wav_mono
 
         def shrinking_read(path, rate):
-            reads.append(path)
-            samples = real_read(path, rate)
-            return samples if len(reads) == 1 else samples[:-800]
+            return real_read(path, rate)[:-800]
 
         monkeypatch.setattr(scdselect.cli, "read_wav_mono", shrinking_read)
         manifest = write_manifest(tmp_path / "m.tsv", [entries["good"]])
         code = main(["train-kmeans", manifest, "--k", "2", "--output", str(tmp_path / "model.json")])
         assert code == 1
         assert capsys.readouterr().err == f"error: {entries['good']}: file changed while it was read\n"
+
+
+    def test_count_pass_converts_no_samples(self, entries, tmp_path, monkeypatch):
+        # Only the MFCC pass reads samples as floats, once per entry; the
+        # count pass takes the length of the checked bytes.
+        reads = []
+        real_read = discretizer.read_wav_mono
+
+        def recording_read(path, rate):
+            reads.append(path)
+            return real_read(path, rate)
+
+        monkeypatch.setattr(scdselect.cli, "read_wav_mono", recording_read)
+        paths = [entries["good"], entries["good"]]
+        manifest = write_manifest(tmp_path / "m.tsv", paths)
+        code = main(["train-kmeans", manifest, "--k", "2", "--output", str(tmp_path / "model.json")])
+        assert code == 0
+        assert reads == [str(path) for path in paths]
 
 
 def write_truncated_wav(path, n_samples, cut_bytes):
