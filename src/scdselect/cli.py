@@ -120,12 +120,6 @@ def _closed01(text: str) -> float:
     return value
 
 
-_THREADS_HELP = (
-    "parallelize manifest entries over this many worker threads, with one BLAS "
-    "thread per worker (default 1; results do not depend on it)"
-)
-
-
 def _add_ngram_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--order", type=_positive_int, default=1, help="gram order N (default 1)")
     parser.add_argument("--alpha", type=_nonneg_float, default=0.5, help="add-alpha smoothing (default 0.5)")
@@ -171,7 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-kmeans", help="fit a K-means model on pooled MFCC frames")
     p.add_argument("manifest", help="audio manifest (<id>\\t<path> lines)")
     p.add_argument("--k", type=_positive_int, default=500, help="number of clusters (default 500)")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=_nonneg_int, default=0)
     p.add_argument("--max-iters", type=_positive_int, default=100)
     p.add_argument("--tol", type=_nonneg_float, default=1e-6)
     p.add_argument(
@@ -181,7 +175,10 @@ def build_parser() -> argparse.ArgumentParser:
         help="uniformly subsample the pooled frames to at most this many; memory holds "
         "only the kept frames, and each WAV is read twice",
     )
-    p.add_argument("--threads", type=_positive_int, default=1, help=_THREADS_HELP)
+    p.add_argument("--threads", type=_positive_int, default=1,
+                   help="parallelize manifest entries, then the row blocks of each k-means "
+                        "assignment, over this many worker threads, with one BLAS thread "
+                        "per worker (default 1; the model does not depend on it)")
     _add_mfcc_flags(p)
     p.add_argument("--output", required=True, help="model file to write (JSON)")
     p.set_defaults(func=cmd_train_kmeans)
@@ -190,7 +187,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("manifest")
     p.add_argument("--model", required=True, help="K-means model file")
     p.add_argument("--skip-bad", action="store_true", help="warn and drop unreadable entries instead of aborting")
-    p.add_argument("--threads", type=_positive_int, default=1, help=_THREADS_HELP)
+    p.add_argument("--threads", type=_positive_int, default=1,
+                   help="parallelize manifest entries over this many worker threads, with one "
+                        "BLAS thread per worker (default 1; results do not depend on it)")
     p.add_argument("--output", required=True, help="label-corpus file to write")
     p.set_defaults(func=cmd_discretize)
 
@@ -284,7 +283,8 @@ def cmd_train_kmeans(args: argparse.Namespace) -> int:
     mfcc_config = _mfcc_config_from_args(args)
     frames = _pool_mfcc_frames(manifest, mfcc_config, args.threads, args.max_frames, args.seed)
 
-    model = train_kmeans(frames, k=args.k, seed=args.seed, max_iters=args.max_iters, tol=args.tol)
+    model = train_kmeans(frames, k=args.k, seed=args.seed, max_iters=args.max_iters, tol=args.tol,
+                         threads=args.threads)
     save_kmeans_model(
         model,
         args.output,

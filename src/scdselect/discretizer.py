@@ -9,9 +9,9 @@ Everything here is deterministic given (audio bytes, seed, config).
 K-means runs in bounded working memory. Besides the n x dim input,
 :func:`train_kmeans` holds ``_SUM_COLUMNS`` feature columns for the centroid
 sums, a few length-n vectors, and temporaries of at most ``_BLOCK`` rows x
-dim or ``_BLOCK_CELLS`` distances; no step allocates an n x dim or n x k
-temporary. Where a step works row by row, blocking keeps the bytes of the
-unblocked computation:
+dim, or ``_BLOCK_CELLS`` distances per assignment thread; no step allocates
+an n x dim or n x k temporary. Where a step works row by row, blocking keeps
+the bytes of the unblocked computation:
 
 - ``np.sum((x - c) ** 2, axis=1)`` reduces each row on its own, so a block
   of rows gets the values that all rows at once get.
@@ -22,18 +22,28 @@ unblocked computation:
   ``1e-9 * (|x|^2 + |c|^2)``, so a row with ``approx - margin >= d2`` has
   ``exact >= d2`` and keeps ``d2``. Only the other rows, about 2% per draw
   on MFCC frames, get the exact distance. The draws are unchanged.
+- The assignment labels a row with the centroid at the least exact
+  distance ``np.sum((x - c) ** 2)``, the lowest index on ties. It screens a
+  row block with one BLAS product, ``|c|^2 - 2 x.c``, and its argmin. That
+  product may round differently with the block's shape or the BLAS kernel,
+  but each screened distance errs by the same far smaller amount as above,
+  so when the runner-up is screened more than ``2e-9 * (|x|^2 + max |c|^2)``
+  (two such margins) above the argmin, the argmin is the exact nearest. The
+  other rows are confirmed: each gets the exact distance to every centroid
+  screened within that margin, one (row, centroid) pair per ``_sq_dist``
+  row. A label thus depends only on the row and the centroids, whatever the
+  blocking, thread count or BLAS; the inertia is ``np.sum`` of the exact
+  minima, in row order. MFCC frames almost never need the confirm step;
+  rows around a large common offset need it for nearly every centroid.
 - ``np.bincount`` adds a column's weights in row order, so the centroid
   sums are those of adding the rows one by one.
-
-The assignment's ``(2x) @ C.T`` is not row by row: a BLAS product of a row
-block may round unlike the product of its whole ``_ASSIGN_CHUNK`` (with
-OpenBLAS 0.3.31 on SkylakeX it matches at k=256, almost never at k=300 or
-500). Labels and inertia then equal the unblocked ones only where rounding
-does not decide the argmin, which it can for identical or far-offset rows.
 
 ``--threads`` parallelizes manifest entries, with one BLAS thread per worker:
 :func:`map_manifest` runs its workers with OpenBLAS set to one thread, so
 workers do not queue on one BLAS thread pool, and restores the count after.
+In ``train-kmeans`` it also splits each Lloyd step: :func:`train_kmeans`
+runs with OpenBLAS at one thread and its assignments' row blocks on
+``threads`` threads.
 """
 
 from __future__ import annotations
@@ -60,11 +70,12 @@ logger = logging.getLogger(__name__)
 LOG_FLOOR = 1e-10
 
 # Rows per block of a k-means distance pass; cells (rows x centroids) per
-# block of the assignment; rows whose clamped minimum distances the inertia
-# sums together.
+# row block of the assignment.
 _BLOCK = 2048
-_BLOCK_CELLS = 2048 * 256
-_ASSIGN_CHUNK = 16384
+_BLOCK_CELLS = 2**17
+# Relative rounding margin of the assignment's screen, as a multiple of
+# |x|^2 + max |c|^2: it covers the errors of two screened distances.
+_MARGIN = 2e-9
 # Frames per block of the MFCC spectrum pass; feature columns copied out at a
 # time for the centroid sums.
 _MFCC_BLOCK = 64
@@ -277,39 +288,52 @@ def _sq_dist(features: np.ndarray, rows: np.ndarray, centres: np.ndarray, which)
     return out
 
 
-def _assign(features: np.ndarray, centroids: np.ndarray) -> tuple[np.ndarray, float]:
-    """Nearest-centroid label per row (lowest index wins ties) and total inertia.
+def _assign(features: np.ndarray, centroids: np.ndarray, threads: int) -> tuple[np.ndarray, np.ndarray]:
+    """Nearest-centroid label per row and the row's exact squared distance to it.
 
-    Each ``_ASSIGN_CHUNK`` rows are split into even blocks of at most
-    ``_BLOCK_CELLS`` distances; a block's ``(|x|^2 + |c|^2) - (2x) @ c`` is
-    built in two preallocated buffers. The clamped minima are summed per
-    chunk.
+    The label is the centroid with the least ``np.sum((x - c) ** 2)``, the
+    lowest index on ties; see the module docstring for how a row block's
+    BLAS screen and exact confirm find it. Row blocks of ``_BLOCK_CELLS``
+    distances run on ``threads`` threads.
     """
     n, k = features.shape[0], centroids.shape[0]
-    block_rows = max(1, _BLOCK_CELLS // k)
     labels = np.empty(n, dtype=np.int64)
-    inertia = 0.0
+    sq_dists = np.empty(n)
     cent_sq = np.einsum("ij,ij->i", centroids, centroids)
-    d2_buf = np.empty((min(n, block_rows), k))
-    prod_buf = np.empty_like(d2_buf)
-    best = np.empty(min(n, _ASSIGN_CHUNK))
-    for first in range(0, n, _ASSIGN_CHUNK):
-        chunk = features[first : first + _ASSIGN_CHUNK]
-        x_sq = np.einsum("ij,ij->i", chunk, chunk)
-        # Even blocks, so none is small enough for BLAS to take a
-        # small-matrix path (with other rounding) that the chunk would not.
-        n_blocks = -(-chunk.shape[0] // block_rows)
-        bounds = [chunk.shape[0] * b // n_blocks for b in range(n_blocks + 1)]
-        for start, stop in zip(bounds, bounds[1:]):
-            d2, prod = d2_buf[: stop - start], prod_buf[: stop - start]
-            np.add(x_sq[start:stop, None], cent_sq[None, :], out=d2)
-            np.matmul(2.0 * chunk[start:stop], centroids.T, out=prod)
-            np.subtract(d2, prod, out=d2)
-            nearest = np.argmin(d2, axis=1)
-            labels[first + start : first + stop] = nearest
-            best[start:stop] = d2[np.arange(stop - start), nearest]
-        inertia += float(np.maximum(best[: chunk.shape[0]], 0.0).sum())
-    return labels, inertia
+    scaled = -2.0 * centroids
+    cent_sq_max = cent_sq.max()
+    block_rows = max(1, _BLOCK_CELLS // k)
+
+    def assign_block(start):
+        x = features[start : start + block_rows]
+        rows = np.arange(x.shape[0])
+        screen = x @ scaled.T
+        screen += cent_sq
+        nearest = np.argmin(screen, axis=1)
+        limit = screen[rows, nearest]
+        limit += _MARGIN * (np.einsum("ij,ij->i", x, x) + cent_sq_max)
+        # A row is in doubt when its runner-up is screened within the margin.
+        screen[rows, nearest] = np.inf
+        doubt = np.flatnonzero(screen[rows, np.argmin(screen, axis=1)] <= limit)
+        exact = np.sum((x - centroids[nearest]) ** 2, axis=1)
+        if doubt.size:
+            close = screen[doubt] <= limit[doubt, None]
+            close[np.arange(doubt.size), nearest[doubt]] = True
+            pair_row, pair_centre = np.nonzero(close)
+            pair_d2 = _sq_dist(x, doubt[pair_row], centroids, pair_centre)
+            # Pairs run by row, then centre: each row's first pair at the
+            # row's least exact distance has the lowest index.
+            row_start = np.flatnonzero(np.diff(pair_row, prepend=-1))
+            least = np.minimum.reduceat(pair_d2, row_start)
+            hits = np.flatnonzero(pair_d2 == least[pair_row])
+            first = hits[np.flatnonzero(np.diff(pair_row[hits], prepend=-1))]
+            nearest[doubt] = pair_centre[first]
+            exact[doubt] = least
+        labels[start : start + x.shape[0]] = nearest
+        sq_dists[start : start + x.shape[0]] = exact
+
+    list(map_in_order(assign_block, range(0, n, block_rows), threads, 2 * threads))
+    return labels, sq_dists
 
 
 def _kmeanspp_init(features: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -355,12 +379,14 @@ def train_kmeans(
     seed: int,
     max_iters: int = 100,
     tol: float = 1e-6,
+    threads: int = 1,
 ) -> KMeansModel:
     """Lloyd iterations from a k-means++ start; deterministic given the seed.
 
     Stops when no centroid moves more than ``tol`` (euclidean) or after
     ``max_iters`` update steps. Empty clusters are re-seeded at the point
-    currently farthest from its centroid.
+    currently farthest from its centroid. The assignments run on
+    ``threads`` threads; the model does not depend on their number.
     """
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
@@ -373,43 +399,42 @@ def train_kmeans(
     if n < k:
         raise ValueError(f"need at least k={k} rows, got {n}")
 
-    rng = np.random.default_rng(seed)
-    centroids = _kmeanspp_init(features, k, rng)
-    # bincount reads its weights as one contiguous column, so the columns
-    # are copied out a few at a time.
-    columns = np.empty((min(dim, _SUM_COLUMNS), n))
-    iterations = 0
-    for _ in range(max_iters):
-        labels, _ = _assign(features, centroids)
-        sums = np.empty((k, dim))
-        for first in range(0, dim, _SUM_COLUMNS):
-            block = columns[: min(dim - first, _SUM_COLUMNS)]
-            np.copyto(block, features[:, first : first + block.shape[0]].T)
-            for j, column in enumerate(block, start=first):
-                sums[:, j] = np.bincount(labels, weights=column, minlength=k)
-        sizes = np.bincount(labels, minlength=k)
-        empty = np.nonzero(sizes == 0)[0]
-        if empty.size:
-            point_d2 = _sq_dist(features, np.arange(n), centroids, labels)
-            farthest = np.argsort(-point_d2, kind="stable")
-            for slot, cluster in enumerate(empty):
-                donor = farthest[slot]
-                sums[cluster] = features[donor]
-                sizes[cluster] = 1
-        new_centroids = sums / sizes[:, None]
-        shift = float(np.sqrt(np.sum((new_centroids - centroids) ** 2, axis=1)).max())
-        centroids = new_centroids
-        iterations += 1
-        if shift < tol:
-            break
-
-    _, final_inertia = _assign(features, centroids)
+    # The BLAS products are small, so their thread pool would only queue
+    # beside the assignment's own threads.
+    with _one_blas_thread:
+        centroids = _kmeanspp_init(features, k, np.random.default_rng(seed))
+        # bincount reads its weights as one contiguous column, so the columns
+        # are copied out a few at a time.
+        columns = np.empty((min(dim, _SUM_COLUMNS), n))
+        iterations = 0
+        for _ in range(max_iters):
+            labels, sq_dists = _assign(features, centroids, threads)
+            sums = np.empty((k, dim))
+            for first in range(0, dim, _SUM_COLUMNS):
+                block = columns[: min(dim - first, _SUM_COLUMNS)]
+                np.copyto(block, features[:, first : first + block.shape[0]].T)
+                for j, column in enumerate(block, start=first):
+                    sums[:, j] = np.bincount(labels, weights=column, minlength=k)
+            sizes = np.bincount(labels, minlength=k)
+            empty = np.nonzero(sizes == 0)[0]
+            if empty.size:
+                farthest = np.argsort(-sq_dists, kind="stable")
+                for slot, cluster in enumerate(empty):
+                    sums[cluster] = features[farthest[slot]]
+                    sizes[cluster] = 1
+            new_centroids = sums / sizes[:, None]
+            shift = float(np.sqrt(np.sum((new_centroids - centroids) ** 2, axis=1)).max())
+            centroids = new_centroids
+            iterations += 1
+            if shift < tol:
+                break
+        _, sq_dists = _assign(features, centroids, threads)
     return KMeansModel(
         k=k,
         centroids=centroids,
         feature_dim=dim,
         iterations_run=iterations,
-        final_inertia=final_inertia,
+        final_inertia=float(np.sum(sq_dists)),
     )
 
 
@@ -422,8 +447,7 @@ def apply_kmeans(model: KMeansModel, features: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"features must be N x {model.feature_dim}, got {features.shape}"
         )
-    labels, _ = _assign(features, model.centroids)
-    return labels
+    return _assign(features, model.centroids, 1)[0]
 
 
 def save_kmeans_model(model: KMeansModel, path: str | Path, config_echo: dict | None = None) -> None:

@@ -3,8 +3,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from scdselect.corpus import LabelCorpus, LabelSequence
+
+# A failing property prints a blob that replays its example with
+# ``@reproduce_failure``, so a rare failure need not be found again.
+settings.register_profile("scdselect", print_blob=True)
+settings.load_profile("scdselect")
 
 # pytest puts src/ on its own sys.path (pyproject.toml); the tests that run
 # ``python -m scdselect`` in a child process need it on the child's path too.

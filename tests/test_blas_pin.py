@@ -1,10 +1,11 @@
-"""The manifest fan-out runs its workers on one BLAS thread and restores the count.
+"""The manifest fan-out and k-means training run on one BLAS thread and restore the count.
 
 ``discretizer.map_manifest`` sets OpenBLAS to one thread around its workers,
-so two workers do not queue on one BLAS thread pool. These tests pin what the
-pin may and may not change: inside a worker the count reads 1, afterwards it
-reads what it read before (also when a worker raises), and models and labels
-are the bytes of a run without the pin.
+and ``train_kmeans`` around its steps, so two workers do not queue on one
+BLAS thread pool. These tests pin what the pin may and may not change:
+inside a worker the count reads 1, afterwards it reads what it read before
+(also when a worker raises), and models and labels are the bytes of a run
+without the pin.
 """
 
 import contextlib
@@ -13,6 +14,7 @@ import sys
 import threading
 from unittest import mock
 
+import numpy as np
 import pytest
 
 from scdselect import cli, discretizer
@@ -93,6 +95,22 @@ class TestPin:
             assert map_manifest(lambda entry: get(), manifest, threads) == [2] * 4
             unpinned = map_manifest(worker, manifest, threads)
         assert [block.tobytes() for block in pinned] == [block.tobytes() for block in unpinned]
+        assert get() == 2
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_training_reads_one_blas_thread(self, blas_threads, threads):
+        get, _ = blas_threads
+        seen = []
+        assign = discretizer._assign
+
+        def recording_assign(features, centroids, threads):
+            seen.append(get())
+            return assign(features, centroids, threads)
+
+        features = np.random.default_rng(0).standard_normal((600, 3))
+        with mock.patch.object(discretizer, "_assign", recording_assign):
+            discretizer.train_kmeans(features, k=4, seed=0, max_iters=3, tol=0.0, threads=threads)
+        assert seen == [1] * 4
         assert get() == 2
 
     def test_overlapping_calls_restore_the_first_count(self, blas_threads):

@@ -54,6 +54,15 @@ class TestTrainKmeans:
                   "--output", str(tmp_path / "m.json")])
         assert exc.value.code == 2
 
+    def test_negative_seed_is_usage_error_before_any_wav_is_read(self, tmp_path, capsys):
+        # The manifest's WAV does not exist, so reading it would exit 1.
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text(f"utt0\t{tmp_path / 'missing.wav'}\n", encoding="utf-8")
+        with pytest.raises(SystemExit) as exc:
+            main(["train-kmeans", str(manifest), "--seed", "-1", "--output", str(tmp_path / "m.json")])
+        assert exc.value.code == 2
+        assert "--seed: expected a non-negative integer, got -1" in capsys.readouterr().err
+
     def test_model_file_config_echo_parses_back(self, audio_setup, tmp_path):
         import json
 

@@ -304,26 +304,18 @@ class TestReadWav:
         np.testing.assert_allclose(loaded, samples, atol=1e-4)
 
 
-# Reference k-means: the whole-matrix implementation that the blocked one
-# in ``discretizer`` must reproduce bit for bit.
+# Reference k-means: brute-force versions of the definitions that the blocked,
+# threaded ones in ``discretizer`` must reproduce bit for bit.
 
 
 def reference_assign(features, centroids):
-    n = features.shape[0]
-    labels = np.empty(n, dtype=np.int64)
-    inertia = 0.0
-    cent_sq = np.einsum("ij,ij->i", centroids, centroids)
-    for start in range(0, n, 16384):
-        chunk = features[start : start + 16384]
-        d2 = (
-            np.einsum("ij,ij->i", chunk, chunk)[:, None]
-            + cent_sq[None, :]
-            - 2.0 * chunk @ centroids.T
-        )
-        chunk_labels = np.argmin(d2, axis=1)
-        labels[start : start + chunk.shape[0]] = chunk_labels
-        inertia += float(np.maximum(d2[np.arange(chunk.shape[0]), chunk_labels], 0.0).sum())
-    return labels, inertia
+    """(labels, squared distances): each row's exact ``np.sum((x - c) ** 2)``
+    to every centroid; the least wins, the lowest index on ties."""
+    d2 = np.empty((features.shape[0], centroids.shape[0]))
+    for j, centre in enumerate(centroids):
+        d2[:, j] = np.sum((features - centre) ** 2, axis=1)
+    labels = np.argmin(d2, axis=1)
+    return labels, d2[np.arange(features.shape[0]), labels]
 
 
 def reference_kmeanspp_init(features, k, rng):
@@ -367,13 +359,13 @@ def reference_train_kmeans(features, k, seed, max_iters, tol=1e-6):
         iterations += 1
         if shift < tol:
             break
-    _, final_inertia = reference_assign(features, centroids)
-    return centroids, iterations, final_inertia
+    _, minima = reference_assign(features, centroids)
+    return centroids, iterations, float(np.sum(minima))
 
 
-# Row counts on both sides of the assignment's block (2048 rows at k=256)
-# and chunk (16384 rows) edges.
-EDGE_ROWS = [2047, 2048, 2049, 2050, 2064, 4097, 16383, 16384, 16385, 16384 + 2049]
+# Row counts on both sides of the assignment's row blocks (512 rows at k=256,
+# 436 at k=300) and of ``_sq_dist``'s 2048-row blocks.
+EDGE_ROWS = [435, 436, 437, 511, 512, 513, 1025, 2047, 2048, 2049, 4097, 16385]
 
 
 @st.composite
@@ -396,16 +388,16 @@ def kmeans_inputs(draw, rows):
     return features, k, draw(st.integers(0, 1000))
 
 
-def assert_same_as_reference(features, k, seed, max_iters):
+def assert_same_as_reference(features, k, seed, max_iters, threads=1):
     expected = reference_kmeanspp_init(features, k, np.random.default_rng(seed))
     got = discretizer._kmeanspp_init(features, k, np.random.default_rng(seed))
     assert got.tobytes() == expected.tobytes()
-    expected_labels, expected_inertia = reference_assign(features, expected)
-    labels, inertia = discretizer._assign(features, expected)
+    expected_labels, expected_d2 = reference_assign(features, expected)
+    labels, d2 = discretizer._assign(features, expected, threads)
     assert np.array_equal(labels, expected_labels)
-    assert repr(inertia) == repr(expected_inertia)
+    assert d2.tobytes() == expected_d2.tobytes()
     centroids, iterations, final_inertia = reference_train_kmeans(features, k, seed, max_iters)
-    model = train_kmeans(features, k=k, seed=seed, max_iters=max_iters)
+    model = train_kmeans(features, k=k, seed=seed, max_iters=max_iters, threads=threads)
     assert model.centroids.tobytes() == centroids.tobytes()
     assert model.iterations_run == iterations
     assert repr(model.final_inertia) == repr(final_inertia)
@@ -419,10 +411,10 @@ class TestKMeansMatchesReference:
         assert_same_as_reference(features, k, seed, max_iters=4)
 
     @settings(max_examples=10, deadline=None)
-    @given(kmeans_inputs(st.sampled_from(EDGE_ROWS)))
-    def test_block_and_chunk_edges(self, case):
+    @given(kmeans_inputs(st.sampled_from(EDGE_ROWS)), st.integers(1, 3))
+    def test_block_and_chunk_edges(self, case, threads):
         features, k, seed = case
-        assert_same_as_reference(features, k, seed, max_iters=2)
+        assert_same_as_reference(features, k, seed, max_iters=2, threads=threads)
 
     @pytest.mark.parametrize(
         "n, k, offset",
@@ -433,6 +425,60 @@ class TestKMeansMatchesReference:
         centres = 5.0 * rng.standard_normal((40, 39))
         features = offset + centres[rng.integers(0, 40, n)] + rng.standard_normal((n, 39))
         assert_same_as_reference(features, k, seed=k, max_iters=2)
+
+
+@st.composite
+def near_tie_rows(draw, min_rows, max_rows):
+    """(features, seed): rows whose nearest centroid the norm expansion's
+    rounding may decide: duplicated rows, all-identical rows, rows around a
+    common 1e6 offset, or rows half of which are replaced by their midpoint
+    with row 0."""
+    n = draw(st.integers(min_rows, max_rows))
+    dim = draw(st.sampled_from([1, 2, 5, 39]))
+    kind = draw(st.sampled_from(["duplicated", "identical", "offset", "midpoint"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    features = rng.standard_normal((n, dim))
+    if kind == "duplicated":
+        features = features[rng.integers(0, max(1, n // 3), n)]
+    elif kind == "identical":
+        features = np.repeat(features[:1], n, axis=0)
+    elif kind == "offset":
+        features = 1e6 + features * draw(st.sampled_from([1.0, 1e-3]))
+    elif kind == "midpoint":
+        features = np.where(rng.random((n, 1)) < 0.5, features, (features[0] + features) / 2)
+    return features, draw(st.integers(0, 1000))
+
+
+class TestAssignmentInvariance:
+    """A row's label is a function of the row and the centroids alone."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(k=st.sampled_from([256, 500]), case=near_tie_rows(1, 1200), data=st.data())
+    def test_row_subset_gets_the_rows_of_the_whole_call(self, k, case, data):
+        features, seed = case
+        rng = np.random.default_rng(seed)
+        # Centroids drawn from the rows (with repeats), so ties and near ties occur.
+        centroids = features[rng.integers(0, features.shape[0], k)]
+        centroids[0] = features[0]
+        model = KMeansModel(k=k, centroids=centroids, feature_dim=features.shape[1],
+                            iterations_run=0, final_inertia=0.0)
+        start = data.draw(st.integers(0, features.shape[0] - 1))
+        length = data.draw(st.one_of(st.sampled_from([1, 2]), st.integers(1, features.shape[0] - start)))
+        rows = features[start : start + length]
+        whole = apply_kmeans(model, features)
+        assert np.array_equal(apply_kmeans(model, rows), whole[start : start + rows.shape[0]])
+
+    @settings(max_examples=8, deadline=None)
+    @given(k=st.sampled_from([256, 500]), case=near_tie_rows(500, 1500))
+    def test_model_does_not_depend_on_threads(self, k, case, tmp_path_factory):
+        features, seed = case
+        directory = tmp_path_factory.mktemp("models")
+        written = []
+        for threads in (1, 2, 3):
+            path = directory / f"model{threads}.json"
+            save_kmeans_model(train_kmeans(features, k=k, seed=seed, max_iters=3, threads=threads), path)
+            written.append(path.read_bytes())
+        assert written[0] == written[1] == written[2]
 
 
 def test_train_kmeans_working_memory_is_bounded():
