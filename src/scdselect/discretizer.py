@@ -23,27 +23,34 @@ the bytes of the unblocked computation:
   ``exact >= d2`` and keeps ``d2``. Only the other rows, about 2% per draw
   on MFCC frames, get the exact distance. The draws are unchanged.
 - The assignment labels a row with the centroid at the least exact
-  distance ``np.sum((x - c) ** 2)``, the lowest index on ties. It screens a
-  row block with one BLAS product, ``|c|^2 - 2 x.c``, and its argmin. That
-  product may round differently with the block's shape or the BLAS kernel,
-  but each screened distance errs by the same far smaller amount as above,
-  so when the runner-up is screened more than ``2e-9 * (|x|^2 + max |c|^2)``
-  (two such margins) above the argmin, the argmin is the exact nearest. The
-  other rows are confirmed: each gets the exact distance to every centroid
-  screened within that margin, one (row, centroid) pair per ``_sq_dist``
-  row. A label thus depends only on the row and the centroids, whatever the
-  blocking, thread count or BLAS; the inertia is ``np.sum`` of the exact
-  minima, in row order. MFCC frames almost never need the confirm step;
-  rows around a large common offset need it for nearly every centroid.
+  distance ``e = np.sum((x - c) ** 2)``, the lowest index on ties. It
+  screens a row block with one BLAS product, ``s = |c|^2 - 2 x.c``, and its
+  argmin. That product may round differently with the block's shape or the
+  BLAS kernel, but in any summation order ``s`` is within
+  ``(dim + 1) * 2**-52 * N`` of its exact value, and ``e`` within
+  ``(dim + 2) * 2**-52 * N`` of the true distance, where
+  ``N = |x|^2 + max |c|^2``. The margin ``8 * (dim + 1) * 2**-52 * N``
+  exceeds those errors on two centroids, ``(4 * dim + 6) * 2**-52 * N``,
+  with room for its own rounding, so when the runner-up is screened more
+  than the margin above the argmin, the argmin has the strictly least
+  ``e``. The other rows are confirmed: each gets the exact distance to
+  every centroid screened within the margin, which by the same bound holds
+  the least ``e``, one (row, centroid) pair per ``_sq_dist`` row. A label
+  thus depends only on the row and the centroids, whatever the blocking,
+  thread count or BLAS; the inertia is ``np.sum`` of the exact minima, in
+  row order. Only rows with a near tie, within about 7e-14 of ``N`` at dim
+  39, need the confirm step.
 - ``np.bincount`` adds a column's weights in row order, so the centroid
   sums are those of adding the rows one by one.
 
 ``--threads`` parallelizes manifest entries, with one BLAS thread per worker:
-:func:`map_manifest` runs its workers with OpenBLAS set to one thread, so
-workers do not queue on one BLAS thread pool, and restores the count after.
-In ``train-kmeans`` it also splits each Lloyd step: :func:`train_kmeans`
-runs with OpenBLAS at one thread and its assignments' row blocks on
-``threads`` threads.
+:func:`map_manifest` runs its workers with OpenBLAS set to one thread and
+restores the count after. In ``train-kmeans`` it also splits each Lloyd
+step: :func:`train_kmeans` runs with OpenBLAS at one thread and its
+assignments' row blocks on ``threads`` threads. The CLI starts OpenBLAS on
+one thread (:mod:`scdselect.__main__`), so there the pin finds the count
+already at 1. It serves library callers that loaded numpy with a larger
+pool, whose BLAS threads would otherwise queue beside the workers.
 """
 
 from __future__ import annotations
@@ -73,9 +80,9 @@ LOG_FLOOR = 1e-10
 # row block of the assignment.
 _BLOCK = 2048
 _BLOCK_CELLS = 2**17
-# Relative rounding margin of the assignment's screen, as a multiple of
-# |x|^2 + max |c|^2: it covers the errors of two screened distances.
-_MARGIN = 2e-9
+# Rounding margin of the assignment's screen, in units of
+# (dim + 1) * 2**-52 * (|x|^2 + max |c|^2); see the module docstring.
+_MARGIN_UNITS = 8
 # Frames per block of the MFCC spectrum pass; feature columns copied out at a
 # time for the centroid sums.
 _MFCC_BLOCK = 64
@@ -296,12 +303,13 @@ def _assign(features: np.ndarray, centroids: np.ndarray, threads: int) -> tuple[
     BLAS screen and exact confirm find it. Row blocks of ``_BLOCK_CELLS``
     distances run on ``threads`` threads.
     """
-    n, k = features.shape[0], centroids.shape[0]
+    (n, dim), k = features.shape, centroids.shape[0]
     labels = np.empty(n, dtype=np.int64)
     sq_dists = np.empty(n)
     cent_sq = np.einsum("ij,ij->i", centroids, centroids)
     scaled = -2.0 * centroids
     cent_sq_max = cent_sq.max()
+    margin = _MARGIN_UNITS * (dim + 1) * 2.0**-52
     block_rows = max(1, _BLOCK_CELLS // k)
 
     def assign_block(start):
@@ -311,7 +319,7 @@ def _assign(features: np.ndarray, centroids: np.ndarray, threads: int) -> tuple[
         screen += cent_sq
         nearest = np.argmin(screen, axis=1)
         limit = screen[rows, nearest]
-        limit += _MARGIN * (np.einsum("ij,ij->i", x, x) + cent_sq_max)
+        limit += margin * (np.einsum("ij,ij->i", x, x) + cent_sq_max)
         # A row is in doubt when its runner-up is screened within the margin.
         screen[rows, nearest] = np.inf
         doubt = np.flatnonzero(screen[rows, np.argmin(screen, axis=1)] <= limit)

@@ -204,7 +204,7 @@ def partition_buckets(n_items: int, n_buckets: int) -> list[tuple[int, int]]:
 class _IncrementalScorer:
     """Evaluates SCD(target, S + {u}) for every candidate u of a bucket at once.
 
-    Each score is a delta on one exact :func:`scd` of the subset S:
+    Each score is a delta on the exact SCD of the subset S:
 
         SCD(S + u) = SCD(S) - sum_{g in u} P_t(g) * log((c_S(g) + c_u(g) + alpha) / (c_S(g) + alpha))
                      + log1p(W_u / (T_S + alpha * K**N))
@@ -220,14 +220,21 @@ class _IncrementalScorer:
         self.alpha = float(alpha)
         self.alpha_mass = self.alpha * float(target.support_size)
 
-    def score(self, sequences: Sequence[LabelSequence], subset: CandidateStats) -> np.ndarray:
-        """Fast SCD of ``subset`` plus each of ``sequences``, one per candidate."""
+    def score(
+        self, sequences: Sequence[LabelSequence], subset: CandidateStats, subset_nats: float | None = None
+    ) -> np.ndarray:
+        """Fast SCD of ``subset`` plus each of ``sequences``, one per candidate.
+
+        ``subset_nats`` is the exact SCD of ``subset``; when None it is
+        computed with :func:`scd`.
+        """
         def terms(codes, rows, added, weight, base):
             return weight * np.log((base + added + self.alpha) / (base + self.alpha))
 
         corrections, windows = _block_sums(sequences, self.target, (self.target.lookup, subset.count_at), terms)
-        base = scd(self.target, subset.distribution()).nats
-        return base - corrections + np.log1p(windows / (subset.total + self.alpha_mass))
+        if subset_nats is None:
+            subset_nats = scd(self.target, subset.distribution()).nats
+        return subset_nats - corrections + np.log1p(windows / (subset.total + self.alpha_mass))
 
 
 def _block_sums(sequences: Sequence[LabelSequence], model: Distribution, lookups, term):
@@ -257,18 +264,21 @@ def _pick_from_bucket(
     scorer: _IncrementalScorer | None,
     cand_stats: CandidateStats,
     target: Distribution,
+    subset_nats: float | None,
 ) -> tuple[int, ScdValue]:
     """Index (within ``sequences``) of the SCD-minimizing addition and its exact SCD.
 
-    The first candidate wins ties. The fast scorer's factorization can drift
-    from the from-scratch value by a few ulp, enough to flip exact ties, so
-    near-minimal candidates are re-scored through the exact path before the
-    winner is fixed. Without a scorer (alpha=0) every candidate is.
+    ``subset_nats`` is the exact SCD of ``cand_stats``, or None to have the
+    scorer compute it. The first candidate wins ties. The fast scorer's
+    factorization can drift from the from-scratch value by a few ulp, enough
+    to flip exact ties, so near-minimal candidates are re-scored through the
+    exact path before the winner is fixed. Without a scorer (alpha=0) every
+    candidate is.
     """
     if scorer is None:
         finalists = range(len(sequences))
     else:
-        scores = scorer.score(sequences, cand_stats)
+        scores = scorer.score(sequences, cand_stats, subset_nats)
         cutoff = float(scores.min())
         cutoff += 1e-9 * (1.0 + abs(cutoff))
         finalists = np.flatnonzero(scores <= cutoff).tolist()
@@ -320,7 +330,11 @@ def select_greedy_scd(
             if _budget_met(config, len(selected), seconds):
                 break
             bucket = remaining[start:end]
-            chosen, final = _pick_from_bucket(bucket, scorer, cand_stats, target)
+            # The winner's exact SCD is that of the subset it joins: adding it
+            # merges the same counts that scd_incremental merged.
+            chosen, final = _pick_from_bucket(
+                bucket, scorer, cand_stats, target, None if final is None else final.nats
+            )
             cand_stats.add(bucket[chosen].labels)
             selected.append(bucket[chosen])
             trace.append(final.nats)

@@ -572,3 +572,58 @@ def test_budget_beyond_the_pool_fails_before_counting(select, budget):
             with pytest.raises(ValueError, match="exceeds corpus"):
                 select(pool, query, config)
         assert counted.call_count == 0
+
+
+class TestSubsetScdReuse:
+    """Greedy takes each pick's exact SCD as the base of the next bucket's
+    fast scores, so it calls :func:`scd` once per selection, for the empty
+    subset, and picks what a fresh ``scd`` per bucket picks."""
+
+    @staticmethod
+    def instance():
+        # At this seed the seconds budget takes several passes at orders 1-3.
+        rng = np.random.default_rng(5)
+        seqs = [rng.integers(0, 4, size=rng.integers(2, 12)).tolist() for _ in range(40)]
+        durations = [float(rng.integers(1, 6)) ** 2 for _ in range(40)]
+        universal = make_corpus(seqs, 4, durations=durations)
+        query = make_corpus([rng.integers(0, 4, size=9).tolist() for _ in range(3)], 4, ids=["q0", "q1", "q2"])
+        return universal, query, sum(durations)
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    @pytest.mark.parametrize("budget", ["count", "seconds"])
+    def test_one_scd_call_and_same_picks(self, order, budget):
+        universal, query, total = self.instance()
+        if budget == "count":
+            config = SelectionConfig(budget_c=12, order=order, lam=0.7)
+        else:
+            config = SelectionConfig(duration_budget_s=0.95 * total, order=order, lam=0.7)
+        calls = []
+        passes = []
+        real_scd, real_buckets = selection.scd, selection._duration_buckets
+        with mock.patch.object(selection, "scd", lambda *a: calls.append(1) or real_scd(*a)), \
+                mock.patch.object(selection, "_duration_buckets", lambda *a: passes.append(1) or real_buckets(*a)):
+            result = select_greedy_scd(universal, query, config)
+        assert len(calls) == 1
+        if budget == "seconds":
+            assert len(passes) > 1
+
+        pick = selection._pick_from_bucket
+
+        def fresh_base(sequences, scorer, cand_stats, target, subset_nats):
+            return pick(sequences, scorer, cand_stats, target, None)
+
+        with mock.patch.object(selection, "_pick_from_bucket", fresh_base):
+            fresh = select_greedy_scd(universal, query, config)
+        assert result.selected_ids == fresh.selected_ids
+        assert [x.hex() for x in result.scd_trace] == [x.hex() for x in fresh.scd_trace]
+
+    def test_two_argument_score_computes_the_base(self):
+        universal, query, _ = self.instance()
+        config = SelectionConfig(budget_c=3, order=2)
+        target = build_target_distribution(universal, query, config)
+        subset = CandidateStats(2, 4, config.alpha)
+        subset.add(universal.sequences[0].labels)
+        scorer = selection._IncrementalScorer(target, config.alpha)
+        base = scd(target, subset.distribution()).nats
+        sequences = universal.sequences[1:]
+        assert scorer.score(sequences, subset).tobytes() == scorer.score(sequences, subset, base).tobytes()
