@@ -219,7 +219,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_ngram_flags(p)
     p.add_argument("--lambda", dest="lam", type=_closed01, default=0.5,
                    help="query/pool interpolation weight (default 0.5)")
-    p.add_argument("--seed", type=int, default=0, help="seed (random strategy)")
+    p.add_argument("--seed", type=_nonneg_int, default=0, help="seed (random strategy)")
     p.add_argument("--threads", type=_positive_int, default=1,
                    help="accepted and ignored: label files are parsed on up to 4 usable "
                         "CPUs, in file order, and selection runs single-threaded; no output "

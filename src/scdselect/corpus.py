@@ -9,7 +9,7 @@ format is line-oriented UTF-8 text with LF line ends:
 
 The header's ``<int>`` is ``[0-9]+`` with a value >= 1 and nothing else
 before the LF (no sign, space, ``_``, non-ASCII digit or CR). ``<labels>``
-is zero or more ``[0-9]+`` tokens, each below K and within int32, separated
+is zero or more ``[0-9]+`` tokens, each below K and below 2**31, separated
 by single ASCII spaces; an empty field is a zero-length utterance. Signs,
 ``_`` digit separators, non-ASCII digits, other whitespace and a CR before
 the LF are rejected. ``<duration_s>`` is anything ``float()`` reads as a
@@ -25,7 +25,10 @@ fails is checked again, line by line, to name its first faulty line. The
 loaded corpus and the error never depend on the number of threads.
 
 In memory a :class:`LabelCorpus` is columnar (see its docstring): one flat
-label array shared by all utterances, plus per-utterance columns.
+label array shared by all utterances, plus per-utterance columns. The loader
+stores labels in the narrowest unsigned type that holds every label below K
+(uint8 up to K=256, uint16 up to K=65536, uint32 beyond), so the label
+column of a large pool takes one or two bytes per label.
 
 Audio manifests are ``<id>\\t<path>`` lines.
 """
@@ -98,9 +101,11 @@ def _tiled_labels(arrays: list[np.ndarray], lengths: np.ndarray) -> np.ndarray |
 class LabelSequence:
     """One utterance as an ordered run of integer cluster labels.
 
-    ``labels`` is held as a read-only int32 array; an empty array is a valid
-    (zero-length) utterance. Bounds against the owning alphabet are enforced
-    by :class:`LabelCorpus`, not here.
+    ``labels`` is a read-only integer array: int32 when the sequence is
+    built here, or a view into a loaded corpus's narrower label column.
+    Equality and hashing depend on the label values only, not on the dtype.
+    An empty array is a valid (zero-length) utterance. Bounds against the
+    owning alphabet are enforced by :class:`LabelCorpus`, not here.
     """
 
     id: str
@@ -147,7 +152,7 @@ class LabelSequence:
         )
 
     def __hash__(self):
-        return hash((self.id, self.duration_s, self.labels.tobytes()))
+        return hash((self.id, self.duration_s, self.labels.astype(LABEL_DTYPE, copy=False).tobytes()))
 
 
 class LabelCorpus:
@@ -155,7 +160,10 @@ class LabelCorpus:
 
     Utterance ``i`` has id ``ids[i]``, duration ``durations[i]`` and the labels
     ``labels[starts[i] : starts[i] + lengths[i]]``. ``labels`` is one flat
-    read-only int32 array that the utterances partition; ``starts`` and
+    read-only integer array that the utterances partition. The constructor
+    keeps the dtype of the sequences' labels (int32 for sequences built as
+    :class:`LabelSequence`); :func:`load_label_corpus` stores the narrowest
+    unsigned type that holds every label below K. ``starts`` and
     ``lengths`` (int64) and ``durations`` (float64) are read-only too. This is
     the offsets-plus-values list layout of the Arrow columnar format, with an
     explicit start per utterance so that reordering utterances permutes the
@@ -298,20 +306,24 @@ def load_label_corpus(path: str | Path, source_tag: str | None = None) -> LabelC
     :func:`_load_workers`), with at most two chunks per thread in flight.
     Results are taken in file order: each chunk's ids are checked against
     those of the chunks before it, and its labels are copied into a buffer
-    preallocated for the whole file. The first chunk that fails, in file
-    order, holds the first faulty line: only that chunk's lines are then
-    checked one at a time, and the first that fails raises
-    :class:`CorpusFormatError` naming ``path:line`` (and the utterance id for
-    label and id faults). Neither the result nor the error depends on the
-    number of threads. Never silently drops a record.
+    preallocated for the whole file in the narrowest unsigned type that
+    holds every label below K (uint8 up to K=256, uint16 up to K=65536,
+    uint32 beyond); values are range-checked before they are narrowed. The
+    first chunk that fails, in file order, holds the first faulty line:
+    only that chunk's lines are then checked one at a time, and the first
+    that fails raises :class:`CorpusFormatError` naming ``path:line`` (and
+    the utterance id for label and id faults). Neither the result nor the
+    error depends on the number of threads. Never silently drops a record.
     """
     path = Path(path)
     with path.open("rb") as handle:
         alphabet_size = _read_header(path, handle.readline())
         # Every label but the file's last takes a digit and a following space
         # or LF, and the header alone takes four bytes, so half the file size
-        # bounds the label count.
-        labels = np.empty(os.fstat(handle.fileno()).st_size // 2, dtype=LABEL_DTYPE)
+        # bounds the label count. Labels are below min(K, 2**31), so the
+        # narrowest unsigned type that holds that bound holds them all.
+        narrow = np.min_scalar_type(min(alphabet_size, _INT32_END) - 1)
+        labels = np.empty(os.fstat(handle.fileno()).st_size // 2, dtype=narrow)
         filled = 0
         ids: list[str] = []
         durations: list[float] = []

@@ -41,6 +41,13 @@ _ENCODE_LIMIT = 2**62
 # Labels per batch when counting a corpus.
 _COUNT_BATCH = 1 << 16
 
+# Grams formatted per write of a stats dump.
+_DUMP_ROWS = 1 << 16
+
+# A sparse tally buffers this many keys per entry of its running table
+# (24 bytes per 16-byte entry) before it sorts them and merges them in.
+_FOLD_RATIO = 3
+
 # Tally densely while the count vector is at most this many times the keys.
 _DENSE_FILL = 4
 
@@ -86,8 +93,8 @@ def _window_codes(labels: np.ndarray, order: int, alphabet_size: int) -> np.ndar
     n_windows = labels.shape[0] - order + 1
     if n_windows <= 0:
         return _EMPTY_CODES
-    codes = np.zeros(n_windows, dtype=np.int64)
-    for j in range(order):
+    codes = labels[:n_windows].astype(np.int64)
+    for j in range(1, order):
         codes *= alphabet_size
         codes += labels[j : j + n_windows]
     return codes
@@ -103,15 +110,37 @@ def run_starts(sorted_codes: np.ndarray) -> np.ndarray:
 def merge_counts(
     codes_a: np.ndarray, counts_a: np.ndarray, codes_b: np.ndarray, counts_b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sum of two sorted code/count tables, as one sorted table."""
-    codes = np.concatenate((codes_a, codes_b))
-    if codes.shape[0] == 0:
-        return _EMPTY_CODES, _EMPTY_CODES
-    # A stable sort of two ascending runs is a linear merge.
-    order = np.argsort(codes, kind="stable")
-    codes = codes[order]
-    starts = run_starts(codes)
-    return codes[starts], np.add.reduceat(np.concatenate((counts_a, counts_b))[order], starts)
+    """Sum of two sorted code/count tables, as one sorted table.
+
+    Each code of b is looked up in a: a found code adds its count there, and
+    the others are inserted where they sort. That is O(|b| log |a|) lookups
+    and one pass over a, so a small table folds cheaply into a large one. An
+    empty input returns the other table itself.
+    """
+    if codes_b.shape[0] == 0:
+        return codes_a, counts_a
+    if codes_a.shape[0] == 0:
+        return codes_b, counts_b
+    position = np.searchsorted(codes_a, codes_b)
+    found = codes_a.take(position, mode="clip") == codes_b
+    new = ~found
+    # b is sorted, so the new codes inserted before position[j] in a are the
+    # new ones among b[:j]: in the output, b[j] (if new) or the entry of a it
+    # matches sits that many places further right.
+    position += np.cumsum(new)
+    position -= new
+    at, hit = position[new], position[found]
+    del position  # before the output tables are allocated
+    from_a = np.ones(codes_a.shape[0] + at.shape[0], dtype=bool)
+    from_a[at] = False
+    codes = np.empty(from_a.shape[0], dtype=codes_a.dtype)
+    codes[from_a] = codes_a
+    codes[at] = codes_b[new]
+    counts = np.empty(from_a.shape[0], dtype=counts_a.dtype)
+    counts[from_a] = counts_a
+    counts[at] = counts_b[new]
+    counts[hit] += counts_b[found]
+    return codes, counts
 
 
 def code_positions(sorted_codes: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -141,17 +170,44 @@ def _tally(chunks: Iterable[np.ndarray], n_keys: int, space: int) -> tuple[np.nd
 
     ``n_keys`` is the total chunk length and every key lies in ``[0, space)``.
     Keys are tallied in a dense count vector when it is small next to the
-    keys, and sorted otherwise.
+    keys. Otherwise they are folded into a running sorted table: chunks are
+    copied into a buffer of ``_FOLD_RATIO`` keys per table entry, and a full
+    buffer is sorted, run-length counted and merged into the table. So memory
+    follows the table, not ``n_keys``, and the sorts add up to about one
+    sort of all keys.
     """
-    if space > min(DENSE_SUPPORT_LIMIT, _DENSE_FILL * n_keys):
-        keys = np.sort(np.concatenate(list(chunks)) if n_keys else _EMPTY_CODES)
-        starts = run_starts(keys)
-        return keys[starts], np.diff(starts, append=keys.shape[0])
-    dense = np.zeros(space, dtype=np.int64)
+    if space <= min(DENSE_SUPPORT_LIMIT, _DENSE_FILL * n_keys):
+        dense = np.zeros(space, dtype=np.int64)
+        for chunk in chunks:
+            dense += np.bincount(chunk, minlength=space)
+        keys = np.flatnonzero(dense).astype(np.int64, copy=False)
+        return keys, dense[keys]
+    codes = counts = _EMPTY_CODES
+    buffer, held = np.empty(0, np.int64), 0
     for chunk in chunks:
-        dense += np.bincount(chunk, minlength=space)
-    keys = np.flatnonzero(dense).astype(np.int64, copy=False)
-    return keys, dense[keys]
+        if held + chunk.shape[0] > buffer.shape[0]:
+            if held:
+                batch = _run_lengths(buffer[:held])
+                del buffer  # before the merge allocates the new table
+                codes, counts = merge_counts(codes, counts, *batch)
+            size = max(min(_FOLD_RATIO * codes.shape[0], n_keys), chunk.shape[0])
+            buffer, held = np.empty(size, np.int64), 0
+        buffer[held : held + chunk.shape[0]] = chunk
+        held += chunk.shape[0]
+        n_keys -= chunk.shape[0]
+    batch = _run_lengths(buffer[:held])
+    del buffer
+    return merge_counts(codes, counts, *batch)
+
+
+def _run_lengths(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Distinct values of ``keys``, ascending, and how often each occurs; sorts ``keys`` in place."""
+    keys.sort()
+    starts = run_starts(keys)
+    counts = np.empty_like(starts)
+    np.subtract(starts[1:], starts[:-1], out=counts[:-1])
+    counts[-1:] = keys.shape[0] - starts[-1:]
+    return keys[starts], counts
 
 
 def _inside_windows(
@@ -161,9 +217,13 @@ def _inside_windows(
     flat = _window_codes(labels, order, alphabet_size)
     if order == 1:
         return flat
-    windows = np.maximum(lengths - order + 1, 0)
-    shift = np.cumsum(lengths) - lengths - (np.cumsum(windows) - windows)
-    return flat[np.arange(int(windows.sum())) + np.repeat(shift, windows)]
+    # A window that starts in the last order - 1 labels of a sequence runs past its end.
+    ends = np.cumsum(lengths)
+    inside = np.ones(labels.shape[0], dtype=bool)
+    for j in range(1, order):
+        crossing = ends - j
+        inside[crossing[crossing >= ends - lengths]] = False
+    return flat[inside[: flat.shape[0]]]
 
 
 def _window_batches(
@@ -455,7 +515,7 @@ def save_stats_dump(
 ) -> None:
     """Write counts as ``<gram>\\t<count>`` lines under a small header, for diffing."""
     path = Path(path)
-    grams = decode_codes(stats.counts.codes, stats.alphabet_size, stats.order).tolist()
+    codes, counts = stats.counts.codes, stats.counts.code_counts
     with path.open("w", encoding="utf-8", newline="\n") as handle:
         handle.write(f"#order={stats.order}\n")
         handle.write(f"#K={stats.alphabet_size}\n")
@@ -463,6 +523,10 @@ def save_stats_dump(
         handle.write(f"#alpha={stats.smoothing_alpha!r}\n")
         for comment in comments:
             handle.write(f"#{comment}\n")
-        for gram, count in zip(grams, stats.counts.code_counts.tolist()):
-            gram_text = " ".join(map(str, gram))
-            handle.write(f"{gram_text}\t{count}\n")
+        # Grams become Python lists a block at a time, so memory follows the block.
+        for first in range(0, codes.shape[0], _DUMP_ROWS):
+            rows = slice(first, first + _DUMP_ROWS)
+            grams = decode_codes(codes[rows], stats.alphabet_size, stats.order).tolist()
+            handle.write("".join(
+                f"{' '.join(map(str, gram))}\t{count}\n" for gram, count in zip(grams, counts[rows].tolist())
+            ))

@@ -91,6 +91,9 @@ class SelectionConfig:
             raise ValueError("alpha must be finite and >= 0")
         if self.prune_min_count < 0:
             raise ValueError("prune_min_count must be >= 0")
+        # random.Random seeds with abs(seed), so -5 would repeat the picks of 5.
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True)

@@ -1,10 +1,13 @@
 import subprocess
 import sys
+from unittest import mock
 
+import numpy as np
 import pytest
 
+from scdselect import cli
 from scdselect.cli import RunConfig, main
-from scdselect.corpus import load_label_corpus, save_label_corpus
+from scdselect.corpus import LabelCorpus, LabelSequence, load_label_corpus, save_label_corpus
 from scdselect.selection import SelectionConfig
 
 from conftest import make_corpus
@@ -236,6 +239,17 @@ class TestSelect:
         assert main(argv) == 0
         assert out.read_bytes() == first
 
+    def test_negative_seed_usage_error(self, instance, tmp_path, capsys):
+        # random.Random(-5) shuffles like random.Random(5), so -5 would repeat
+        # the picks of --seed 5 under a different config echo.
+        universal, query = instance
+        with pytest.raises(SystemExit) as exc:
+            main(["select", universal, query, "--strategy", "random", "--budget-count", "2",
+                  "--seed", "-5", "--output", str(tmp_path / "r.tsv")])
+        assert exc.value.code == 2
+        assert "--seed: expected a non-negative integer, got -5" in capsys.readouterr().err
+        assert not (tmp_path / "r.tsv").exists()
+
     def test_invalid_lambda_usage_error(self, instance, tmp_path):
         universal, query = instance
         with pytest.raises(SystemExit) as exc:
@@ -262,6 +276,43 @@ class TestSelect:
             assert main(["select", universal, query, "--strategy", strategy,
                          "--budget-count", "2", "--output", str(out)]) == 0
             assert out.exists()
+
+
+class TestNarrowLabelOutputs:
+    """A K=257 file loads as uint16; every output equals that of the same corpus held as int32."""
+
+    @staticmethod
+    def load_as_int32(path):
+        loaded = load_label_corpus(path)
+        sequences = [LabelSequence(seq.id, seq.duration_s, seq.labels.astype(np.int32)) for seq in loaded]
+        return LabelCorpus(loaded.alphabet_size, sequences, loaded.source_tag)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["ngram-stats", "{u}", "--order", "2"],
+            ["ngram-stats", "{u}", "--order", "3", "--prune-min-count", "2"],
+            ["select", "{u}", "{q}", "--order", "2", "--budget-count", "6", "--lambda", "0.9"],
+            ["select", "{u}", "{q}", "--order", "3", "--strategy", "contrastive", "--budget-count", "4"],
+        ],
+    )
+    def test_outputs_match_an_int32_corpus(self, tmp_path, argv):
+        rng = np.random.default_rng(257)
+        # Labels above 255 in runs, so that grams repeat across utterances.
+        seqs = [np.repeat(rng.integers(240, 257, size=n), 3).tolist() for n in rng.integers(0, 15, size=40)]
+        universal = write_corpus(tmp_path, "u.labels", seqs, 257)
+        query = write_corpus(tmp_path, "q.labels", seqs[:5], 257, ids=[f"q{i}" for i in range(5)])
+        assert load_label_corpus(universal).labels.dtype == np.uint16
+        assert self.load_as_int32(universal).labels.dtype == np.int32
+        out = tmp_path / "out.tsv"
+        argv = [arg.format(u=universal, q=query) for arg in argv] + ["--output", str(out)]
+        outputs = []
+        for loader in (load_label_corpus, self.load_as_int32):
+            with mock.patch.object(cli, "load_label_corpus", loader):
+                assert main(argv) == 0
+            ids = tmp_path / "out.tsv.ids"
+            outputs.append((out.read_bytes(), ids.read_bytes() if ids.exists() else None))
+        assert outputs[0] == outputs[1]
 
 
 class TestEntryPoint:

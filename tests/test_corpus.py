@@ -689,3 +689,39 @@ class TestSharedLabels:
         assert corpus.labels.dtype == np.int32
         assert np.shares_memory(corpus.labels, flat) == tiled
         assert [seq.labels.tolist() for seq in corpus] == [seq.labels.tolist() for seq in sequences]
+
+
+class TestNarrowLabels:
+    """The loader stores labels in the narrowest unsigned type that holds every label below K."""
+
+    @pytest.mark.parametrize(
+        "k,dtype", [(1, np.uint8), (256, np.uint8), (257, np.uint16), (65536, np.uint16), (65537, None)]
+    )
+    def test_dtype_follows_alphabet_size(self, tmp_path, k, dtype):
+        path = tmp_path / "c.labels"
+        write(path, f"#K={k}\na\t1.5\t{k - 1} 0 {k - 1}\nb\t0.0\t\nc\t0.5\t0\n")
+        corpus = load_label_corpus(path)
+        if dtype is None:
+            assert corpus.labels.dtype.kind in "iu" and corpus.labels.dtype.itemsize == 4
+        else:
+            assert corpus.labels.dtype == dtype
+        assert corpus.labels.tolist() == [k - 1, 0, k - 1, 0]
+        assert [seq.labels.dtype for seq in corpus] == [corpus.labels.dtype] * 3
+        again = tmp_path / "again.labels"
+        save_label_corpus(corpus, again)
+        assert again.read_bytes() == path.read_bytes()
+        assert load_label_corpus(again, source_tag="c.labels") == corpus
+
+    def test_loaded_and_int32_sequences_are_equal_and_hash_alike(self, tmp_path):
+        path = tmp_path / "c.labels"
+        write(path, "#K=500\na\t1.5\t499 0 7\nb\t0.25\t\n")
+        loaded = load_label_corpus(path, source_tag="test")
+        built = make_corpus([[499, 0, 7], []], 500, ids=["a", "b"], durations=[1.5, 0.25])
+        assert loaded.labels.dtype == np.uint16 and built.labels.dtype == np.int32
+        for narrow, wide in zip(loaded, built):
+            assert narrow == wide
+            assert hash(narrow) == hash(wide)
+        assert len({*loaded.sequences, *built.sequences}) == 2
+        assert loaded == built and built == loaded
+        assert sort_by_length(loaded) == sort_by_length(built)
+        assert loaded != make_corpus([[499, 0, 8], []], 500, ids=["a", "b"], durations=[1.5, 0.25])

@@ -1,12 +1,20 @@
+import collections
 import itertools
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from scdselect import ngram
+from scdselect.corpus import LabelCorpus, LabelSequence
 from scdselect.ngram import (
     NGramStats,
     count_ngrams,
     interpolate,
+    merge_counts,
     prune,
     save_stats_dump,
     sequence_gram_counts,
@@ -221,6 +229,22 @@ class TestStatsDump:
         assert body == ["0\t2", "1\t2", "2\t1"]
 
 
+class TestStatsDumpBlocks:
+    def test_blocks_do_not_change_the_bytes(self, tmp_path):
+        rng = np.random.default_rng(8)
+        corpus = make_corpus([rng.integers(0, 7, size=n).tolist() for n in (0, 1, 9, 30, 4)], alphabet_size=7)
+        stats = count_ngrams(corpus, 2)
+        dumps = []
+        for rows in (1, 3, 1 << 16):
+            with mock.patch.object(ngram, "_DUMP_ROWS", rows):
+                save_stats_dump(stats, tmp_path / "s.tsv", comments=["cfg"])
+            dumps.append((tmp_path / "s.tsv").read_bytes())
+        assert dumps[0] == dumps[1] == dumps[2]
+        body = dumps[0].decode().splitlines()[5:]
+        assert len(body) == len(stats.counts) > 3
+        assert body[0] == " ".join(map(str, next(iter(stats.counts)))) + f"\t{stats.counts.code_counts[0]}"
+
+
 class TestEncodeLimit:
     def test_count_ngrams_rejects_codes_beyond_int64(self):
         corpus = make_corpus([[0, 1, 2]], alphabet_size=3)
@@ -253,3 +277,82 @@ class TestCodeOrder:
         body = [line for line in path.read_text(encoding="utf-8").splitlines() if not line.startswith("#")]
         expected = brute_force_counts(seqs, 3)
         assert body == [f"{' '.join(map(str, g))}\t{expected[g]}" for g in sorted(expected)]
+
+
+def window_counter(seqs, order):
+    """Reference tally: a Counter over every window of every sequence."""
+    return collections.Counter(
+        tuple(labels[i : i + order]) for labels in seqs for i in range(len(labels) - order + 1)
+    )
+
+
+class TestFoldedTally:
+    """The sparse tally folds sorted batches into a running table (``ngram._tally``)."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(2, 40).flatmap(
+            lambda k: st.tuples(
+                st.just(k), st.lists(st.lists(st.integers(0, k - 1), max_size=16), max_size=24)
+            )
+        ),
+        st.integers(1, 4),
+        st.sampled_from([1, 2, 7, 1 << 16]),
+        st.sampled_from([1, 3]),
+    )
+    def test_matches_counter_over_every_window(self, k_seqs, order, batch, ratio):
+        # No dense tally, and batches of a few labels: a corpus spans many
+        # folds, and a batch of utterances shorter than the order has no window.
+        k, seqs = k_seqs
+        corpus = make_corpus(seqs, k)
+        with (
+            mock.patch.object(ngram, "_DENSE_FILL", 0),
+            mock.patch.object(ngram, "_COUNT_BATCH", batch),
+            mock.patch.object(ngram, "_FOLD_RATIO", ratio),
+        ):
+            stats = count_ngrams(corpus, order)
+        expected = window_counter(seqs, order)
+        assert dict(stats.counts) == dict(expected)
+        assert stats.total == sum(expected.values())
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.lists(st.integers(0, 60)), st.lists(st.integers(0, 60)))
+    def test_merge_counts_is_a_counter_sum(self, a, b):
+        tables = []
+        for keys in (a, b):
+            counter = collections.Counter(keys)
+            codes = np.array(sorted(counter), dtype=np.int64)
+            tables += [codes, np.array([counter[c] for c in codes.tolist()], dtype=np.int64)]
+        codes, counts = merge_counts(*tables)
+        expected = collections.Counter(a) + collections.Counter(b)
+        assert codes.tolist() == sorted(expected)
+        assert counts.tolist() == [expected[c] for c in sorted(expected)]
+
+    def test_peak_memory_follows_the_table(self):
+        # About 1M order-3 windows over 40 of K=500 labels: at most 64000
+        # distinct grams. Sorting every window at once peaks near 16 MB,
+        # ten times the table plus one batch; the fold stays under six.
+        rng = np.random.default_rng(3)
+        lengths = rng.integers(400, 603, size=2020)
+        flat = rng.integers(0, 40, size=int(lengths.sum())).astype(np.int32)
+        ends = np.cumsum(lengths).tolist()
+        bounds = zip([end - n for end, n in zip(ends, lengths.tolist())], ends)
+        corpus = LabelCorpus(500, [LabelSequence(f"u{i}", 1.0, flat[a:b]) for i, (a, b) in enumerate(bounds)])
+        assert int(np.sum(lengths - 2)) > 1_000_000
+        merges = []
+
+        def counted_merge(*tables):  # a Mock's call record would keep every table alive
+            merges.append(None)
+            return merge_counts(*tables)
+
+        with mock.patch.object(ngram, "merge_counts", counted_merge):
+            tracemalloc.start()
+            try:
+                stats = count_ngrams(corpus, 3)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        table = stats.counts.codes.nbytes + stats.counts.code_counts.nbytes
+        batch = ngram._COUNT_BATCH * np.dtype(np.int64).itemsize
+        assert peak < 6 * (table + batch), f"count_ngrams peaked at {peak} bytes for a {table}-byte table"
+        assert len(merges) > 4

@@ -74,6 +74,9 @@ class TestSelectionConfig:
             SelectionConfig(budget_c=0)
         with pytest.raises(ValueError, match="order"):
             SelectionConfig(budget_c=1, order=0)
+        with pytest.raises(ValueError, match="seed must be >= 0, got -5"):
+            SelectionConfig(budget_c=1, seed=-5)
+        assert SelectionConfig(budget_c=1, seed=0).seed == 0
 
     def test_json_round_trip(self):
         config = SelectionConfig(budget_c=3, order=2, lam=0.25, alpha=0.75, prune_min_count=1, seed=9)
