@@ -232,25 +232,36 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _pool_mfcc_frames(manifest, config: MfccConfig, threads: int, max_frames: int | None,
-                      seed: int) -> np.ndarray:
+                      seed: int, k: int) -> np.ndarray:
     """Pooled MFCC frames of a manifest, uniformly subsampled to at most ``max_frames``.
 
     A first pass counts each entry's frames from the length of its checked
-    sample bytes, so the draw of the kept rows needs no frame; the second
-    computes MFCCs and writes only the kept rows into one matrix, each entry
-    into its own rows. Memory is bounded by the kept frames, not by the
-    corpus; each WAV is read twice.
+    sample bytes, so the draw of the kept rows needs no frame, and a
+    manifest of fewer than ``k`` frames fails before any MFCC is computed;
+    the second computes MFCCs and writes only the kept rows into one
+    matrix, each entry into its own rows. Memory is bounded by the kept
+    frames, not by the corpus; each WAV is read twice.
     """
     if not manifest.entries:
         raise AudioError("manifest is empty; nothing to train on")
 
+    # A failing entry is named as discretize names it.
     def count(entry):
-        return num_frames(len(read_wav_pcm16(entry.audio_path, config.sample_rate_hz)) // 2, config)
+        try:
+            raw = read_wav_pcm16(entry.audio_path, config.sample_rate_hz)
+        except AudioError as exc:
+            raise AudioError(f"utterance {entry.id!r}: {exc}") from exc
+        try:
+            return num_frames(len(raw) // 2, config)
+        except AudioError as exc:
+            raise AudioError(f"utterance {entry.id!r}: {entry.audio_path}: {exc}") from exc
 
     counts = np.array(map_manifest(count, manifest, threads), dtype=np.int64)
     starts = np.concatenate(([0], np.cumsum(counts)))
     total = int(starts[-1])
     logger.info("pooled %d frames of dim %d", total, config.feature_dim)
+    if total < k:
+        raise ValueError(f"need at least k={k} frames, the manifest has {total}")
     if max_frames is not None and total > max_frames:
         keep = np.random.default_rng(seed).choice(total, size=max_frames, replace=False)
         keep.sort()
@@ -281,7 +292,7 @@ def cmd_train_kmeans(args: argparse.Namespace) -> int:
     run_config = RunConfig.from_args(args)
     manifest = load_audio_manifest(args.manifest)
     mfcc_config = _mfcc_config_from_args(args)
-    frames = _pool_mfcc_frames(manifest, mfcc_config, args.threads, args.max_frames, args.seed)
+    frames = _pool_mfcc_frames(manifest, mfcc_config, args.threads, args.max_frames, args.seed, args.k)
 
     model = train_kmeans(frames, k=args.k, seed=args.seed, max_iters=args.max_iters, tol=args.tol,
                          threads=args.threads)
@@ -390,6 +401,9 @@ def cmd_select(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    if args.subcommand == "train-kmeans" and args.max_frames is not None and args.max_frames < args.k:
+        parser.error(f"train-kmeans: --max-frames {args.max_frames} is below --k {args.k}; "
+                     "k-means needs at least k frames")
     level = {0: logging.WARNING, 1: logging.INFO}.get(args.verbose, logging.DEBUG)
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     try:

@@ -43,6 +43,20 @@ the bytes of the unblocked computation:
 - ``np.bincount`` adds a column's weights in row order, so the centroid
   sums are those of adding the rows one by one.
 
+The large temporaries are reused, not allocated per utterance or per row
+block. Each entry that :func:`map_manifest` runs, and each row block of a
+:func:`train_kmeans` assignment, borrows one buffer set from a pool of that
+call (:class:`_BufferPool`), which holds one set per worker running at
+once. :func:`compute_mfcc` takes the pre-emphasized samples, the windowed
+frames, the power spectrum and the log-mel matrix from the set, and the
+assignment its screen and the rows' differences to their centroids. A
+buffer grows to the largest request it meets, so it is bounded by the
+longest utterance or row block, and the sets are freed when the
+:func:`map_manifest` or :func:`train_kmeans` call returns. Buffers are only
+written in place: :func:`read_wav_mono`, :func:`compute_mfcc` and
+:func:`apply_kmeans` return fresh arrays, and called outside those two
+functions they allocate their own temporaries.
+
 ``--threads`` parallelizes manifest entries, with one BLAS thread per worker:
 :func:`map_manifest` runs its workers with OpenBLAS set to one thread and
 restores the count after. In ``train-kmeans`` it also splits each Lloyd
@@ -55,6 +69,7 @@ pool, whose BLAS threads would otherwise queue beside the workers.
 
 from __future__ import annotations
 
+import contextlib
 import ctypes
 import functools
 import json
@@ -217,9 +232,10 @@ def compute_mfcc(
     flen = config.frame_length_samples
     shift = config.frame_shift_samples
     n_out = num_frames(samples.shape[0], config)
+    buffers = _buffers()
 
     if config.preemphasis > 0:
-        emphasized = np.empty_like(samples)
+        emphasized = buffers.take("emphasis", samples.shape)
         emphasized[0] = samples[0]
         np.multiply(samples[:-1], config.preemphasis, out=emphasized[1:])
         np.subtract(samples[1:], emphasized[1:], out=emphasized[1:])
@@ -233,8 +249,8 @@ def compute_mfcc(
     # Each frame's spectrum is computed on its own, so blocks of frames get
     # the values of one transform over all frames.
     frames = np.lib.stride_tricks.sliding_window_view(samples, flen)[::shift]
-    windowed = np.empty((min(n_out, _MFCC_BLOCK), flen))
-    power = np.empty((n_out, n_fft // 2 + 1))
+    windowed = buffers.take("windowed", (min(n_out, _MFCC_BLOCK), flen))
+    power = buffers.take("power", (n_out, n_fft // 2 + 1))
     for start in range(0, n_out, _MFCC_BLOCK):
         block = power[start : start + _MFCC_BLOCK]
         rows = windowed[: block.shape[0]]
@@ -244,7 +260,7 @@ def compute_mfcc(
         block /= n_fft
     # The products run once over the whole utterance: BLAS may round a
     # product of a row block unlike the product of all rows.
-    log_mel = power @ bank.T
+    log_mel = np.matmul(power, bank.T, out=buffers.take("log_mel", (n_out, bank.shape[0])))
     np.maximum(log_mel, LOG_FLOOR, out=log_mel)
     np.log(log_mel, out=log_mel)
     cepstra = log_mel @ dct.T
@@ -301,7 +317,8 @@ def _assign(features: np.ndarray, centroids: np.ndarray, threads: int) -> tuple[
     The label is the centroid with the least ``np.sum((x - c) ** 2)``, the
     lowest index on ties; see the module docstring for how a row block's
     BLAS screen and exact confirm find it. Row blocks of ``_BLOCK_CELLS``
-    distances run on ``threads`` threads.
+    distances run on ``threads`` threads, each block in a buffer set from
+    the running :func:`train_kmeans` call's pool, or the calling worker's.
     """
     (n, dim), k = features.shape, centroids.shape[0]
     labels = np.empty(n, dtype=np.int64)
@@ -311,34 +328,38 @@ def _assign(features: np.ndarray, centroids: np.ndarray, threads: int) -> tuple[
     cent_sq_max = cent_sq.max()
     margin = _MARGIN_UNITS * (dim + 1) * 2.0**-52
     block_rows = max(1, _BLOCK_CELLS // k)
+    pool = getattr(_worker, "pool", None) or _BufferPool()
 
     def assign_block(start):
-        x = features[start : start + block_rows]
-        rows = np.arange(x.shape[0])
-        screen = x @ scaled.T
-        screen += cent_sq
-        nearest = np.argmin(screen, axis=1)
-        limit = screen[rows, nearest]
-        limit += margin * (np.einsum("ij,ij->i", x, x) + cent_sq_max)
-        # A row is in doubt when its runner-up is screened within the margin.
-        screen[rows, nearest] = np.inf
-        doubt = np.flatnonzero(screen[rows, np.argmin(screen, axis=1)] <= limit)
-        exact = np.sum((x - centroids[nearest]) ** 2, axis=1)
-        if doubt.size:
-            close = screen[doubt] <= limit[doubt, None]
-            close[np.arange(doubt.size), nearest[doubt]] = True
-            pair_row, pair_centre = np.nonzero(close)
-            pair_d2 = _sq_dist(x, doubt[pair_row], centroids, pair_centre)
-            # Pairs run by row, then centre: each row's first pair at the
-            # row's least exact distance has the lowest index.
-            row_start = np.flatnonzero(np.diff(pair_row, prepend=-1))
-            least = np.minimum.reduceat(pair_d2, row_start)
-            hits = np.flatnonzero(pair_d2 == least[pair_row])
-            first = hits[np.flatnonzero(np.diff(pair_row[hits], prepend=-1))]
-            nearest[doubt] = pair_centre[first]
-            exact[doubt] = least
-        labels[start : start + x.shape[0]] = nearest
-        sq_dists[start : start + x.shape[0]] = exact
+        with pool.lend() as buffers:
+            x = features[start : start + block_rows]
+            rows = np.arange(x.shape[0])
+            screen = np.matmul(x, scaled.T, out=buffers.take("screen", (x.shape[0], k)))
+            screen += cent_sq
+            nearest = np.argmin(screen, axis=1)
+            limit = screen[rows, nearest]
+            limit += margin * (np.einsum("ij,ij->i", x, x) + cent_sq_max)
+            # A row is in doubt when its runner-up is screened within the margin.
+            screen[rows, nearest] = np.inf
+            doubt = np.flatnonzero(screen[rows, np.argmin(screen, axis=1)] <= limit)
+            diff = np.take(centroids, nearest, axis=0, out=buffers.take("diff", x.shape))
+            np.subtract(x, diff, out=diff)
+            exact = np.sum(np.square(diff, out=diff), axis=1)
+            if doubt.size:
+                close = screen[doubt] <= limit[doubt, None]
+                close[np.arange(doubt.size), nearest[doubt]] = True
+                pair_row, pair_centre = np.nonzero(close)
+                pair_d2 = _sq_dist(x, doubt[pair_row], centroids, pair_centre)
+                # Pairs run by row, then centre: each row's first pair at the
+                # row's least exact distance has the lowest index.
+                row_start = np.flatnonzero(np.diff(pair_row, prepend=-1))
+                least = np.minimum.reduceat(pair_d2, row_start)
+                hits = np.flatnonzero(pair_d2 == least[pair_row])
+                first = hits[np.flatnonzero(np.diff(pair_row[hits], prepend=-1))]
+                nearest[doubt] = pair_centre[first]
+                exact[doubt] = least
+            labels[start : start + x.shape[0]] = nearest
+            sq_dists[start : start + x.shape[0]] = exact
 
     list(map_in_order(assign_block, range(0, n, block_rows), threads, 2 * threads))
     return labels, sq_dists
@@ -409,7 +430,7 @@ def train_kmeans(
 
     # The BLAS products are small, so their thread pool would only queue
     # beside the assignment's own threads.
-    with _one_blas_thread:
+    with _one_blas_thread, _training_pool():
         centroids = _kmeanspp_init(features, k, np.random.default_rng(seed))
         # bincount reads its weights as one contiguous column, so the columns
         # are copied out a few at a time.
@@ -499,8 +520,9 @@ def load_kmeans_model(path: str | Path) -> tuple[KMeansModel, dict]:
 
 def read_wav_mono(path: str | Path, expected_rate_hz: int) -> np.ndarray:
     """Samples of a 16-bit PCM mono WAV as float64 in [-1, 1)."""
-    raw = read_wav_pcm16(path, expected_rate_hz)
-    return np.frombuffer(raw, dtype="<i2").astype(np.float64) / 32768.0
+    pcm = np.frombuffer(read_wav_pcm16(path, expected_rate_hz), dtype="<i2")
+    # One pass into one array; scaling by 2**-15 is exact, like / 32768.
+    return np.multiply(pcm, 2.0**-15, out=np.empty(pcm.shape))
 
 
 def read_wav_pcm16(path: str | Path, expected_rate_hz: int) -> bytes:
@@ -596,6 +618,71 @@ class _OneBlasThread:
 _one_blas_thread = _OneBlasThread()
 
 
+class _Buffers:
+    """One worker's reusable float64 arrays, by name, each grown to its largest request."""
+
+    def __init__(self):
+        self._flat: dict[str, np.ndarray] = {}
+
+    def take(self, name: str, shape: tuple[int, ...]) -> np.ndarray:
+        """An uninitialised ``shape`` view of buffer ``name``, which grows if it is too small."""
+        size = math.prod(shape)
+        flat = self._flat.get(name)
+        if flat is None or flat.size < size:
+            flat = self._flat[name] = np.empty(size)
+        return flat[:size].reshape(shape)
+
+
+# Per thread: ``buffers``, the set lent to the task running on it, and
+# ``pool``, the pool of the train_kmeans call running on it.
+_worker = threading.local()
+
+
+class _BufferPool:
+    """Buffer sets that the tasks of one call borrow, one task per set at a time.
+
+    At most as many sets exist as tasks run at once, and they are freed with
+    the pool.
+    """
+
+    def __init__(self):
+        self._lock = threading.Lock()
+        self._free: list[_Buffers] = []
+
+    @contextlib.contextmanager
+    def lend(self):
+        """The set held by this thread inside the block: its own, if it already holds one."""
+        held = getattr(_worker, "buffers", None)
+        if held is not None:
+            yield held
+            return
+        with self._lock:
+            buffers = self._free.pop() if self._free else _Buffers()
+        _worker.buffers = buffers
+        try:
+            yield buffers
+        finally:
+            _worker.buffers = None
+            with self._lock:
+                self._free.append(buffers)
+
+
+def _buffers() -> _Buffers:
+    """The set lent to this thread, or a fresh one that is freed after its last use."""
+    held = getattr(_worker, "buffers", None)
+    return held if held is not None else _Buffers()
+
+
+@contextlib.contextmanager
+def _training_pool():
+    """One pool, inside the block, for the assignments that this thread starts."""
+    _worker.pool = _BufferPool()
+    try:
+        yield
+    finally:
+        _worker.pool = None
+
+
 def map_manifest(function, manifest: AudioManifest, threads: int) -> list:
     """``function`` of each manifest entry, in manifest order, run on ``threads`` threads.
 
@@ -604,10 +691,18 @@ def map_manifest(function, manifest: AudioManifest, threads: int) -> list:
     would make them queue on it. At most ``4 * threads`` entries are
     submitted ahead of the first unfinished one, so the pool's bookkeeping
     does not grow with the manifest. The first failing entry, in manifest
-    order, raises.
+    order, raises. Each call borrows a buffer set from a pool of this call
+    (see :class:`_BufferPool`), so the functions of this module that it
+    runs reuse their temporaries from one entry to the next.
     """
+    pool = _BufferPool()
+
+    def run(entry):
+        with pool.lend():
+            return function(entry)
+
     with _one_blas_thread:
-        return list(map_in_order(function, manifest.entries, threads, 4 * threads))
+        return list(map_in_order(run, manifest.entries, threads, 4 * threads))
 
 
 def _discretize_entry(entry, model: KMeansModel, config: MfccConfig) -> LabelSequence:

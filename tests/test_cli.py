@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from scdselect import cli
+from scdselect import cli, discretizer
 from scdselect.cli import RunConfig, main
 from scdselect.corpus import LabelCorpus, LabelSequence, load_label_corpus, save_label_corpus
 from scdselect.selection import SelectionConfig
@@ -44,12 +44,64 @@ class TestTrainKmeans:
         assert bytes1.replace(str(m1).encode(), b"") == m2.read_bytes().replace(str(m2).encode(), b"")
 
     def test_k_exceeds_frames(self, audio_setup, tmp_path, capsys):
-        code = main(
-            ["train-kmeans", audio_setup, "--k", "4", "--max-frames", "2",
-             "--output", str(tmp_path / "m.json")]
-        )
+        # The manifest holds 36 + 48 + 61 = 145 frames.
+        code = main(["train-kmeans", audio_setup, "--k", "200", "--output", str(tmp_path / "m.json")])
         assert code == 1
         assert "at least k" in capsys.readouterr().err
+
+    @pytest.fixture
+    def mfcc_calls(self, monkeypatch):
+        """Every compute_mfcc call the CLI makes, by either module's name."""
+        calls = []
+        real = cli.compute_mfcc
+
+        def recording(*args, **kwargs):
+            calls.append(1)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, "compute_mfcc", recording)
+        monkeypatch.setattr(discretizer, "compute_mfcc", recording)
+        return calls
+
+    def test_max_frames_below_k_is_usage_error(self, audio_setup, tmp_path, capsys, mfcc_calls):
+        with pytest.raises(SystemExit) as exc:
+            main(["train-kmeans", audio_setup, "--k", "50", "--max-frames", "49",
+                  "--output", str(tmp_path / "m.json")])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert "--max-frames 49 is below --k 50" in err
+        assert mfcc_calls == []
+        # Equal is enough.
+        assert main(["train-kmeans", audio_setup, "--k", "50", "--max-frames", "50", "--max-iters", "1",
+                     "--output", str(tmp_path / "m.json")]) == 0
+
+    def test_too_few_frames_fail_before_any_mfcc(self, audio_setup, tmp_path, capsys, mfcc_calls):
+        code = main(["train-kmeans", audio_setup, "--k", "146", "--output", str(tmp_path / "m.json")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: need at least k=146 frames, the manifest has 145\n"
+        assert mfcc_calls == []
+        assert not (tmp_path / "m.json").exists()
+
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_short_file_is_named_as_discretize_names_it(self, tmp_path, capsys, threads):
+        good, short = tmp_path / "good.wav", tmp_path / "short.wav"
+        write_wav(good, tone(8000, seed=0))
+        write_wav(short, tone(100, seed=1))
+        manifest = tmp_path / "manifest.tsv"
+        manifest.write_text(f"a\t{good}\nb\t{short}\n", encoding="utf-8")
+        model = tmp_path / "m.json"
+        assert main(["train-kmeans", str(manifest), "--k", "2", "--max-frames", "2",
+                     "--output", str(model)]) == 1
+        trained = capsys.readouterr().err
+        assert trained == (f"error: utterance 'b': {short}: audio of 100 samples is shorter "
+                           "than one 400-sample frame\n")
+        one_file = tmp_path / "one.tsv"
+        one_file.write_text(f"a\t{good}\n", encoding="utf-8")
+        assert main(["train-kmeans", str(one_file), "--k", "2", "--output", str(model)]) == 0
+        capsys.readouterr()
+        assert main(["discretize", str(manifest), "--model", str(model), "--threads", str(threads),
+                     "--output", str(tmp_path / "labels.txt")]) == 1
+        assert capsys.readouterr().err == trained
 
     def test_max_frames_zero_is_usage_error(self, audio_setup, tmp_path):
         with pytest.raises(SystemExit) as exc:

@@ -19,7 +19,7 @@ import pytest
 import scdselect.cli
 from scdselect import discretizer
 from scdselect.cli import main
-from scdselect.corpus import AudioManifest, ManifestEntry
+from scdselect.corpus import AudioManifest, ManifestEntry, load_audio_manifest
 from scdselect.discretizer import (
     AudioError,
     MfccConfig,
@@ -194,10 +194,16 @@ class TestPoolErrors:
         ],
     )
     def test_first_bad_entry_raises_the_reference_message(self, entries, tmp_path, capsys, threads, names):
+        # The reference's error, on the entry named as discretize names it.
         paths = [entries[name] for name in names]
-        with pytest.raises(AudioError) as expected:
+        with pytest.raises(AudioError) as reference:
             reference_pool(paths, MfccConfig(), None, seed=0)
         manifest = write_manifest(tmp_path / "m.tsv", paths)
+        model = discretizer.KMeansModel(k=1, centroids=[[0.0] * 39], feature_dim=39, iterations_run=0,
+                                        final_inertia=0.0)
+        with pytest.raises(AudioError) as expected:
+            discretizer.discretize_manifest(load_audio_manifest(manifest), model, MfccConfig())
+        assert str(expected.value).endswith(str(reference.value))
         code = main(["train-kmeans", manifest, "--k", "2", "--threads", str(threads),
                      "--output", str(tmp_path / "model.json")])
         assert code == 1
