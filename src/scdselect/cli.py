@@ -245,16 +245,13 @@ def _pool_mfcc_frames(manifest, config: MfccConfig, threads: int, max_frames: in
     if not manifest.entries:
         raise AudioError("manifest is empty; nothing to train on")
 
-    # A failing entry is named as discretize names it.
+    # map_manifest names a failing entry's utterance, as in discretize.
     def count(entry):
-        try:
-            raw = read_wav_pcm16(entry.audio_path, config.sample_rate_hz)
-        except AudioError as exc:
-            raise AudioError(f"utterance {entry.id!r}: {exc}") from exc
+        raw = read_wav_pcm16(entry.audio_path, config.sample_rate_hz)
         try:
             return num_frames(len(raw) // 2, config)
         except AudioError as exc:
-            raise AudioError(f"utterance {entry.id!r}: {entry.audio_path}: {exc}") from exc
+            raise AudioError(f"{entry.audio_path}: {exc}") from exc
 
     counts = np.array(map_manifest(count, manifest, threads), dtype=np.int64)
     starts = np.concatenate(([0], np.cumsum(counts)))

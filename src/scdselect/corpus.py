@@ -269,7 +269,6 @@ def _check_unique(ids: Sequence[str], earlier: AbstractSet[str] = frozenset()) -
 class ManifestEntry:
     id: str
     audio_path: str
-    duration_s: float | None = None
 
 
 @dataclass(frozen=True)
@@ -560,19 +559,24 @@ def sort_by_length(corpus: LabelCorpus) -> LabelCorpus:
 
 
 def load_audio_manifest(path: str | Path) -> AudioManifest:
-    """Read ``<id>\\t<path>`` manifest lines."""
+    """Read ``<id>\\t<path>`` lines, ended by LF, CRLF or CR; a bad line is named by number."""
     path = Path(path)
     entries: list[ManifestEntry] = []
-    with path.open("r", encoding="utf-8") as handle:
+    # Undecodable bytes become lone surrogates, which no valid line holds.
+    with path.open("r", encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, line in enumerate(handle, start=1):
             line = line.rstrip("\n")
             if not line:
                 continue
+            try:
+                line.encode("utf-8")
+            except UnicodeEncodeError:
+                raise CorpusFormatError(f"{path}:{lineno}: not valid UTF-8") from None
             fields = line.split("\t")
             if len(fields) != 2:
-                raise CorpusFormatError(
-                    f"{path}:{lineno}: expected '<id>\\t<path>', got {len(fields)} fields"
-                )
+                raise CorpusFormatError(f"{path}:{lineno}: expected '<id>\\t<path>', got {len(fields)} fields")
+            if not fields[0]:
+                raise CorpusFormatError(f"{path}:{lineno}: manifest entry id must be non-empty")
             entries.append(ManifestEntry(id=fields[0], audio_path=fields[1]))
     try:
         return AudioManifest(entries=tuple(entries))

@@ -47,13 +47,14 @@ The large temporaries are reused, not allocated per utterance or per row
 block. Each entry that :func:`map_manifest` runs, and each row block of a
 :func:`train_kmeans` assignment, borrows one buffer set from a pool of that
 call (:class:`_BufferPool`), which holds one set per worker running at
-once. :func:`compute_mfcc` takes the pre-emphasized samples, the windowed
-frames, the power spectrum and the log-mel matrix from the set, and the
-assignment its screen and the rows' differences to their centroids. A
-buffer grows to the largest request it meets, so it is bounded by the
-longest utterance or row block, and the sets are freed when the
-:func:`map_manifest` or :func:`train_kmeans` call returns. Buffers are only
-written in place: :func:`read_wav_mono`, :func:`compute_mfcc` and
+once; :func:`train_kmeans` passes its pool to each of its assignments as
+an argument. :func:`compute_mfcc` takes the pre-emphasized samples, the
+windowed frames, the power spectrum and the log-mel matrix from the set,
+and the assignment its screen and the rows' differences to their
+centroids. A buffer grows to the largest request it meets, so it is
+bounded by the longest utterance or row block, and the sets are freed when
+the :func:`map_manifest` or :func:`train_kmeans` call returns. Buffers are
+only written in place: :func:`read_wav_mono`, :func:`compute_mfcc` and
 :func:`apply_kmeans` return fresh arrays, and called outside those two
 functions they allocate their own temporaries.
 
@@ -311,14 +312,16 @@ def _sq_dist(features: np.ndarray, rows: np.ndarray, centres: np.ndarray, which)
     return out
 
 
-def _assign(features: np.ndarray, centroids: np.ndarray, threads: int) -> tuple[np.ndarray, np.ndarray]:
+def _assign(
+    features: np.ndarray, centroids: np.ndarray, threads: int, pool: _BufferPool | None = None
+) -> tuple[np.ndarray, np.ndarray]:
     """Nearest-centroid label per row and the row's exact squared distance to it.
 
     The label is the centroid with the least ``np.sum((x - c) ** 2)``, the
     lowest index on ties; see the module docstring for how a row block's
     BLAS screen and exact confirm find it. Row blocks of ``_BLOCK_CELLS``
-    distances run on ``threads`` threads, each block in a buffer set from
-    the running :func:`train_kmeans` call's pool, or the calling worker's.
+    distances run on ``threads`` threads, each block in a buffer set lent
+    by ``pool`` (a new one when None), or in the calling worker's set.
     """
     (n, dim), k = features.shape, centroids.shape[0]
     labels = np.empty(n, dtype=np.int64)
@@ -328,7 +331,7 @@ def _assign(features: np.ndarray, centroids: np.ndarray, threads: int) -> tuple[
     cent_sq_max = cent_sq.max()
     margin = _MARGIN_UNITS * (dim + 1) * 2.0**-52
     block_rows = max(1, _BLOCK_CELLS // k)
-    pool = getattr(_worker, "pool", None) or _BufferPool()
+    pool = pool or _BufferPool()
 
     def assign_block(start):
         with pool.lend() as buffers:
@@ -430,14 +433,15 @@ def train_kmeans(
 
     # The BLAS products are small, so their thread pool would only queue
     # beside the assignment's own threads.
-    with _one_blas_thread, _training_pool():
+    with _one_blas_thread:
+        pool = _BufferPool()
         centroids = _kmeanspp_init(features, k, np.random.default_rng(seed))
         # bincount reads its weights as one contiguous column, so the columns
         # are copied out a few at a time.
         columns = np.empty((min(dim, _SUM_COLUMNS), n))
         iterations = 0
         for _ in range(max_iters):
-            labels, sq_dists = _assign(features, centroids, threads)
+            labels, sq_dists = _assign(features, centroids, threads, pool)
             sums = np.empty((k, dim))
             for first in range(0, dim, _SUM_COLUMNS):
                 block = columns[: min(dim - first, _SUM_COLUMNS)]
@@ -457,7 +461,7 @@ def train_kmeans(
             iterations += 1
             if shift < tol:
                 break
-        _, sq_dists = _assign(features, centroids, threads)
+        _, sq_dists = _assign(features, centroids, threads, pool)
     return KMeansModel(
         k=k,
         centroids=centroids,
@@ -633,8 +637,7 @@ class _Buffers:
         return flat[:size].reshape(shape)
 
 
-# Per thread: ``buffers``, the set lent to the task running on it, and
-# ``pool``, the pool of the train_kmeans call running on it.
+# Per thread: ``buffers``, the set lent to the task running on it.
 _worker = threading.local()
 
 
@@ -673,16 +676,6 @@ def _buffers() -> _Buffers:
     return held if held is not None else _Buffers()
 
 
-@contextlib.contextmanager
-def _training_pool():
-    """One pool, inside the block, for the assignments that this thread starts."""
-    _worker.pool = _BufferPool()
-    try:
-        yield
-    finally:
-        _worker.pool = None
-
-
 def map_manifest(function, manifest: AudioManifest, threads: int) -> list:
     """``function`` of each manifest entry, in manifest order, run on ``threads`` threads.
 
@@ -691,15 +684,20 @@ def map_manifest(function, manifest: AudioManifest, threads: int) -> list:
     would make them queue on it. At most ``4 * threads`` entries are
     submitted ahead of the first unfinished one, so the pool's bookkeeping
     does not grow with the manifest. The first failing entry, in manifest
-    order, raises. Each call borrows a buffer set from a pool of this call
-    (see :class:`_BufferPool`), so the functions of this module that it
-    runs reuse their temporaries from one entry to the next.
+    order, raises, as ``utterance '<id>': <message>`` if it is an
+    :class:`AudioError`, and entries not yet started are not run. Each call
+    borrows a buffer set from a pool of this call (see :class:`_BufferPool`),
+    so the functions of this module that it runs reuse their temporaries
+    from one entry to the next.
     """
     pool = _BufferPool()
 
     def run(entry):
         with pool.lend():
-            return function(entry)
+            try:
+                return function(entry)
+            except AudioError as exc:
+                raise AudioError(f"utterance {entry.id!r}: {exc}") from exc
 
     with _one_blas_thread:
         return list(map_in_order(run, manifest.entries, threads, 4 * threads))
@@ -729,8 +727,9 @@ def discretize_manifest(
 ) -> LabelCorpus:
     """One label sequence per manifest entry, in manifest order.
 
-    A failing entry aborts the run unless ``skip_bad`` is set, in which case
-    it is logged and omitted. Work is farmed over ``max_workers`` threads;
+    A failing entry aborts the run, and :func:`map_manifest` names it,
+    unless ``skip_bad`` is set, in which case it is logged, in manifest
+    order, and omitted. Work is farmed over ``max_workers`` threads;
     output order never depends on completion order.
     """
     if model.feature_dim != config.feature_dim:
@@ -741,19 +740,18 @@ def discretize_manifest(
 
     def worker(entry):
         try:
-            return _discretize_entry(entry, model, config), None
+            return _discretize_entry(entry, model, config)
         except AudioError as exc:
-            return None, (entry.id, exc)
+            if not skip_bad:
+                raise
+            return exc
 
     sequences = []
-    for seq, failure in map_manifest(worker, manifest, max_workers):
-        if failure is not None:
-            utt_id, exc = failure
-            if skip_bad:
-                logger.warning("skipping %s: %s", utt_id, exc)
-                continue
-            raise AudioError(f"utterance {utt_id!r}: {exc}") from exc
-        sequences.append(seq)
+    for entry, result in zip(manifest.entries, map_manifest(worker, manifest, max_workers)):
+        if isinstance(result, AudioError):
+            logger.warning("skipping %s: %s", entry.id, result)
+        else:
+            sequences.append(result)
 
     return LabelCorpus(
         alphabet_size=model.k,

@@ -204,40 +204,29 @@ def partition_buckets(n_items: int, n_buckets: int) -> list[tuple[int, int]]:
     return list(zip(edges, edges[1:]))
 
 
-class _IncrementalScorer:
-    """Evaluates SCD(target, S + {u}) for every candidate u of a bucket at once.
+def _fast_scores(sequences: Sequence[LabelSequence], subset: CandidateStats, target: Distribution,
+                 subset_nats: float | None = None) -> np.ndarray:
+    """SCD(target, S + {u}) of the subset S plus each candidate u of ``sequences``.
 
-    Each score is a delta on the exact SCD of the subset S:
+    Each score is a delta on the exact SCD of S:
 
         SCD(S + u) = SCD(S) - sum_{g in u} P_t(g) * log((c_S(g) + c_u(g) + alpha) / (c_S(g) + alpha))
                      + log1p(W_u / (T_S + alpha * K**N))
 
     with W_u and T_S the windows of u and S; the last term uses that the
-    target's mass is 1. Requires alpha > 0.
+    target's mass is 1. ``subset_nats`` is SCD(S); when None it is computed
+    with :func:`scd`. Requires alpha > 0.
     """
+    alpha = float(subset.alpha)
 
-    def __init__(self, target: Distribution, alpha: float):
-        if alpha <= 0:
-            raise ValueError("incremental scorer requires alpha > 0")
-        self.target = target
-        self.alpha = float(alpha)
-        self.alpha_mass = self.alpha * float(target.support_size)
+    def terms(codes, rows, added, weight, base):
+        return weight * np.log((base + added + alpha) / (base + alpha))
 
-    def score(
-        self, sequences: Sequence[LabelSequence], subset: CandidateStats, subset_nats: float | None = None
-    ) -> np.ndarray:
-        """Fast SCD of ``subset`` plus each of ``sequences``, one per candidate.
-
-        ``subset_nats`` is the exact SCD of ``subset``; when None it is
-        computed with :func:`scd`.
-        """
-        def terms(codes, rows, added, weight, base):
-            return weight * np.log((base + added + self.alpha) / (base + self.alpha))
-
-        corrections, windows = _block_sums(sequences, self.target, (self.target.lookup, subset.count_at), terms)
-        if subset_nats is None:
-            subset_nats = scd(self.target, subset.distribution()).nats
-        return subset_nats - corrections + np.log1p(windows / (subset.total + self.alpha_mass))
+    corrections, windows = _block_sums(sequences, target, (target.lookup, subset.count_at), terms)
+    if subset_nats is None:
+        subset_nats = scd(target, subset.distribution()).nats
+    alpha_mass = alpha * float(target.support_size)
+    return subset_nats - corrections + np.log1p(windows / (subset.total + alpha_mass))
 
 
 def _block_sums(sequences: Sequence[LabelSequence], model: Distribution, lookups, term):
@@ -264,27 +253,28 @@ def _block_sums(sequences: Sequence[LabelSequence], model: Distribution, lookups
 
 def _pick_from_bucket(
     sequences: Sequence[LabelSequence],
-    scorer: _IncrementalScorer | None,
     cand_stats: CandidateStats,
     target: Distribution,
     subset_nats: float | None,
 ) -> tuple[int, ScdValue]:
     """Index (within ``sequences``) of the SCD-minimizing addition and its exact SCD.
 
-    ``subset_nats`` is the exact SCD of ``cand_stats``, or None to have the
-    scorer compute it. The first candidate wins ties. The fast scorer's
-    factorization can drift from the from-scratch value by a few ulp, enough
-    to flip exact ties, so near-minimal candidates are re-scored through the
-    exact path before the winner is fixed. Without a scorer (alpha=0) every
-    candidate is.
+    ``subset_nats`` is the exact SCD of ``cand_stats``, or None to have
+    :func:`_fast_scores` compute it. The first candidate wins ties. The fast
+    scores' factorization can drift from the from-scratch value by a few
+    ulp, enough to flip exact ties, so near-minimal candidates are re-scored
+    through the exact path before the winner is fixed. At alpha=0 there is
+    no fast score: every candidate is re-scored, in order, and the first
+    whose addition leaves a target gram uncovered raises
+    :class:`DivergenceUndefinedError`.
     """
-    if scorer is None:
-        finalists = range(len(sequences))
-    else:
-        scores = scorer.score(sequences, cand_stats, subset_nats)
+    if cand_stats.alpha > 0:
+        scores = _fast_scores(sequences, cand_stats, target, subset_nats)
         cutoff = float(scores.min())
         cutoff += 1e-9 * (1.0 + abs(cutoff))
         finalists = np.flatnonzero(scores <= cutoff).tolist()
+    else:
+        finalists = range(len(sequences))
     best_index = 0
     best: ScdValue | None = None
     for position in finalists:
@@ -310,12 +300,17 @@ def select_greedy_scd(
     dropping the last pick leaves the total below the budget. Passes repeat
     until the budget is reached or the pool is used up (a budget equal to the
     pool total can sum one ulp short of it and take the whole pool).
+
+    At alpha=0 the divergence is defined only while the subset covers the
+    target's support, and the first bucket rescores every candidate exactly
+    (see :func:`_pick_from_bucket`). So every candidate of the first bucket
+    must cover the support on its own, or the run raises
+    :class:`DivergenceUndefinedError`; later picks add to a covering subset.
     """
     mean_duration = _check_budget(universal, config) / len(universal)
     target = build_target_distribution(universal, query, config)
     ordered = sort_by_length(universal).sequences
 
-    scorer = _IncrementalScorer(target, config.alpha) if config.alpha > 0 else None
     cand_stats = CandidateStats(config.order, universal.alphabet_size, config.alpha)
     selected: list[LabelSequence] = []
     trace: list[float] = []
@@ -335,9 +330,8 @@ def select_greedy_scd(
             bucket = remaining[start:end]
             # The winner's exact SCD is that of the subset it joins: adding it
             # merges the same counts that scd_incremental merged.
-            chosen, final = _pick_from_bucket(
-                bucket, scorer, cand_stats, target, None if final is None else final.nats
-            )
+            base = None if final is None else final.nats
+            chosen, final = _pick_from_bucket(bucket, cand_stats, target, base)
             cand_stats.add(bucket[chosen].labels)
             selected.append(bucket[chosen])
             trace.append(final.nats)

@@ -103,9 +103,9 @@ class TestPin:
         seen = []
         assign = discretizer._assign
 
-        def recording_assign(features, centroids, threads):
+        def recording_assign(*args):
             seen.append(get())
-            return assign(features, centroids, threads)
+            return assign(*args)
 
         features = np.random.default_rng(0).standard_normal((600, 3))
         with mock.patch.object(discretizer, "_assign", recording_assign):

@@ -103,6 +103,19 @@ class TestTrainKmeans:
                      "--output", str(tmp_path / "labels.txt")]) == 1
         assert capsys.readouterr().err == trained
 
+    @pytest.mark.parametrize("subcommand", ["train-kmeans", "discretize"])
+    @pytest.mark.parametrize("body,fault", [
+        (b"a\ta.wav\nb\tb\xff.wav\n", "not valid UTF-8"),
+        (b"a\ta.wav\n\tb.wav\n", "manifest entry id must be non-empty"),
+    ])
+    def test_manifest_fault_names_file_and_line(self, tmp_path, capsys, subcommand, body, fault):
+        manifest = tmp_path / "m.tsv"
+        manifest.write_bytes(body)
+        model = ["--model", str(tmp_path / "model.json")] if subcommand == "discretize" else []
+        code = main([subcommand, str(manifest), *model, "--output", str(tmp_path / "out")])
+        assert code == 1
+        assert capsys.readouterr().err == f"error: {manifest}:2: {fault}\n"
+
     def test_max_frames_zero_is_usage_error(self, audio_setup, tmp_path):
         with pytest.raises(SystemExit) as exc:
             main(["train-kmeans", audio_setup, "--max-frames", "0",
@@ -178,7 +191,8 @@ class TestDiscretize:
     def test_bad_mfcc_echo_names_model(self, audio_setup, model_path, tmp_path, capsys):
         import json
 
-        payload = json.loads(open(model_path, encoding="utf-8").read())
+        with open(model_path, encoding="utf-8") as handle:
+            payload = json.load(handle)
         payload["config_echo"]["mfcc"]["frame_length_ms"] = float("inf")
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(payload), encoding="utf-8")

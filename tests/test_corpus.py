@@ -250,6 +250,15 @@ class TestManifest:
         with pytest.raises(CorpusFormatError, match=":1:"):
             load_audio_manifest(path)
 
+    def test_crlf_lines_load(self, tmp_path):
+        path = tmp_path / "m.tsv"
+        path.write_bytes(b"a\t/x/a.wav\r\n\r\nb\t/x/b.wav\r\n")
+        manifest = load_audio_manifest(path)
+        assert manifest.entries == (
+            ManifestEntry(id="a", audio_path="/x/a.wav"),
+            ManifestEntry(id="b", audio_path="/x/b.wav"),
+        )
+
     def test_empty_path_rejected(self):
         with pytest.raises(ValueError, match="empty audio path"):
             AudioManifest(entries=(ManifestEntry(id="a", audio_path=""),))

@@ -254,6 +254,30 @@ class TestDiscretizeManifest:
         assert corpus.ids == ("utt0", "utt1")
         assert any("missing" in m for m in caplog.messages)
 
+    @pytest.mark.parametrize("threads", [1, 2])
+    def test_bad_entry_stops_the_run(self, setup, monkeypatch, threads):
+        # The 4th of 40 entries is unreadable: only the three before it and
+        # the entries submitted ahead of it (4 per thread) may run an MFCC.
+        manifest, model, config, tmp_path = setup
+        garbage = tmp_path / "garbage.wav"
+        garbage.write_bytes(b"not a wav file")
+        paths = [manifest.entries[0].audio_path] * 40
+        paths[3] = str(garbage)
+        many = AudioManifest(
+            entries=tuple(ManifestEntry(id=f"u{i}", audio_path=p) for i, p in enumerate(paths))
+        )
+        calls = []
+        real_mfcc = discretizer.compute_mfcc
+
+        def counting_mfcc(samples, config):
+            calls.append(1)
+            return real_mfcc(samples, config)
+
+        monkeypatch.setattr(discretizer, "compute_mfcc", counting_mfcc)
+        with pytest.raises(AudioError, match=f"^utterance 'u3': {garbage}: cannot read WAV"):
+            discretize_manifest(many, model, config, max_workers=threads)
+        assert len(calls) <= 3 + 4 * threads
+
     def test_duplicate_manifest_id_rejected_upfront(self):
         with pytest.raises(ValueError, match="duplicate"):
             AudioManifest(

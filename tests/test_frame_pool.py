@@ -222,7 +222,8 @@ class TestPoolErrors:
         manifest = write_manifest(tmp_path / "m.tsv", [entries["good"]])
         code = main(["train-kmeans", manifest, "--k", "2", "--output", str(tmp_path / "model.json")])
         assert code == 1
-        assert capsys.readouterr().err == f"error: {entries['good']}: file changed while it was read\n"
+        expected = f"error: utterance 'utt0': {entries['good']}: file changed while it was read\n"
+        assert capsys.readouterr().err == expected
 
 
     def test_count_pass_converts_no_samples(self, entries, tmp_path, monkeypatch):
@@ -383,5 +384,5 @@ class TestMapManifestWindow:
             return index
 
         assert map_manifest(lambda entry: entry.id, manifest_of(50), threads) == [f"u{i}" for i in range(50)]
-        with pytest.raises(AudioError, match="^u40$"):
+        with pytest.raises(AudioError, match="^utterance 'u40': u40$"):
             map_manifest(function, manifest_of(100), threads)

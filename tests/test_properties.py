@@ -94,7 +94,7 @@ def test_bucket_scores_match_incremental(data):
     # Tiny blocks also exercise the per-block path of the scorer.
     block_windows = data.draw(st.sampled_from([1, 5, 1 << 16]), label="block_windows")
     with mock.patch.object(selection, "_BLOCK_WINDOWS", block_windows):
-        scores = selection._IncrementalScorer(target, alpha).score(bucket.sequences, subset)
+        scores = selection._fast_scores(bucket.sequences, subset, target)
     for seq, fast in zip(bucket, scores):
         exact = scd_incremental(subset, seq, target).nats
         assert abs(fast - exact) <= 1e-10 * (1.0 + abs(exact))
@@ -111,7 +111,7 @@ def test_bucket_scores_at_the_int64_key_limit():
     target = interpolate(count_ngrams(query, 2, 0.5), count_ngrams(pool, 2, 0.5), 0.3)
     subset = CandidateStats(2, k, 0.5)
     subset.add(seqs[3])
-    scores = selection._IncrementalScorer(target, 0.5).score(pool.sequences, subset)
+    scores = selection._fast_scores(pool.sequences, subset, target)
     for seq, fast in zip(pool, scores):
         exact = scd_incremental(subset, seq, target).nats
         assert math.isfinite(exact)

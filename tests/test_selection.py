@@ -199,8 +199,10 @@ class TestGreedy:
             select_greedy_scd(universal, make_corpus([], 2), SelectionConfig(budget_c=1))
 
     def test_alpha_zero_covering_candidates(self):
-        # With alpha=0 the run stays finite only while some candidate in each
-        # bucket covers the target support; here u2=[0,1] does.
+        # With alpha=0 greedy rescores every candidate of the first bucket
+        # exactly, in sorted order, and the first one that leaves a target
+        # gram uncovered raises: u1=[0,0] comes before u2=[0,1], which covers
+        # the target. Once every candidate covers it, u2 is picked.
         universal = make_corpus([[0, 1], [0, 0]], 2, ids=["u2", "u1"])
         query = make_corpus([[0, 1, 0, 1]], 2, ids=["q"])
         config = SelectionConfig(budget_c=1, lam=1.0, alpha=0.0)
@@ -612,8 +614,8 @@ class TestSubsetScdReuse:
 
         pick = selection._pick_from_bucket
 
-        def fresh_base(sequences, scorer, cand_stats, target, subset_nats):
-            return pick(sequences, scorer, cand_stats, target, None)
+        def fresh_base(sequences, cand_stats, target, subset_nats):
+            return pick(sequences, cand_stats, target, None)
 
         with mock.patch.object(selection, "_pick_from_bucket", fresh_base):
             fresh = select_greedy_scd(universal, query, config)
@@ -626,7 +628,7 @@ class TestSubsetScdReuse:
         target = build_target_distribution(universal, query, config)
         subset = CandidateStats(2, 4, config.alpha)
         subset.add(universal.sequences[0].labels)
-        scorer = selection._IncrementalScorer(target, config.alpha)
         base = scd(target, subset.distribution()).nats
         sequences = universal.sequences[1:]
-        assert scorer.score(sequences, subset).tobytes() == scorer.score(sequences, subset, base).tobytes()
+        fresh = selection._fast_scores(sequences, subset, target)
+        assert fresh.tobytes() == selection._fast_scores(sequences, subset, target, base).tobytes()
