@@ -57,8 +57,8 @@ LABEL_DTYPE = np.int32
 _CHUNK_BYTES = 1 << 18
 _MAX_LOAD_WORKERS = 4
 
-# Utterances formatted per write, and the most rows of a writer's token
-# table indexed by label value (beyond it, rows hold the distinct labels).
+# Utterances formatted per write, and the most label values whose text the
+# writer keeps in a list (when any label is larger, labels go through ``str``).
 _WRITE_CHUNK_UTTS = 4096
 _TOKEN_TABLE_ROWS = 1 << 16
 
@@ -488,55 +488,31 @@ def save_label_corpus(
 
     ``comments`` become extra ``#``-prefixed lines between the header and the
     body; they are skipped on load and must not contain tabs or newlines.
-    Labels are formatted in bulk, ``_WRITE_CHUNK_UTTS`` utterances at a time,
-    by gathering rows of an ASCII token table.
+    The body is written ``_WRITE_CHUNK_UTTS`` records at a time, each chunk
+    joined into one string. Labels below ``_TOKEN_TABLE_ROWS`` take their
+    text from a list indexed by label value; larger labels are formatted
+    with ``str``.
     """
     path = Path(path)
     for comment in comments:
         if "\t" in comment or "\n" in comment:
             raise ValueError("header comments must not contain tabs or newlines")
-    table, token_len, codes = _token_table(corpus.labels)
-    token_bytes = np.arange(table.shape[1]) < token_len[:, None]
-    with path.open("wb") as handle:
-        handle.write(f"#K={corpus.alphabet_size}\n".encode())
+    labels = corpus.labels
+    top = int(labels.max(initial=0)) + 1
+    token = [str(value) for value in range(top)].__getitem__ if top <= _TOKEN_TABLE_ROWS else str
+    with path.open("w", encoding="utf-8", newline="\n") as handle:
+        handle.write(f"#K={corpus.alphabet_size}\n")
         for comment in comments:
-            handle.write(f"#{comment}\n".encode())
+            handle.write(f"#{comment}\n")
         for first in range(0, len(corpus), _WRITE_CHUNK_UTTS):
             rows = slice(first, first + _WRITE_CHUNK_UTTS)
-            lengths = corpus.lengths[rows]
-            offsets = np.cumsum(lengths) - lengths
-            # Where in ``labels`` each label of these utterances sits, in output order.
-            positions = np.arange(lengths.sum()) + np.repeat(corpus.starts[rows] - offsets, lengths)
-            tokens = codes[positions]
-            widths = token_len[tokens]
-            text = np.take(table, tokens, axis=0)[np.take(token_bytes, tokens, axis=0)]
-            body = memoryview(text.tobytes())
-            byte_ends = np.concatenate(([0], np.cumsum(widths)))
-            line_starts = byte_ends[offsets]
-            # An utterance's labels end before its last token's space.
-            line_ends = np.maximum(byte_ends[offsets + lengths] - 1, line_starts)
-            parts = []
-            for utt_id, duration, start, end in zip(
-                corpus.ids[rows], corpus.durations[rows].tolist(), line_starts.tolist(), line_ends.tolist()
-            ):
-                parts += (f"{utt_id}\t{duration!r}\t".encode(), body[start:end], b"\n")
-            handle.write(b"".join(parts))
-
-
-def _token_table(labels: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """ASCII ``"<label> "`` rows (uint8, zero-padded), their lengths, and each label's row.
-
-    Rows cover ``0 .. max(labels)``, or only the distinct labels when that
-    range is large.
-    """
-    top = int(labels.max(initial=0)) + 1
-    if top <= _TOKEN_TABLE_ROWS:
-        values, codes = range(top), labels
-    else:
-        values, codes = np.unique(labels, return_inverse=True)
-        values = values.tolist()
-    text = np.array([f"{value} " for value in values], dtype=bytes)
-    return text.view(np.uint8).reshape(len(text), -1), np.char.str_len(text), codes
+            ends = (corpus.starts[rows] + corpus.lengths[rows]).tolist()
+            handle.write("".join(
+                f"{utt_id}\t{duration!r}\t{' '.join(map(token, labels[start:end].tolist()))}\n"
+                for utt_id, duration, start, end in zip(
+                    corpus.ids[rows], corpus.durations[rows].tolist(), corpus.starts[rows].tolist(), ends
+                )
+            ))
 
 
 def sort_by_length(corpus: LabelCorpus) -> LabelCorpus:
@@ -562,6 +538,7 @@ def load_audio_manifest(path: str | Path) -> AudioManifest:
     """Read ``<id>\\t<path>`` lines, ended by LF, CRLF or CR; a bad line is named by number."""
     path = Path(path)
     entries: list[ManifestEntry] = []
+    seen: set[str] = set()
     # Undecodable bytes become lone surrogates, which no valid line holds.
     with path.open("r", encoding="utf-8", errors="surrogateescape") as handle:
         for lineno, line in enumerate(handle, start=1):
@@ -575,10 +552,13 @@ def load_audio_manifest(path: str | Path) -> AudioManifest:
             fields = line.split("\t")
             if len(fields) != 2:
                 raise CorpusFormatError(f"{path}:{lineno}: expected '<id>\\t<path>', got {len(fields)} fields")
-            if not fields[0]:
+            utt_id, audio_path = fields
+            if not utt_id:
                 raise CorpusFormatError(f"{path}:{lineno}: manifest entry id must be non-empty")
-            entries.append(ManifestEntry(id=fields[0], audio_path=fields[1]))
-    try:
-        return AudioManifest(entries=tuple(entries))
-    except ValueError as exc:
-        raise CorpusFormatError(f"{path}: {exc}") from None
+            if utt_id in seen:
+                raise CorpusFormatError(f"{path}:{lineno}: duplicate manifest id {utt_id!r}")
+            if not audio_path:
+                raise CorpusFormatError(f"{path}:{lineno}: manifest entry {utt_id!r}: empty audio path")
+            seen.add(utt_id)
+            entries.append(ManifestEntry(id=utt_id, audio_path=audio_path))
+    return AudioManifest(entries=tuple(entries))

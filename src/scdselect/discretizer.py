@@ -15,26 +15,28 @@ the bytes of the unblocked computation:
 
 - ``np.sum((x - c) ** 2, axis=1)`` reduces each row on its own, so a block
   of rows gets the values that all rows at once get.
-- k-means++ needs ``np.minimum(d2, exact)`` per row after each draw. The
-  norm expansion ``approx = |x|^2 + |c|^2 - 2 x.c`` (one matrix-vector
-  product) errs by at most about ``4 * dim * 1.1e-16`` of
-  ``|x|^2 + |c|^2`` (2e-14 at dim 39), far below the margin
-  ``1e-9 * (|x|^2 + |c|^2)``, so a row with ``approx - margin >= d2`` has
-  ``exact >= d2`` and keeps ``d2``. Only the other rows, about 2% per draw
-  on MFCC frames, get the exact distance. The draws are unchanged.
-- The assignment labels a row with the centroid at the least exact
-  distance ``e = np.sum((x - c) ** 2)``, the lowest index on ties. It
-  screens a row block with one BLAS product, ``s = |c|^2 - 2 x.c``, and its
-  argmin. That product may round differently with the block's shape or the
-  BLAS kernel, but in any summation order ``s`` is within
-  ``(dim + 1) * 2**-52 * N`` of its exact value, and ``e`` within
-  ``(dim + 2) * 2**-52 * N`` of the true distance, where
-  ``N = |x|^2 + max |c|^2``. The margin ``8 * (dim + 1) * 2**-52 * N``
-  exceeds those errors on two centroids, ``(4 * dim + 6) * 2**-52 * N``,
-  with room for its own rounding, so when the runner-up is screened more
-  than the margin above the argmin, the argmin has the strictly least
-  ``e``. The other rows are confirmed: each gets the exact distance to
-  every centroid screened within the margin, which by the same bound holds
+- Both k-means screens use the norm expansion and one rounding bound. Let
+  ``e = np.sum((x - c) ** 2)`` be the exact distance and ``N`` at least
+  ``|x|^2 + |c|^2``. In any summation order, ``approx = |x|^2 + |c|^2 -
+  2 x.c`` and the screen ``s = |c|^2 - 2 x.c`` are within
+  ``(dim + 2) * 2**-52 * N`` of their exact values, and so is ``e`` of the
+  true distance. The margin ``m = 8 * (dim + 1) * 2**-52 * N`` exceeds four
+  such errors, ``(4 * dim + 8) * 2**-52 * N``, with room for its own
+  rounding: k-means++ weighs the errors of two values against it
+  (``approx`` and ``e``), the assignment those of four (``s`` and ``e`` of
+  two centroids).
+- k-means++ needs ``np.minimum(d2, e)`` per row after each draw, with
+  ``N = |x|^2 + |c|^2`` for the drawn centre ``c``. One matrix-vector
+  product gives ``approx``; a row with ``approx - m >= d2`` has
+  ``e >= d2`` and keeps ``d2``. Only the other rows, about 2% per draw on
+  MFCC frames, get ``e``. The draws are unchanged.
+- The assignment labels a row with the centroid at the least ``e``, the
+  lowest index on ties, with ``N = |x|^2 + max |c|^2``. It screens a row
+  block with one BLAS product and its argmin. That product may round
+  differently with the block's shape or the BLAS kernel, but when the
+  runner-up is screened more than ``m`` above the argmin, the argmin has
+  the strictly least ``e``. The other rows are confirmed: each gets ``e``
+  to every centroid screened within ``m``, which by the same bound holds
   the least ``e``, one (row, centroid) pair per ``_sq_dist`` row. A label
   thus depends only on the row and the centroids, whatever the blocking,
   thread count or BLAS; the inertia is ``np.sum`` of the exact minima, in
@@ -96,8 +98,8 @@ LOG_FLOOR = 1e-10
 # row block of the assignment.
 _BLOCK = 2048
 _BLOCK_CELLS = 2**17
-# Rounding margin of the assignment's screen, in units of
-# (dim + 1) * 2**-52 * (|x|^2 + max |c|^2); see the module docstring.
+# Rounding margin of both k-means screens, in units of (dim + 1) * 2**-52 * N;
+# see the module docstring.
 _MARGIN_UNITS = 8
 # Frames per block of the MFCC spectrum pass; feature columns copied out at a
 # time for the centroid sums.
@@ -351,16 +353,12 @@ def _assign(
             if doubt.size:
                 close = screen[doubt] <= limit[doubt, None]
                 close[np.arange(doubt.size), nearest[doubt]] = True
+                # Exact distances of the close pairs; argmin takes the lowest index among the least.
+                pair_d2 = np.full(close.shape, np.inf)
                 pair_row, pair_centre = np.nonzero(close)
-                pair_d2 = _sq_dist(x, doubt[pair_row], centroids, pair_centre)
-                # Pairs run by row, then centre: each row's first pair at the
-                # row's least exact distance has the lowest index.
-                row_start = np.flatnonzero(np.diff(pair_row, prepend=-1))
-                least = np.minimum.reduceat(pair_d2, row_start)
-                hits = np.flatnonzero(pair_d2 == least[pair_row])
-                first = hits[np.flatnonzero(np.diff(pair_row[hits], prepend=-1))]
-                nearest[doubt] = pair_centre[first]
-                exact[doubt] = least
+                pair_d2[pair_row, pair_centre] = _sq_dist(x, doubt[pair_row], centroids, pair_centre)
+                nearest[doubt] = np.argmin(pair_d2, axis=1)
+                exact[doubt] = pair_d2.min(axis=1)
             labels[start : start + x.shape[0]] = nearest
             sq_dists[start : start + x.shape[0]] = exact
 
@@ -374,7 +372,7 @@ def _kmeanspp_init(features: np.ndarray, k: int, rng: np.random.Generator) -> np
     After each draw only the rows that the new centre might bring closer get
     their exact distance (see the module docstring).
     """
-    n = features.shape[0]
+    n, dim = features.shape
     chosen = np.empty(k, dtype=np.int64)
     chosen[0] = rng.integers(n)
     d2 = _sq_dist(features, np.arange(n), features, chosen[0])
@@ -396,7 +394,7 @@ def _kmeanspp_init(features: np.ndarray, k: int, rng: np.random.Generator) -> np
         np.matmul(features, features[centre], out=approx)
         approx *= -2.0
         approx += margin
-        margin *= 1e-9
+        margin *= _MARGIN_UNITS * (dim + 1) * 2.0**-52
         approx -= margin
         # Rows failing approx - margin >= d2; NaN and inf fail it too.
         np.greater_equal(approx, d2, out=mask)

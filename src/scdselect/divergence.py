@@ -108,7 +108,7 @@ class CandidateStats:
     """Mutable gram counts for a growing candidate subset.
 
     ``codes`` (sorted gram codes) and ``code_counts`` are replaced, never
-    written in place, so copies may share them. One instance per worker:
+    written in place, so instances may share them. One instance per worker:
     concurrent mutation is not synchronized here.
     """
 
@@ -139,16 +139,6 @@ class CandidateStats:
         """Subset count of each gram code in ``codes`` (zero where unseen)."""
         return values_at(self.codes, self.code_counts, codes, 0)
 
-    def copy(self) -> "CandidateStats":
-        return CandidateStats(
-            order=self.order,
-            alphabet_size=self.alphabet_size,
-            alpha=self.alpha,
-            codes=self.codes,
-            code_counts=self.code_counts,
-            total=self.total,
-        )
-
     def distribution(self) -> Distribution:
         return smoothed_distribution(
             self.order, self.alphabet_size, self.codes, self.code_counts, self.total, self.alpha
@@ -171,6 +161,7 @@ def scd_incremental(
     ``base`` is left untouched; the result is exactly what a from-scratch
     recount of the extended subset would give.
     """
-    merged = base.copy()
+    # The class is named, not type(base), so a subclass's add is not run here.
+    merged = CandidateStats(base.order, base.alphabet_size, base.alpha, base.codes, base.code_counts, base.total)
     merged.add(addition)
     return scd(query, merged.distribution())

@@ -1,3 +1,4 @@
+import dataclasses
 import subprocess
 import sys
 from unittest import mock
@@ -42,6 +43,14 @@ class TestTrainKmeans:
         assert main(["train-kmeans"] + argv + [str(m2)]) == 0
         bytes1 = m1.read_bytes()
         assert bytes1.replace(str(m1).encode(), b"") == m2.read_bytes().replace(str(m2).encode(), b"")
+
+    def test_empty_manifest_fails(self, tmp_path, capsys):
+        manifest = tmp_path / "empty.tsv"
+        manifest.write_text("\n", encoding="utf-8")
+        code = main(["train-kmeans", str(manifest), "--output", str(tmp_path / "m.json")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: manifest is empty; nothing to train on\n"
+        assert not (tmp_path / "m.json").exists()
 
     def test_k_exceeds_frames(self, audio_setup, tmp_path, capsys):
         # The manifest holds 36 + 48 + 61 = 145 frames.
@@ -107,6 +116,8 @@ class TestTrainKmeans:
     @pytest.mark.parametrize("body,fault", [
         (b"a\ta.wav\nb\tb\xff.wav\n", "not valid UTF-8"),
         (b"a\ta.wav\n\tb.wav\n", "manifest entry id must be non-empty"),
+        (b"a\ta.wav\na\tb.wav\n", "duplicate manifest id 'a'"),
+        (b"a\ta.wav\nb\t\n", "manifest entry 'b': empty audio path"),
     ])
     def test_manifest_fault_names_file_and_line(self, tmp_path, capsys, subcommand, body, fault):
         manifest = tmp_path / "m.tsv"
@@ -200,6 +211,23 @@ class TestDiscretize:
                      "--output", str(tmp_path / "c.labels")])
         assert code == 1
         assert "bad.json: bad MFCC config echo" in capsys.readouterr().err
+
+    def test_model_without_mfcc_echo_uses_defaults(self, audio_setup, model_path, tmp_path, caplog):
+        import json
+
+        with open(model_path, encoding="utf-8") as handle:
+            payload = json.load(handle)
+        # The model was trained with the default MFCC config.
+        assert payload["config_echo"].pop("mfcc") == dataclasses.asdict(discretizer.MfccConfig())
+        bare = tmp_path / "bare.json"
+        bare.write_text(json.dumps(payload), encoding="utf-8")
+        with_echo, without = tmp_path / "echo.labels", tmp_path / "bare.labels"
+        assert main(["discretize", audio_setup, "--model", model_path, "--output", str(with_echo)]) == 0
+        assert not any("MFCC config" in m for m in caplog.messages)
+        with caplog.at_level("WARNING"):
+            assert main(["discretize", audio_setup, "--model", str(bare), "--output", str(without)]) == 0
+        assert "model file carries no MFCC config; using defaults" in caplog.messages
+        assert load_label_corpus(without).sequences == load_label_corpus(with_echo).sequences
 
     @pytest.mark.parametrize("text", ['{"k": 2}', "{not json"])
     def test_malformed_model_file_runtime_error(self, audio_setup, tmp_path, capsys, text):

@@ -166,6 +166,13 @@ class TestRoundTrip:
         save_label_corpus(tiny_corpus, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
+    @pytest.mark.parametrize("comment", ["a\tb", "a\nb"])
+    def test_comment_with_tab_or_newline_rejected(self, tmp_path, tiny_corpus, comment):
+        path = tmp_path / "c.labels"
+        with pytest.raises(ValueError, match="header comments must not contain tabs or newlines"):
+            save_label_corpus(tiny_corpus, path, comments=["ok", comment])
+        assert not path.exists()
+
     def test_save_io_failure_raises(self, tmp_path, tiny_corpus):
         with pytest.raises(OSError):
             save_label_corpus(tiny_corpus, tmp_path)  # path is a directory

@@ -18,6 +18,7 @@ from scdselect.discretizer import (
     load_kmeans_model,
     num_frames,
     read_wav_mono,
+    read_wav_pcm16,
     save_kmeans_model,
     train_kmeans,
 )
@@ -318,6 +319,17 @@ class TestReadWav:
             handle.writeframes(pcm.tobytes())
         with pytest.raises(AudioError, match="mono"):
             read_wav_mono(path, 16000)
+
+    def test_8bit_rejected_names_file(self, tmp_path):
+        path = tmp_path / "b.wav"
+        with wave.open(str(path), "wb") as handle:
+            handle.setnchannels(1)
+            handle.setsampwidth(1)
+            handle.setframerate(16000)
+            handle.writeframes(bytes(range(100)))
+        with pytest.raises(AudioError) as exc:
+            read_wav_pcm16(path, 16000)
+        assert str(exc.value) == f"{path}: expected 16-bit PCM, got 8-bit"
 
     def test_round_trip_values(self, tmp_path):
         path = tmp_path / "r.wav"
