@@ -19,12 +19,11 @@ import logging
 import math
 import sys
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import __version__
-from .corpus import load_audio_manifest, load_label_corpus, save_label_corpus
+from .corpus import LabelCorpus, load_audio_manifest, load_label_corpus, save_label_corpus
 from .discretizer import (
     AudioError,
     MfccConfig,
@@ -320,12 +319,7 @@ def cmd_discretize(args: argparse.Namespace) -> int:
         mfcc_config = MfccConfig()
         logger.warning("model file carries no MFCC config; using defaults")
     corpus = discretize_manifest(
-        manifest,
-        model,
-        mfcc_config,
-        skip_bad=args.skip_bad,
-        max_workers=args.threads,
-        source_tag=Path(args.manifest).name,
+        manifest, model, mfcc_config, skip_bad=args.skip_bad, max_workers=args.threads
     )
     save_label_corpus(corpus, args.output, comments=[f"cfg={run_config.to_json()}"])
     print(f"wrote {len(corpus)} utterances (K={corpus.alphabet_size}) to {args.output}")
@@ -341,15 +335,21 @@ def cmd_ngram_stats(args: argparse.Namespace) -> int:
     return 0
 
 
-def cmd_scd(args: argparse.Namespace) -> int:
-    run_config = RunConfig.from_args(args)
-    corpus_x = load_label_corpus(args.corpus_x)
-    corpus_y = load_label_corpus(args.corpus_y)
+def _load_pair(path_x: str, path_y: str) -> tuple[LabelCorpus, LabelCorpus]:
+    """Two label corpora over one alphabet; a mismatch names both files."""
+    corpus_x = load_label_corpus(path_x)
+    corpus_y = load_label_corpus(path_y)
     if corpus_x.alphabet_size != corpus_y.alphabet_size:
         raise ValueError(
-            f"alphabet mismatch: {args.corpus_x} has K={corpus_x.alphabet_size}, "
-            f"{args.corpus_y} has K={corpus_y.alphabet_size}"
+            f"alphabet mismatch: {path_x} has K={corpus_x.alphabet_size}, "
+            f"{path_y} has K={corpus_y.alphabet_size}"
         )
+    return corpus_x, corpus_y
+
+
+def cmd_scd(args: argparse.Namespace) -> int:
+    run_config = RunConfig.from_args(args)
+    corpus_x, corpus_y = _load_pair(args.corpus_x, args.corpus_y)
     stats_x = prune(count_ngrams(corpus_x, args.order, args.alpha), args.prune_min_count)
     stats_y = prune(count_ngrams(corpus_y, args.order, args.alpha), args.prune_min_count)
     value = scd(stats_x.distribution(), stats_y.distribution())
@@ -361,8 +361,7 @@ def cmd_scd(args: argparse.Namespace) -> int:
 
 def cmd_select(args: argparse.Namespace) -> int:
     run_config = RunConfig.from_args(args)
-    universal = load_label_corpus(args.universal)
-    query = load_label_corpus(args.query)
+    universal, query = _load_pair(args.universal, args.query)
     config = SelectionConfig(
         budget_c=args.budget_count,
         duration_budget_s=args.budget_seconds,

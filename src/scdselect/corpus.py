@@ -77,26 +77,6 @@ def _as_label_array(labels) -> np.ndarray:
     return arr
 
 
-def _tiled_labels(arrays: list[np.ndarray], lengths: np.ndarray) -> np.ndarray | None:
-    """One view spanning ``arrays`` when they tile one buffer in order, else None.
-
-    The non-empty arrays must be contiguous views of one base, each starting
-    where the one before it ends; empty arrays hold no labels and are skipped.
-    """
-    filled = [array for array in arrays if array.size]
-    if not filled:
-        return None
-    base = filled[0].base
-    if base is None or any(array.base is not base or not array.flags.c_contiguous for array in filled):
-        return None
-    itemsize = filled[0].itemsize
-    addresses = np.array([array.ctypes.data for array in filled], dtype=np.uint64)
-    ends = addresses + lengths[lengths > 0].astype(np.uint64) * np.uint64(itemsize)
-    if not np.array_equal(addresses[1:], ends[:-1]):
-        return None
-    return np.lib.stride_tricks.as_strided(filled[0], shape=(int(lengths.sum()),), strides=(itemsize,))
-
-
 @dataclass(frozen=True, eq=False, slots=True)
 class LabelSequence:
     """One utterance as an ordered run of integer cluster labels.
@@ -171,28 +151,23 @@ class LabelCorpus:
     ``sequences`` presents the utterances as :class:`LabelSequence` views into
     ``labels``.
 
-    The constructor packs ``sequences`` into these columns and checks that ids
-    are unique and every label lies in ``[0, alphabet_size)``. When the
-    sequences' labels are back-to-back views of one array, ``labels`` is a
-    view of that array, not a copy.
+    The constructor copies the labels of ``sequences`` into one new
+    ``labels`` column and checks that ids are unique and every label lies in
+    ``[0, alphabet_size)``.
     """
 
     __slots__ = (
-        "alphabet_size", "source_tag", "labels", "starts", "lengths", "ids", "durations",
-        "_sequences",
+        "alphabet_size", "labels", "starts", "lengths", "ids", "durations", "_sequences",
     )
 
-    def __init__(self, alphabet_size: int, sequences: Iterable[LabelSequence], source_tag: str = ""):
+    def __init__(self, alphabet_size: int, sequences: Iterable[LabelSequence]):
         if alphabet_size < 1:
             raise ValueError("alphabet_size must be >= 1")
         sequences = tuple(sequences)
         ids = tuple(seq.id for seq in sequences)
         _check_unique(ids)
         lengths = np.array([len(seq) for seq in sequences], dtype=np.int64)
-        arrays = [seq.labels for seq in sequences]
-        labels = _tiled_labels(arrays, lengths)
-        if labels is None:
-            labels = np.concatenate(arrays or [np.empty(0, LABEL_DTYPE)])
+        labels = np.concatenate([seq.labels for seq in sequences] or [np.empty(0, LABEL_DTYPE)])
         if labels.size and (labels.min() < 0 or labels.max() >= alphabet_size):
             position = int(np.argmax((labels < 0) | (labels >= alphabet_size)))
             owner = int(np.searchsorted(np.cumsum(lengths), position, side="right"))
@@ -201,13 +176,10 @@ class LabelCorpus:
                 f"outside [0, {alphabet_size})"
             )
         durations = np.array([seq.duration_s for seq in sequences], dtype=np.float64)
-        self._assign(
-            alphabet_size, source_tag, labels, np.cumsum(lengths) - lengths, lengths, ids, durations
-        )
+        self._assign(alphabet_size, labels, np.cumsum(lengths) - lengths, lengths, ids, durations)
 
-    def _assign(self, alphabet_size, source_tag, labels, starts, lengths, ids, durations) -> None:
+    def _assign(self, alphabet_size, labels, starts, lengths, ids, durations) -> None:
         self.alphabet_size = alphabet_size
-        self.source_tag = source_tag
         self.labels, self.starts, self.lengths, self.durations = labels, starts, lengths, durations
         for column in (labels, starts, lengths, durations):
             column.flags.writeable = False
@@ -243,11 +215,7 @@ class LabelCorpus:
     def __eq__(self, other) -> bool:
         if not isinstance(other, LabelCorpus):
             return NotImplemented
-        return (
-            self.alphabet_size == other.alphabet_size
-            and self.source_tag == other.source_tag
-            and self.sequences == other.sequences
-        )
+        return self.alphabet_size == other.alphabet_size and self.sequences == other.sequences
 
     @property
     def total_frames(self) -> int:
@@ -296,7 +264,7 @@ class AudioManifest:
         return iter(self.entries)
 
 
-def load_label_corpus(path: str | Path, source_tag: str | None = None) -> LabelCorpus:
+def load_label_corpus(path: str | Path) -> LabelCorpus:
     """Read a label-corpus file, preserving record order exactly.
 
     The body is read in line-aligned chunks of about ``_CHUNK_BYTES`` on this
@@ -368,9 +336,8 @@ def load_label_corpus(path: str | Path, source_tag: str | None = None) -> LabelC
                 lineno += len(lines)
     labels.resize(filled, refcheck=False)
     length_column = np.array(lengths, dtype=np.int64)
-    tag = source_tag if source_tag is not None else path.name
     return LabelCorpus._from_columns(
-        alphabet_size, tag, labels, np.cumsum(length_column) - length_column, length_column,
+        alphabet_size, labels, np.cumsum(length_column) - length_column, length_column,
         tuple(ids), np.array(durations, dtype=np.float64),
     )
 
@@ -525,7 +492,6 @@ def sort_by_length(corpus: LabelCorpus) -> LabelCorpus:
     order = by_id[np.argsort(corpus.lengths[by_id], kind="stable")]
     return LabelCorpus._from_columns(
         corpus.alphabet_size,
-        corpus.source_tag,
         corpus.labels,
         corpus.starts[order],
         corpus.lengths[order],

@@ -7,11 +7,10 @@ Externally produced label files bypass this module entirely.
 Everything here is deterministic given (audio bytes, seed, config).
 
 K-means runs in bounded working memory. Besides the n x dim input,
-:func:`train_kmeans` holds ``_SUM_COLUMNS`` feature columns for the centroid
-sums, a few length-n vectors, and temporaries of at most ``_BLOCK`` rows x
-dim, or ``_BLOCK_CELLS`` distances per assignment thread; no step allocates
-an n x dim or n x k temporary. Where a step works row by row, blocking keeps
-the bytes of the unblocked computation:
+:func:`train_kmeans` holds a few length-n vectors and temporaries of at
+most ``_BLOCK`` rows x dim, or ``_BLOCK_CELLS`` distances per assignment
+thread; no step allocates an n x dim or n x k temporary. Where a step
+works row by row, blocking keeps the bytes of the unblocked computation:
 
 - ``np.sum((x - c) ** 2, axis=1)`` reduces each row on its own, so a block
   of rows gets the values that all rows at once get.
@@ -101,10 +100,8 @@ _BLOCK_CELLS = 2**17
 # Rounding margin of both k-means screens, in units of (dim + 1) * 2**-52 * N;
 # see the module docstring.
 _MARGIN_UNITS = 8
-# Frames per block of the MFCC spectrum pass; feature columns copied out at a
-# time for the centroid sums.
+# Frames per block of the MFCC spectrum pass.
 _MFCC_BLOCK = 64
-_SUM_COLUMNS = 4
 
 
 class AudioError(RuntimeError):
@@ -434,18 +431,12 @@ def train_kmeans(
     with _one_blas_thread:
         pool = _BufferPool()
         centroids = _kmeanspp_init(features, k, np.random.default_rng(seed))
-        # bincount reads its weights as one contiguous column, so the columns
-        # are copied out a few at a time.
-        columns = np.empty((min(dim, _SUM_COLUMNS), n))
         iterations = 0
         for _ in range(max_iters):
             labels, sq_dists = _assign(features, centroids, threads, pool)
             sums = np.empty((k, dim))
-            for first in range(0, dim, _SUM_COLUMNS):
-                block = columns[: min(dim - first, _SUM_COLUMNS)]
-                np.copyto(block, features[:, first : first + block.shape[0]].T)
-                for j, column in enumerate(block, start=first):
-                    sums[:, j] = np.bincount(labels, weights=column, minlength=k)
+            for j in range(dim):
+                sums[:, j] = np.bincount(labels, weights=features[:, j], minlength=k)
             sizes = np.bincount(labels, minlength=k)
             empty = np.nonzero(sizes == 0)[0]
             if empty.size:
@@ -721,7 +712,6 @@ def discretize_manifest(
     config: MfccConfig,
     skip_bad: bool = False,
     max_workers: int = 1,
-    source_tag: str = "discretized",
 ) -> LabelCorpus:
     """One label sequence per manifest entry, in manifest order.
 
@@ -751,8 +741,4 @@ def discretize_manifest(
         else:
             sequences.append(result)
 
-    return LabelCorpus(
-        alphabet_size=model.k,
-        sequences=tuple(sequences),
-        source_tag=source_tag,
-    )
+    return LabelCorpus(alphabet_size=model.k, sequences=sequences)

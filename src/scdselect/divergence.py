@@ -25,6 +25,7 @@ from .corpus import LabelSequence
 from .ngram import (
     Distribution,
     GramCounts,
+    check_alpha,
     check_encodable,
     code_positions,
     decode_gram,
@@ -120,6 +121,7 @@ class CandidateStats:
     total: int = 0
 
     def __post_init__(self):
+        check_alpha(self.alpha)
         check_encodable(self.alphabet_size, self.order)
 
     @property

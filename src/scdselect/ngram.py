@@ -19,6 +19,7 @@ alpha > 0.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -63,6 +64,12 @@ def check_encodable(alphabet_size: int, order: int) -> None:
             f"{alphabet_size}**{order} grams, more than int64 gram codes can hold "
             "(limit 2**62); use a lower order or a smaller alphabet"
         )
+
+
+def check_alpha(alpha: float) -> None:
+    """Raise ValueError unless the smoothing alpha is finite and >= 0."""
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ValueError(f"smoothing alpha must be finite and >= 0, got {alpha!r}")
 
 
 def _radix(alphabet_size: int, order: int) -> np.ndarray:
@@ -337,8 +344,7 @@ class NGramStats:
             raise ValueError(f"order must be >= 1, got {self.order}")
         if self.alphabet_size < 1:
             raise ValueError("alphabet_size must be >= 1")
-        if self.smoothing_alpha < 0:
-            raise ValueError("smoothing alpha must be >= 0")
+        check_alpha(self.smoothing_alpha)
         check_encodable(self.alphabet_size, self.order)
         counts = self.counts
         if not isinstance(counts, GramCounts):
@@ -451,8 +457,7 @@ def count_ngrams(corpus: LabelCorpus, order: int, alpha: float = 0.5) -> NGramSt
     """Count order-N grams over a corpus with per-utterance sliding windows."""
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
-    if alpha < 0:
-        raise ValueError("smoothing alpha must be >= 0")
+    check_alpha(alpha)
     k = corpus.alphabet_size
     check_encodable(k, order)
     # In order of their starts the utterances tile the corpus label array.

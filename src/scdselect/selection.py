@@ -33,6 +33,7 @@ from .divergence import CandidateStats, ScdValue, scd, scd_incremental
 from .ngram import (
     Distribution,
     NGramStats,
+    check_alpha,
     count_ngrams,
     decode_gram,
     group_limit,
@@ -87,8 +88,7 @@ class SelectionConfig:
             raise ValueError("order must be >= 1")
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lambda must be in [0, 1], got {self.lam}")
-        if not (math.isfinite(self.alpha) and self.alpha >= 0):
-            raise ValueError("alpha must be finite and >= 0")
+        check_alpha(self.alpha)
         if self.prune_min_count < 0:
             raise ValueError("prune_min_count must be >= 0")
         # random.Random seeds with abs(seed), so -5 would repeat the picks of 5.
@@ -128,7 +128,6 @@ class MarkovSource:
     alphabet_size: int
     initial_probs: np.ndarray
     transition: np.ndarray
-    seed: int = 0
 
     def __post_init__(self):
         initial = np.asarray(self.initial_probs, dtype=np.float64).reshape(-1)
@@ -610,12 +609,7 @@ def generate_synthetic(
         sequences.append(LabelSequence(id=utt_id, duration_s=0.0, labels=labels))
         origins[utt_id] = "B" if from_b else "A"
 
-    corpus = LabelCorpus(
-        alphabet_size=source_a.alphabet_size,
-        sequences=tuple(sequences),
-        source_tag=f"synthetic:mix_b={mix_b}:seed={seed}",
-    )
-    return corpus, origins
+    return LabelCorpus(alphabet_size=source_a.alphabet_size, sequences=sequences), origins
 
 
 def format_report(result: SelectionResult, extra_header: dict[str, str] | None = None) -> str:

@@ -19,7 +19,7 @@ os.environ["PYTHONPATH"] = os.pathsep.join(
 )
 
 
-def make_corpus(seqs, alphabet_size, ids=None, durations=None, source_tag="test"):
+def make_corpus(seqs, alphabet_size, ids=None, durations=None):
     """Corpus from plain label lists; ids default to u0, u1, ..."""
     sequences = []
     for i, labels in enumerate(seqs):
@@ -30,7 +30,7 @@ def make_corpus(seqs, alphabet_size, ids=None, durations=None, source_tag="test"
                 labels=np.asarray(labels, dtype=np.int32),
             )
         )
-    return LabelCorpus(alphabet_size=alphabet_size, sequences=tuple(sequences), source_tag=source_tag)
+    return LabelCorpus(alphabet_size=alphabet_size, sequences=tuple(sequences))
 
 
 @pytest.fixture

@@ -132,7 +132,7 @@ def ac3_instance(seed):
 def distinct_gram_coverage(corpus, selected_ids, order=1):
     by_id = {seq.id: seq for seq in corpus}
     stats = count_ngrams(
-        LabelCorpus(corpus.alphabet_size, tuple(by_id[i] for i in selected_ids), "sel"),
+        LabelCorpus(corpus.alphabet_size, tuple(by_id[i] for i in selected_ids)),
         order,
     )
     return len(stats.counts)
@@ -220,7 +220,6 @@ class TestAC6PerformanceEnvelope:
                 LabelSequence(f"u{i:06d}", 0.0, flat[offsets[i] : offsets[i + 1]])
                 for i in range(n_utts)
             ),
-            source_tag="ac6",
         )
         query = make_corpus(
             [rng.integers(0, k, size=500).tolist() for _ in range(50)],
@@ -271,7 +270,7 @@ class TestAC7PipelineDeterminism:
                            "--threads", threads, "--output", str(corpus_path)])
             pool = load_label_corpus(corpus_path)
             save_label_corpus(
-                LabelCorpus(pool.alphabet_size, pool.sequences[:2], "query"), query_path
+                LabelCorpus(pool.alphabet_size, pool.sequences[:2]), query_path
             )
             self._run_cli(["select", str(corpus_path), str(query_path),
                            "--strategy", "greedy-scd", "--budget-count", "3",

@@ -229,7 +229,11 @@ class TestDiscretize:
         assert "model file carries no MFCC config; using defaults" in caplog.messages
         assert load_label_corpus(without).sequences == load_label_corpus(with_echo).sequences
 
-    @pytest.mark.parametrize("text", ['{"k": 2}', "{not json"])
+    @pytest.mark.parametrize("text", [
+        '{"k": 2}',
+        "{not json",
+        '{"k": 1, "feature_dim": 2, "iterations_run": 1, "final_inertia": 0.0, "centroids": [[0.0, NaN]]}',
+    ])
     def test_malformed_model_file_runtime_error(self, audio_setup, tmp_path, capsys, text):
         bad = tmp_path / "bad.json"
         bad.write_text(text, encoding="utf-8")
@@ -280,11 +284,15 @@ class TestScd:
         backward = capsys.readouterr().out
         assert forward.splitlines()[1] != backward.splitlines()[1]
 
-    def test_alphabet_mismatch_is_runtime_error(self, tmp_path, capsys):
+    @pytest.mark.parametrize("subcommand", ["scd", "select"])
+    def test_alphabet_mismatch_is_runtime_error(self, tmp_path, capsys, subcommand):
         x = write_corpus(tmp_path, "x.labels", [[0]], 2)
         y = write_corpus(tmp_path, "y.labels", [[0]], 3)
-        assert main(["scd", x, y]) == 1
-        assert "alphabet mismatch" in capsys.readouterr().err
+        report = tmp_path / "r.txt"
+        flags = ["--budget-count", "1", "--output", str(report)] if subcommand == "select" else []
+        assert main([subcommand, x, y, *flags]) == 1
+        assert f"alphabet mismatch: {x} has K=2, {y} has K=3" in capsys.readouterr().err
+        assert not report.exists()
 
 
 class TestSelect:
@@ -379,7 +387,7 @@ class TestNarrowLabelOutputs:
     def load_as_int32(path):
         loaded = load_label_corpus(path)
         sequences = [LabelSequence(seq.id, seq.duration_s, seq.labels.astype(np.int32)) for seq in loaded]
-        return LabelCorpus(loaded.alphabet_size, sequences, loaded.source_tag)
+        return LabelCorpus(loaded.alphabet_size, sequences)
 
     @pytest.mark.parametrize(
         "argv",

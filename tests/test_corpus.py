@@ -95,6 +95,12 @@ class TestLoad:
         with pytest.raises(CorpusFormatError, match="c.labels:1: bad alphabet size in header"):
             load_label_corpus(path)
 
+    def test_zero_alphabet_size_names_line(self, tmp_path):
+        path = tmp_path / "c.labels"
+        write(path, "#K=0\na\t1.0\t\n")
+        with pytest.raises(CorpusFormatError, match="c.labels:1: alphabet size must be >= 1, got 0"):
+            load_label_corpus(path)
+
     @pytest.mark.parametrize("text, k", [("#K=004\n", 4), ("#K=7", 7)])
     def test_header_leading_zeros_and_no_final_newline(self, tmp_path, text, k):
         path = tmp_path / "c.labels"
@@ -136,14 +142,14 @@ class TestRoundTrip:
     def test_identity(self, tmp_path, tiny_corpus):
         path = tmp_path / "c.labels"
         save_label_corpus(tiny_corpus, path)
-        loaded = load_label_corpus(path, source_tag=tiny_corpus.source_tag)
+        loaded = load_label_corpus(path)
         assert loaded == tiny_corpus
 
     def test_empty_labels_preserved(self, tmp_path):
         corpus = make_corpus([[]], alphabet_size=7)
         path = tmp_path / "c.labels"
         save_label_corpus(corpus, path)
-        loaded = load_label_corpus(path, source_tag="test")
+        loaded = load_label_corpus(path)
         assert len(loaded.sequences[0]) == 0
         assert loaded == corpus
 
@@ -151,7 +157,7 @@ class TestRoundTrip:
         corpus = make_corpus([[0, 1]], alphabet_size=2, ids=["uttérance-日本語"])
         path = tmp_path / "c.labels"
         save_label_corpus(corpus, path)
-        assert load_label_corpus(path, source_tag="test") == corpus
+        assert load_label_corpus(path) == corpus
         assert "uttérance-日本語" in path.read_text(encoding="utf-8")
 
     def test_duration_round_trip_exact(self, tmp_path):
@@ -190,7 +196,7 @@ class TestRoundTrip:
             )
             path = tmp_path / f"r{trial}.labels"
             save_label_corpus(corpus, path)
-            assert load_label_corpus(path, source_tag="test") == corpus
+            assert load_label_corpus(path) == corpus
 
 
 class TestSortByLength:
@@ -224,6 +230,10 @@ class TestValidation:
     def test_duplicate_ids(self):
         with pytest.raises(ValueError, match="duplicate"):
             make_corpus([[0], [1]], alphabet_size=2, ids=["x", "x"])
+
+    def test_zero_alphabet_size(self):
+        with pytest.raises(ValueError, match="alphabet_size must be >= 1"):
+            make_corpus([], alphabet_size=0)
 
     def test_negative_duration(self):
         with pytest.raises(ValueError, match="duration"):
@@ -619,7 +629,7 @@ SOURCES = ("flat", "int64", "strided", "copy")
 
 
 class TestSharedLabels:
-    def test_back_to_back_views_are_shared(self):
+    def test_back_to_back_views_are_copied(self):
         rng = np.random.default_rng(3)
         lengths = rng.integers(4, 10, size=200)
         flat = rng.integers(0, 500, size=int(lengths.sum()), dtype=np.int32)
@@ -627,7 +637,7 @@ class TestSharedLabels:
         bounds = list(zip((ends - lengths).tolist(), ends.tolist()))
         bounds[10:10] = [(0, 0)]  # an empty view elsewhere in the array
         corpus = views_corpus(flat, bounds)
-        assert np.shares_memory(corpus.labels, flat)
+        assert not np.shares_memory(corpus.labels, flat)
         assert not corpus.labels.flags.writeable
         assert np.array_equal(corpus.labels, flat)
         assert corpus.lengths.tolist() == [stop - start for start, stop in bounds]
@@ -683,27 +693,22 @@ class TestSharedLabels:
             st.tuples(st.integers(0, 12), st.integers(0, 4), st.sampled_from(SOURCES)), max_size=8
         )
     )
-    def test_shared_exactly_when_views_tile_the_array(self, segments):
+    def test_labels_are_copied_whatever_the_views(self, segments):
         flat = np.arange(20, dtype=np.int32)
         wide = flat.astype(np.int64)
         strided = np.zeros(40, dtype=np.int32)
         strided[::2] = flat
         arrays = {"flat": flat, "int64": wide, "strided": strided[::2]}
-        sequences, expected, filled = [], [], []
+        sequences, expected = [], []
         for i, (start, length, source) in enumerate(segments):
             stop = start + length
             labels = flat[start:stop].copy() if source == "copy" else arrays[source][start:stop]
             sequences.append(LabelSequence(f"u{i}", 0.0, labels))
             expected.extend(range(start, stop))
-            if length:
-                filled.append((start, stop, source))
-        tiled = bool(filled) and all(source == "flat" for _, _, source in filled) and all(
-            b[0] == a[1] for a, b in zip(filled, filled[1:])
-        )
         corpus = LabelCorpus(20, tuple(sequences))
         assert corpus.labels.tolist() == expected
         assert corpus.labels.dtype == np.int32
-        assert np.shares_memory(corpus.labels, flat) == tiled
+        assert not np.shares_memory(corpus.labels, flat)
         assert [seq.labels.tolist() for seq in corpus] == [seq.labels.tolist() for seq in sequences]
 
 
@@ -726,12 +731,12 @@ class TestNarrowLabels:
         again = tmp_path / "again.labels"
         save_label_corpus(corpus, again)
         assert again.read_bytes() == path.read_bytes()
-        assert load_label_corpus(again, source_tag="c.labels") == corpus
+        assert load_label_corpus(again) == corpus
 
     def test_loaded_and_int32_sequences_are_equal_and_hash_alike(self, tmp_path):
         path = tmp_path / "c.labels"
         write(path, "#K=500\na\t1.5\t499 0 7\nb\t0.25\t\n")
-        loaded = load_label_corpus(path, source_tag="test")
+        loaded = load_label_corpus(path)
         built = make_corpus([[499, 0, 7], []], 500, ids=["a", "b"], durations=[1.5, 0.25])
         assert loaded.labels.dtype == np.uint16 and built.labels.dtype == np.int32
         for narrow, wide in zip(loaded, built):

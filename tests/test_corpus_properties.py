@@ -49,7 +49,7 @@ def _load_bytes(data: bytes):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "c.labels"
         path.write_bytes(data)
-        return load_label_corpus(path, source_tag="test")
+        return load_label_corpus(path)
 
 
 def _save_bytes(corpus, comments=()) -> bytes:

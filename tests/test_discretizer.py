@@ -84,6 +84,14 @@ class TestMfcc:
         with pytest.raises(ValueError):
             MfccConfig(num_coeffs=30, num_mel_filters=26)
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("sample_rate_hz", 0, "sample_rate_hz must be positive"),
+        ("preemphasis", 1.0, "preemphasis must be in"),
+    ])
+    def test_rate_and_preemphasis_rejected(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            MfccConfig(**{field: value})
+
     @pytest.mark.parametrize("length,shift", [(float("inf"), 10.0), (float("nan"), 10.0),
                                               (25.0, float("nan"))])
     def test_non_finite_frame_sizes_rejected(self, length, shift):
@@ -135,6 +143,14 @@ class TestKMeans:
         bad[0, 0] = np.nan
         with pytest.raises(ValueError, match="finite"):
             train_kmeans(bad, k=2, seed=0)
+
+    @pytest.mark.parametrize("features,k,message", [
+        (np.zeros(5), 2, "2-D matrix"),
+        (np.zeros((5, 2)), 0, "k must be >= 1"),
+    ])
+    def test_bad_shape_or_k_rejected(self, features, k, message):
+        with pytest.raises(ValueError, match=message):
+            train_kmeans(features, k=k, seed=0)
 
     def test_inertia_non_increasing_across_iterations(self):
         # Same seed and tol=0 make every run follow one trajectory, so the

@@ -105,6 +105,11 @@ class TestScdIncremental:
         base.add([0, 1])
         return base, query
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_or_negative_alpha_rejected(self, alpha):
+        with pytest.raises(ValueError, match="smoothing alpha must be finite and >= 0"):
+            CandidateStats(order=1, alphabet_size=3, alpha=alpha)
+
     def test_empty_addition_is_noop(self):
         base, query = self._setup()
         assert scd_incremental(base, [], query).nats == scd(query, base.distribution()).nats

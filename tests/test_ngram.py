@@ -60,6 +60,22 @@ class TestCountNgrams:
         with pytest.raises(ValueError, match="order"):
             count_ngrams(tiny_corpus, 0)
 
+    @pytest.mark.parametrize("alpha", [float("nan"), float("inf"), -1.0])
+    def test_non_finite_or_negative_alpha_rejected(self, tiny_corpus, alpha):
+        with pytest.raises(ValueError, match="smoothing alpha must be finite and >= 0"):
+            count_ngrams(tiny_corpus, 1, alpha=alpha)
+        with pytest.raises(ValueError, match="smoothing alpha must be finite and >= 0"):
+            NGramStats(order=1, alphabet_size=2, counts={(0,): 1}, total=1, smoothing_alpha=alpha)
+
+    @pytest.mark.parametrize("counts,total,message", [
+        ({(0,): 2, (1,): 1}, 4, "total does not match"),
+        (ngram.GramCounts(1, 3, np.array([1, 0]), np.array([1, 1])), 2, "distinct, ascending"),
+        (ngram.GramCounts(1, 3, np.array([0, 1]), np.array([1, 0])), 1, "non-positive count"),
+    ])
+    def test_inconsistent_counts_rejected(self, counts, total, message):
+        with pytest.raises(ValueError, match=message):
+            NGramStats(order=1, alphabet_size=3, counts=counts, total=total, smoothing_alpha=0.5)
+
     def test_total_matches_window_formula(self):
         rng = np.random.default_rng(11)
         for order in (1, 2, 3):

@@ -198,6 +198,12 @@ class TestGreedy:
         with pytest.raises(ValueError, match="empty"):
             select_greedy_scd(universal, make_corpus([], 2), SelectionConfig(budget_c=1))
 
+    def test_target_rejects_alphabet_mismatch(self):
+        universal = make_corpus([[0], [1]], 2)
+        query = make_corpus([[0]], 3, ids=["q"])
+        with pytest.raises(ValueError, match="alphabet mismatch: universal K=2, query K=3"):
+            build_target_distribution(universal, query, SelectionConfig(budget_c=1))
+
     def test_alpha_zero_covering_candidates(self):
         # With alpha=0 greedy rescores every candidate of the first bucket
         # exactly, in sorted order, and the first one that leaves a target
