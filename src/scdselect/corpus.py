@@ -271,16 +271,19 @@ def load_label_corpus(path: str | Path) -> LabelCorpus:
     thread, and :func:`_parse_records` checks and parses each chunk in bulk
     on up to ``_MAX_LOAD_WORKERS`` threads, one per usable CPU (see
     :func:`_load_workers`), with at most two chunks per thread in flight.
-    Results are taken in file order: each chunk's ids are checked against
-    those of the chunks before it, and its labels are copied into a buffer
-    preallocated for the whole file in the narrowest unsigned type that
-    holds every label below K (uint8 up to K=256, uint16 up to K=65536,
-    uint32 beyond); values are range-checked before they are narrowed. The
-    first chunk that fails, in file order, holds the first faulty line:
-    only that chunk's lines are then checked one at a time, and the first
-    that fails raises :class:`CorpusFormatError` naming ``path:line`` (and
-    the utterance id for label and id faults). Neither the result nor the
-    error depends on the number of threads. Never silently drops a record.
+    The label column is preallocated for the whole file in the narrowest
+    unsigned type that holds every label below K (uint8 up to K=256, uint16
+    up to K=65536, uint32 beyond). A worker range-checks its chunk's values,
+    narrows them to that type and returns them with the chunk's ids, lengths
+    and durations, but not its lines. Results are taken in file order: each
+    chunk's ids are checked against those of the chunks before it, and its
+    labels are copied into the column. The first chunk that fails, in file
+    order, holds the first faulty line: only that chunk's lines are then
+    checked one at a time, and the first that fails raises
+    :class:`CorpusFormatError` naming ``path:line`` (and the utterance id for
+    label and id faults). An id repeated from an earlier chunk is named at
+    its own line. Neither the result nor the error depends on the number of
+    threads. Never silently drops a record.
     """
     path = Path(path)
     with path.open("rb") as handle:
@@ -310,30 +313,37 @@ def load_label_corpus(path: str | Path) -> LabelCorpus:
                     chunk += handle.readline()
                 yield chunk
 
-        def parse(chunk: bytes) -> tuple[list[bytes], tuple | None]:
-            """The chunk's lines and their parsed records, or None if a line fails."""
+        def parse(chunk: bytes) -> tuple[tuple | None, list[bytes] | None]:
+            """The chunk's records, labels in the column's dtype; or None and its lines if one fails."""
             lines = chunk.split(b"\n")
             if not lines[-1]:
                 lines.pop()
             try:
-                return lines, _parse_records(lines, alphabet_size, set())
+                values, *rest = _parse_records(lines, alphabet_size, set())
             except ValueError:
-                return lines, None
+                return None, lines
+            # The values are range-checked, so narrowing keeps them.
+            return (values.astype(narrow), *rest), None
 
         workers = _load_workers()
         with contextlib.closing(map_in_order(parse, chunks(), workers, 2 * workers)) as parsed:
-            for lines, records in parsed:
-                # A chunk parses on its own, so ids repeated from earlier chunks are checked here.
-                if records is None or not seen.isdisjoint(records[2]):
+            for records, lines in parsed:
+                if records is None:
                     _raise_first_fault(path, lineno, lines, alphabet_size, seen)
                 values, n_labels, utt_ids, seconds = records
+                # A chunk parses on its own, so ids repeated from earlier chunks are
+                # checked here. Its lines each check out alone, so the first such
+                # id is its first faulty line.
+                if not seen.isdisjoint(utt_ids):
+                    index, utt_id = next((i, u) for i, u in enumerate(utt_ids) if u in seen)
+                    raise CorpusFormatError(f"{path}:{lineno + index}: duplicate utterance id {utt_id!r}")
                 seen.update(utt_ids)
                 labels[filled : filled + values.shape[0]] = values
                 filled += values.shape[0]
                 ids.extend(utt_ids)
                 durations.extend(seconds)
                 lengths.extend(n_labels)
-                lineno += len(lines)
+                lineno += len(utt_ids)
     labels.resize(filled, refcheck=False)
     length_column = np.array(lengths, dtype=np.int64)
     return LabelCorpus._from_columns(
@@ -456,9 +466,10 @@ def save_label_corpus(
     ``comments`` become extra ``#``-prefixed lines between the header and the
     body; they are skipped on load and must not contain tabs or newlines.
     The body is written ``_WRITE_CHUNK_UTTS`` records at a time, each chunk
-    joined into one string. Labels below ``_TOKEN_TABLE_ROWS`` take their
-    text from a list indexed by label value; larger labels are formatted
-    with ``str``.
+    joined into one string. While every label is below ``_TOKEN_TABLE_ROWS``,
+    an utterance's label texts are gathered with one index into an object
+    array of texts by label value; otherwise labels are formatted with
+    ``str``.
     """
     path = Path(path)
     for comment in comments:
@@ -466,7 +477,14 @@ def save_label_corpus(
             raise ValueError("header comments must not contain tabs or newlines")
     labels = corpus.labels
     top = int(labels.max(initial=0)) + 1
-    token = [str(value) for value in range(top)].__getitem__ if top <= _TOKEN_TABLE_ROWS else str
+    if top <= _TOKEN_TABLE_ROWS:
+        table = np.array([str(value) for value in range(top)], dtype=object)
+
+        def field(values: np.ndarray) -> str:
+            return " ".join(table[values].tolist())
+    else:
+        def field(values: np.ndarray) -> str:
+            return " ".join(map(str, values.tolist()))
     with path.open("w", encoding="utf-8", newline="\n") as handle:
         handle.write(f"#K={corpus.alphabet_size}\n")
         for comment in comments:
@@ -475,21 +493,26 @@ def save_label_corpus(
             rows = slice(first, first + _WRITE_CHUNK_UTTS)
             ends = (corpus.starts[rows] + corpus.lengths[rows]).tolist()
             handle.write("".join(
-                f"{utt_id}\t{duration!r}\t{' '.join(map(token, labels[start:end].tolist()))}\n"
+                f"{utt_id}\t{duration!r}\t{field(labels[start:end])}\n"
                 for utt_id, duration, start, end in zip(
                     corpus.ids[rows], corpus.durations[rows].tolist(), corpus.starts[rows].tolist(), ends
                 )
             ))
 
 
+def length_order(corpus: LabelCorpus) -> np.ndarray:
+    """Rows of ``corpus`` by ascending label count, ties by ascending id."""
+    by_id = np.array(sorted(range(len(corpus)), key=corpus.ids.__getitem__), dtype=np.intp)
+    return by_id[np.argsort(corpus.lengths[by_id], kind="stable")]
+
+
 def sort_by_length(corpus: LabelCorpus) -> LabelCorpus:
-    """Order sequences by ascending label count, ties by ascending id.
+    """The corpus in :func:`length_order`.
 
     Only the per-utterance columns are permuted: the result shares the label
     array, and nothing is checked again.
     """
-    by_id = np.array(sorted(range(len(corpus)), key=corpus.ids.__getitem__), dtype=np.intp)
-    order = by_id[np.argsort(corpus.lengths[by_id], kind="stable")]
+    order = length_order(corpus)
     return LabelCorpus._from_columns(
         corpus.alphabet_size,
         corpus.labels,

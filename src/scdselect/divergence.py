@@ -133,7 +133,8 @@ class CandidateStats:
         labels = _label_array(labels)
         if labels.size and (labels.min() < 0 or labels.max() >= self.alphabet_size):
             raise ValueError(f"labels outside [0, {self.alphabet_size})")
-        codes, _, counts = grouped_codes([labels], self.order, self.alphabet_size)
+        lengths = np.array([labels.shape[0]], dtype=np.int64)
+        codes, _, counts = grouped_codes(labels, lengths, self.order, self.alphabet_size)
         self.codes, self.code_counts = merge_counts(self.codes, self.code_counts, codes, counts)
         self.total += int(counts.sum())
 

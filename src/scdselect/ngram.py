@@ -24,7 +24,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
 from pathlib import Path
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -246,26 +246,25 @@ def _window_batches(
 
 
 def grouped_codes(
-    sequences: Sequence[np.ndarray], order: int, alphabet_size: int
+    labels: np.ndarray, lengths: np.ndarray, order: int, alphabet_size: int
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Gram counts of several label sequences, tallied in one pass.
+    """Gram counts of consecutive label sequences packed in ``labels``, tallied in one pass.
 
-    Returns ``(codes, rows, counts)``: ``counts[i]`` windows of
-    ``sequences[rows[i]]`` have code ``codes[i]``. Entries are ordered by
-    code, then by row, and each (code, row) pair appears once.
-    ``len(sequences) * K**order`` must not exceed 2**62 (see
-    :func:`group_limit`).
+    Row ``r`` is the next ``lengths[r]`` labels. Returns ``(codes, rows,
+    counts)``: ``counts[i]`` windows of row ``rows[i]`` have code
+    ``codes[i]``. Entries are ordered by code, then by row, and each (code,
+    row) pair appears once. ``len(lengths) * K**order`` must not exceed
+    2**62 (see :func:`group_limit`).
     """
-    n_rows = len(sequences)
+    n_rows = lengths.shape[0]
     if n_rows > group_limit(alphabet_size, order):
         raise ValueError(f"too many sequences ({n_rows}) to key in int64")
-    lengths = np.array([seq.shape[0] for seq in sequences], dtype=np.int64)
     windows = np.maximum(lengths - order + 1, 0)
     n_windows = int(windows.sum())
     if n_windows == 0:
         return _EMPTY_CODES, _EMPTY_CODES, _EMPTY_CODES
     # Key each window as code * n_rows + row, so that one tally groups them.
-    flat = _inside_windows(np.concatenate(sequences), lengths, order, alphabet_size)
+    flat = _inside_windows(labels, lengths, order, alphabet_size)
     flat *= n_rows
     flat += np.repeat(np.arange(n_rows, dtype=np.int64), windows)
     keys, counts = _tally([flat], n_windows, n_rows * alphabet_size**order)
@@ -449,7 +448,8 @@ def smoothed_distribution(
 def sequence_gram_counts(labels, order: int, alphabet_size: int) -> GramCounts:
     """Sliding-window gram counts of a single label sequence."""
     check_encodable(alphabet_size, order)
-    codes, _, counts = grouped_codes([np.asarray(labels).reshape(-1)], order, alphabet_size)
+    labels = np.asarray(labels).reshape(-1)
+    codes, _, counts = grouped_codes(labels, np.array([labels.shape[0]], dtype=np.int64), order, alphabet_size)
     return GramCounts(order, alphabet_size, codes, counts)
 
 

@@ -11,6 +11,11 @@ pass over the pool's grams (:func:`_block_sums`). Contrastive excludes an
 utterance that has no grams at the order or, at alpha=0, holds a gram of
 zero query probability.
 
+Candidates are rows of the corpus columns (``labels``, ``starts``,
+``lengths``, ``durations``, ``ids``): a bucket is a run of row indices into
+the length-sorted pool, and a pick's labels are a slice of the label column.
+Selection builds no :class:`~scdselect.corpus.LabelSequence` views.
+
 Every strategy is deterministic given its inputs and config.
 """
 
@@ -28,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import LabelCorpus, LabelSequence, sort_by_length
+from .corpus import LabelCorpus, LabelSequence, length_order, sort_by_length
 from .divergence import CandidateStats, ScdValue, scd, scd_incremental
 from .ngram import (
     Distribution,
@@ -203,9 +208,15 @@ def partition_buckets(n_items: int, n_buckets: int) -> list[tuple[int, int]]:
     return list(zip(edges, edges[1:]))
 
 
-def _fast_scores(sequences: Sequence[LabelSequence], subset: CandidateStats, target: Distribution,
+def _row_labels(corpus: LabelCorpus, row: int) -> np.ndarray:
+    """Labels of utterance ``row`` of ``corpus``, a view into its label column."""
+    start = int(corpus.starts[row])
+    return corpus.labels[start : start + int(corpus.lengths[row])]
+
+
+def _fast_scores(pool: LabelCorpus, rows: np.ndarray, subset: CandidateStats, target: Distribution,
                  subset_nats: float | None = None) -> np.ndarray:
-    """SCD(target, S + {u}) of the subset S plus each candidate u of ``sequences``.
+    """SCD(target, S + {u}) of the subset S plus each candidate u, the ``rows`` of ``pool``.
 
     Each score is a delta on the exact SCD of S:
 
@@ -221,42 +232,52 @@ def _fast_scores(sequences: Sequence[LabelSequence], subset: CandidateStats, tar
     def terms(codes, rows, added, weight, base):
         return weight * np.log((base + added + alpha) / (base + alpha))
 
-    corrections, windows = _block_sums(sequences, target, (target.lookup, subset.count_at), terms)
+    corrections, windows = _block_sums(
+        pool.labels, pool.starts[rows], pool.lengths[rows], target, (target.lookup, subset.count_at), terms
+    )
     if subset_nats is None:
         subset_nats = scd(target, subset.distribution()).nats
     alpha_mass = alpha * float(target.support_size)
     return subset_nats - corrections + np.log1p(windows / (subset.total + alpha_mass))
 
 
-def _block_sums(sequences: Sequence[LabelSequence], model: Distribution, lookups, term):
-    """Per-sequence sums of ``term`` over the grams of ``model``'s order, and window counts.
+def _block_sums(labels: np.ndarray, starts: np.ndarray, lengths: np.ndarray, model: Distribution,
+                lookups, term):
+    """Per-row sums of ``term`` over the grams of ``model``'s order, and window counts.
 
-    :func:`grouped_codes` tallies blocks of about ``_BLOCK_WINDOWS`` windows; each of
-    ``lookups`` maps a block's distinct codes once. ``term(codes, rows, counts, *values)``
-    gets the entries, by code then row, with each lookup's values repeated per entry.
+    Row ``i`` is ``labels[starts[i] : starts[i] + lengths[i]]``. Blocks of about
+    ``_BLOCK_WINDOWS`` windows are gathered with one concatenation and tallied
+    with one :func:`grouped_codes` call; each of ``lookups`` maps a block's
+    distinct codes once. ``term(codes, rows, counts, *values)`` gets the
+    entries, by code then row, with each lookup's values repeated per entry.
     """
     order, k = model.order, model.alphabet_size
-    windows = np.array([max(len(seq) - order + 1, 0) for seq in sequences], dtype=np.int64)
-    sums = np.zeros(len(sequences))
+    windows = np.maximum(lengths - order + 1, 0)
+    sums = np.zeros(lengths.shape[0])
     per_block = max(1, _BLOCK_WINDOWS // max(1, int(windows.mean())))
     per_block = min(per_block, group_limit(k, order))
-    for lo in range(0, len(sequences), per_block):
-        hi = min(lo + per_block, len(sequences))
-        codes, rows, counts = grouped_codes([seq.labels for seq in sequences[lo:hi]], order, k)
-        starts = run_starts(codes)
-        repeats = np.diff(starts, append=codes.shape[0])
-        values = [np.repeat(lookup(codes[starts]), repeats) for lookup in lookups]
+    for lo in range(0, lengths.shape[0], per_block):
+        hi = min(lo + per_block, lengths.shape[0])
+        block = np.concatenate([
+            labels[start : start + length]
+            for start, length in zip(starts[lo:hi].tolist(), lengths[lo:hi].tolist())
+        ])
+        codes, rows, counts = grouped_codes(block, lengths[lo:hi], order, k)
+        runs = run_starts(codes)
+        repeats = np.diff(runs, append=codes.shape[0])
+        values = [np.repeat(lookup(codes[runs]), repeats) for lookup in lookups]
         sums[lo:hi] = np.bincount(rows, weights=term(codes, rows, counts, *values), minlength=hi - lo)
     return sums, windows
 
 
 def _pick_from_bucket(
-    sequences: Sequence[LabelSequence],
+    pool: LabelCorpus,
+    rows: np.ndarray,
     cand_stats: CandidateStats,
     target: Distribution,
     subset_nats: float | None,
 ) -> tuple[int, ScdValue]:
-    """Index (within ``sequences``) of the SCD-minimizing addition and its exact SCD.
+    """Index (within ``rows`` of ``pool``) of the SCD-minimizing addition and its exact SCD.
 
     ``subset_nats`` is the exact SCD of ``cand_stats``, or None to have
     :func:`_fast_scores` compute it. The first candidate wins ties. The fast
@@ -268,16 +289,16 @@ def _pick_from_bucket(
     :class:`DivergenceUndefinedError`.
     """
     if cand_stats.alpha > 0:
-        scores = _fast_scores(sequences, cand_stats, target, subset_nats)
+        scores = _fast_scores(pool, rows, cand_stats, target, subset_nats)
         cutoff = float(scores.min())
         cutoff += 1e-9 * (1.0 + abs(cutoff))
         finalists = np.flatnonzero(scores <= cutoff).tolist()
     else:
-        finalists = range(len(sequences))
+        finalists = range(rows.shape[0])
     best_index = 0
     best: ScdValue | None = None
     for position in finalists:
-        value = scd_incremental(cand_stats, sequences[position], target)
+        value = scd_incremental(cand_stats, _row_labels(pool, rows[position]), target)
         if best is None or value.nats < best.nats:
             best = value
             best_index = position
@@ -308,38 +329,38 @@ def select_greedy_scd(
     """
     mean_duration = _check_budget(universal, config) / len(universal)
     target = build_target_distribution(universal, query, config)
-    ordered = sort_by_length(universal).sequences
+    pool = sort_by_length(universal)
 
     cand_stats = CandidateStats(config.order, universal.alphabet_size, config.alpha)
-    selected: list[LabelSequence] = []
+    picks: list[int] = []
     trace: list[float] = []
     final: ScdValue | None = None
     seconds = 0.0
-    remaining = list(ordered)
-    while remaining and not _budget_met(config, len(selected), seconds):
+    remaining = np.arange(len(pool))
+    while remaining.shape[0] and not _budget_met(config, len(picks), seconds):
         if config.budget_c is not None:
-            bounds = partition_buckets(len(remaining), config.budget_c)
+            bounds = partition_buckets(remaining.shape[0], config.budget_c)
         else:
             want = max(1, round((config.duration_budget_s - seconds) / mean_duration))
-            bounds = _duration_buckets(remaining, min(want, len(remaining)))
-        unpicked: list[LabelSequence] = []
+            bounds = _duration_buckets(pool, remaining, min(want, remaining.shape[0]))
+        keep = np.ones(remaining.shape[0], dtype=bool)
         for start, end in bounds:
-            if _budget_met(config, len(selected), seconds):
+            if _budget_met(config, len(picks), seconds):
                 break
-            bucket = remaining[start:end]
             # The winner's exact SCD is that of the subset it joins: adding it
             # merges the same counts that scd_incremental merged.
             base = None if final is None else final.nats
-            chosen, final = _pick_from_bucket(bucket, cand_stats, target, base)
-            cand_stats.add(bucket[chosen].labels)
-            selected.append(bucket[chosen])
+            chosen, final = _pick_from_bucket(pool, remaining[start:end], cand_stats, target, base)
+            row = int(remaining[start + chosen])
+            cand_stats.add(_row_labels(pool, row))
+            picks.append(row)
             trace.append(final.nats)
-            seconds += bucket[chosen].duration_s
-            unpicked.extend(bucket[:chosen] + bucket[chosen + 1 :])
-        remaining = unpicked
+            seconds += float(pool.durations[row])
+            keep[start + chosen] = False
+        remaining = remaining[keep]
 
     return SelectionResult(
-        selected_ids=tuple(seq.id for seq in selected),
+        selected_ids=tuple(pool.ids[row] for row in picks),
         scd_trace=tuple(trace),
         final_scd=final,
         strategy=STRATEGY_GREEDY,
@@ -384,31 +405,33 @@ def _budget_met(config: SelectionConfig, picks: int, seconds: float) -> bool:
     return seconds >= config.duration_budget_s
 
 
-def _take_until_met(ranked: Sequence[LabelSequence], config: SelectionConfig) -> list[LabelSequence]:
-    """The shortest prefix of ``ranked`` that fills the budget, or all of it."""
-    picked: list[LabelSequence] = []
+def _take_until_met(corpus: LabelCorpus, rows: list[int], config: SelectionConfig) -> list[int]:
+    """The shortest prefix of ``rows`` of ``corpus`` that fills the budget, or all of them."""
     seconds = 0.0
-    for seq in ranked:
-        if _budget_met(config, len(picked), seconds):
-            break
-        picked.append(seq)
-        seconds += seq.duration_s
-    return picked
+    for taken, row in enumerate(rows):
+        if _budget_met(config, taken, seconds):
+            return rows[:taken]
+        seconds += float(corpus.durations[row])
+    return rows
 
 
-def _duration_buckets(
-    sequences: Sequence[LabelSequence], n_buckets: int
-) -> list[tuple[int, int]]:
-    """Contiguous buckets spanning roughly equal cumulative duration."""
-    total = sum(seq.duration_s for seq in sequences)
+def _duration_buckets(pool: LabelCorpus, rows: np.ndarray, n_buckets: int) -> list[tuple[int, int]]:
+    """Contiguous runs of ``rows`` of ``pool`` spanning roughly equal cumulative duration.
+
+    The seconds are Python floats summed with ``sum`` and ``+=`` in row order:
+    the edges compare rounded sums with thresholds, so a sum in another order
+    (numpy's pairwise ``np.sum``) can move them.
+    """
+    seconds = pool.durations[rows].tolist()
+    total = sum(seconds)
     span = total / n_buckets
     bounds: list[tuple[int, int]] = []
     start = 0
     cum = 0.0
     threshold = span
-    for index, seq in enumerate(sequences):
-        cum += seq.duration_s
-        is_last = index == len(sequences) - 1
+    for index, duration in enumerate(seconds):
+        cum += duration
+        is_last = index == len(seconds) - 1
         if (cum >= threshold and len(bounds) < n_buckets - 1) or is_last:
             bounds.append((start, index + 1))
             start = index + 1
@@ -417,12 +440,13 @@ def _duration_buckets(
 
 
 def _traced_result(
-    picked: Sequence[LabelSequence],
+    corpus: LabelCorpus,
+    rows: Sequence[int],
     target: Distribution | None,
     config: SelectionConfig,
     strategy: str,
 ) -> SelectionResult:
-    """Result for ``picked`` with the divergence from ``target`` after each pick.
+    """Result for picking ``rows`` of ``corpus``, with the divergence from ``target`` after each pick.
 
     Without a target the trace is empty and ``final_scd`` is None.
     """
@@ -430,12 +454,12 @@ def _traced_result(
     final: ScdValue | None = None
     if target is not None:
         cand_stats = CandidateStats(config.order, target.alphabet_size, config.alpha)
-        for seq in picked:
-            cand_stats.add(seq.labels)
+        for row in rows:
+            cand_stats.add(_row_labels(corpus, row))
             final = scd(target, cand_stats.distribution())
             trace.append(final.nats)
     return SelectionResult(
-        selected_ids=tuple(seq.id for seq in picked),
+        selected_ids=tuple(corpus.ids[row] for row in rows),
         scd_trace=tuple(trace),
         final_scd=final,
         strategy=strategy,
@@ -454,12 +478,12 @@ def select_random(
     depend on it. Without a query the trace fields are None/empty.
     """
     rng = random.Random(config.seed)
-    shuffled = list(universal.sequences)
+    shuffled = list(range(len(universal)))
     rng.shuffle(shuffled)
     _check_budget(universal, config)
-    picked = _take_until_met(shuffled, config)
+    picked = _take_until_met(universal, shuffled, config)
     target = None if query is None else build_target_distribution(universal, query, config)
-    return _traced_result(picked, target, config, STRATEGY_RANDOM)
+    return _traced_result(universal, picked, target, config, STRATEGY_RANDOM)
 
 
 def contrastive_scores(
@@ -471,13 +495,12 @@ def contrastive_scores(
     Utterances with no grams at this order, or with a gram of zero query
     probability (alpha=0 only), score -inf.
     """
-    return _scores_from_stats(universal, *_component_stats(universal, query, config))
+    scores = _scores_from_stats(universal, *_component_stats(universal, query, config))
+    return dict(zip(universal.ids, scores.tolist()))
 
 
-def _scores_from_stats(
-    universal: LabelCorpus, stats_u: NGramStats, stats_q: NGramStats
-) -> dict[str, float]:
-    """:func:`contrastive_scores` from already counted pool and query models."""
+def _scores_from_stats(universal: LabelCorpus, stats_u: NGramStats, stats_q: NGramStats) -> np.ndarray:
+    """:func:`contrastive_scores` from already counted pool and query models, in file order."""
     dist_u, dist_q = stats_u.distribution(), stats_q.distribution()
 
     def gaps(codes, rows, counts, pq, pu):
@@ -495,41 +518,47 @@ def _scores_from_stats(
         terms[undefined] = -math.inf
         return terms
 
-    sums, windows = _block_sums(universal.sequences, dist_u, (dist_q.lookup, dist_u.lookup), gaps)
-    scores = np.divide(sums, windows, out=np.full(len(windows), -math.inf), where=windows > 0)
-    return dict(zip(universal.ids, scores.tolist()))
+    sums, windows = _block_sums(
+        universal.labels, universal.starts, universal.lengths, dist_u, (dist_q.lookup, dist_u.lookup), gaps
+    )
+    return np.divide(sums, windows, out=np.full(len(windows), -math.inf), where=windows > 0)
 
 
 def select_contrastive(
     universal: LabelCorpus, query: LabelCorpus, config: SelectionConfig
 ) -> SelectionResult:
-    """Top-scoring utterances by query-vs-pool log-likelihood gap; no bucketing."""
-    _check_budget(universal, config)
-    ordered = sort_by_length(universal).sequences
-    stats_u, stats_q = _component_stats(universal, query, config)
-    scores = _scores_from_stats(universal, stats_u, stats_q)
+    """Top-scoring utterances by query-vs-pool log-likelihood gap; no bucketing.
 
-    excluded = [seq for seq in ordered if scores[seq.id] == -math.inf]
-    gramless = sum(len(seq) < config.order for seq in excluded)
+    Ties keep the length-sorted order of :func:`~scdselect.corpus.sort_by_length`.
+    """
+    _check_budget(universal, config)
+    by_length = length_order(universal)
+    stats_u, stats_q = _component_stats(universal, query, config)
+    scores = _scores_from_stats(universal, stats_u, stats_q)[by_length]
+
+    excluded = scores == -math.inf
+    gramless = int(np.count_nonzero(excluded & (universal.lengths[by_length] < config.order)))
+    n_excluded = int(np.count_nonzero(excluded))
     causes = (
         f"{gramless} have no grams at order {config.order}, "
-        f"{len(excluded) - gramless} hold a gram of zero query probability"
+        f"{n_excluded - gramless} hold a gram of zero query probability"
     )
-    if excluded:
-        logger.warning("contrastive: %d utterances are excluded: %s", len(excluded), causes)
-    ranked = [seq for seq in ordered if scores[seq.id] != -math.inf]
-    # Stable sort on the negated score keeps sorted-corpus position as tie-break.
-    ranked.sort(key=lambda seq: -scores[seq.id])
+    if n_excluded:
+        logger.warning("contrastive: %d utterances are excluded: %s", n_excluded, causes)
+    eligible = np.flatnonzero(~excluded)
+    # A stable sort on the negated score keeps length order as tie-break.
+    ranked = by_length[eligible[np.argsort(-scores[eligible], kind="stable")]].tolist()
 
     # A seconds budget takes what the ranked utterances hold; a count budget
     # needs that many of them.
     if not _budget_met(config, len(ranked), math.inf):
         raise ValueError(
             f"budget {config.budget_c} exceeds the {len(ranked)} scored utterances "
-            f"({len(excluded)} excluded: {causes})"
+            f"({n_excluded} excluded: {causes})"
         )
-    picked = _take_until_met(ranked, config)
-    return _traced_result(picked, interpolate(stats_q, stats_u, config.lam), config, STRATEGY_CONTRASTIVE)
+    picked = _take_until_met(universal, ranked, config)
+    target = interpolate(stats_q, stats_u, config.lam)
+    return _traced_result(universal, picked, target, config, STRATEGY_CONTRASTIVE)
 
 
 def select_oracle(
@@ -553,16 +582,16 @@ def select_oracle(
         )
     _check_budget(universal, config)
     target = build_target_distribution(universal, query, config)
-    ordered = sort_by_length(universal).sequences
+    ordered = sort_by_length(universal)
 
     best_ids: tuple[str, ...] | None = None
     best_value: ScdValue | None = None
-    for combo in itertools.combinations(ordered, config.budget_c):
+    for combo in itertools.combinations(range(len(ordered)), config.budget_c):
         stats = CandidateStats(config.order, universal.alphabet_size, config.alpha)
-        for seq in combo:
-            stats.add(seq.labels)
+        for row in combo:
+            stats.add(_row_labels(ordered, row))
         value = scd(target, stats.distribution())
-        ids = tuple(sorted(seq.id for seq in combo))
+        ids = tuple(sorted(ordered.ids[row] for row in combo))
         if (
             best_value is None
             or value.nats < best_value.nats
@@ -571,8 +600,8 @@ def select_oracle(
             best_value = value
             best_ids = ids
 
-    by_id = {seq.id: seq for seq in ordered}
-    return _traced_result([by_id[i] for i in best_ids], target, config, STRATEGY_ORACLE)
+    row_of = {utt_id: row for row, utt_id in enumerate(ordered.ids)}
+    return _traced_result(ordered, [row_of[i] for i in best_ids], target, config, STRATEGY_ORACLE)
 
 
 def generate_synthetic(

@@ -4,11 +4,15 @@
 batched bucket scorer of greedy selection against ``scd_incremental``. The
 seconds-budget contract of the selection strategies is checked on random
 pools, and greedy with a seconds budget against a from-scratch recount.
+Greedy and contrastive select the same on a loaded pool, with its narrow
+label column, as on the same pool built with int32 labels.
 """
 
 import dataclasses
 import itertools
 import math
+import tempfile
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -17,7 +21,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from scdselect import selection
-from scdselect.corpus import sort_by_length
+from scdselect.corpus import load_label_corpus, save_label_corpus, sort_by_length
 from scdselect.divergence import CandidateStats, DivergenceUndefinedError, scd, scd_incremental
 from scdselect.ngram import count_ngrams, interpolate
 
@@ -94,7 +98,7 @@ def test_bucket_scores_match_incremental(data):
     # Tiny blocks also exercise the per-block path of the scorer.
     block_windows = data.draw(st.sampled_from([1, 5, 1 << 16]), label="block_windows")
     with mock.patch.object(selection, "_BLOCK_WINDOWS", block_windows):
-        scores = selection._fast_scores(bucket.sequences, subset, target)
+        scores = selection._fast_scores(bucket, np.arange(len(bucket)), subset, target)
     for seq, fast in zip(bucket, scores):
         exact = scd_incremental(subset, seq, target).nats
         assert abs(fast - exact) <= 1e-10 * (1.0 + abs(exact))
@@ -111,7 +115,7 @@ def test_bucket_scores_at_the_int64_key_limit():
     target = interpolate(count_ngrams(query, 2, 0.5), count_ngrams(pool, 2, 0.5), 0.3)
     subset = CandidateStats(2, k, 0.5)
     subset.add(seqs[3])
-    scores = selection._fast_scores(pool.sequences, subset, target)
+    scores = selection._fast_scores(pool, np.arange(len(pool)), subset, target)
     for seq, fast in zip(pool, scores):
         exact = scd_incremental(subset, seq, target).nats
         assert math.isfinite(exact)
@@ -160,14 +164,14 @@ def test_seconds_budget_contract(run):
     passes = []
     real_buckets, real_pick = selection._duration_buckets, selection._pick_from_bucket
 
-    def duration_buckets(sequences, n_buckets):
-        bounds = real_buckets(sequences, n_buckets)
-        passes.append(([tuple(sequences[a:b]) for a, b in bounds], []))
+    def duration_buckets(sorted_pool, rows, n_buckets):
+        bounds = real_buckets(sorted_pool, rows, n_buckets)
+        passes.append(([tuple(rows[a:b].tolist()) for a, b in bounds], []))
         return bounds
 
-    def pick_from_bucket(bucket, *args):
-        passes[-1][1].append(tuple(bucket))
-        return real_pick(bucket, *args)
+    def pick_from_bucket(sorted_pool, bucket, *args):
+        passes[-1][1].append(tuple(bucket.tolist()))
+        return real_pick(sorted_pool, bucket, *args)
 
     with mock.patch.object(selection, "_duration_buckets", duration_buckets), \
             mock.patch.object(selection, "_pick_from_bucket", pick_from_bucket):
@@ -204,10 +208,11 @@ def test_greedy_seconds_budget_matches_naive_recount(run, lam, alpha):
     config = dataclasses.replace(config, lam=lam, alpha=alpha)
     passes = []
     real_buckets = selection._duration_buckets
+    sequences = sort_by_length(pool).sequences
 
-    def duration_buckets(sequences, n_buckets):
-        bounds = real_buckets(sequences, n_buckets)
-        passes.append([tuple(sequences[a:b]) for a, b in bounds])
+    def duration_buckets(sorted_pool, rows, n_buckets):
+        bounds = real_buckets(sorted_pool, rows, n_buckets)
+        passes.append([tuple(sequences[row] for row in rows[a:b].tolist()) for a, b in bounds])
         return bounds
 
     with mock.patch.object(selection, "_duration_buckets", duration_buckets):
@@ -230,3 +235,45 @@ def test_greedy_seconds_budget_matches_naive_recount(run, lam, alpha):
     for i, pick in enumerate(picks):
         values = [naive_scd(picks[:i] + [seq]) for seq in buckets[i]]
         assert buckets[i].index(pick) == values.index(min(values))
+
+
+def _ids_and_trace(select, pool, query, config):
+    """The picks and trace of one selection, or the text of its ValueError."""
+    try:
+        result = select(pool, query, config)
+    except ValueError as exc:
+        return str(exc)
+    return result.selected_ids, result.scd_trace
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_selection_does_not_depend_on_the_label_dtype(data):
+    # K <= 256 loads as uint8 and K <= 300 as uint16; K**order overflows both,
+    # so gram codes formed before the labels are widened would differ.
+    k = data.draw(st.one_of(st.sampled_from([2, 255, 256, 257, 300]), st.integers(2, 300)), label="k")
+    order = data.draw(st.integers(1, 3), label="order")
+    labels = st.lists(st.one_of(st.integers(0, k - 1), st.just(k - 1)), max_size=9)
+    seqs = data.draw(st.lists(labels, min_size=1, max_size=8), label="pool")
+    durations = data.draw(st.lists(st.floats(0.01, 10.0), min_size=len(seqs), max_size=len(seqs)))
+    query_seqs = data.draw(st.lists(labels.filter(bool), min_size=1, max_size=3), label="query")
+    built = make_corpus(seqs, k, durations=durations)
+    built_query = make_corpus(query_seqs, k, ids=[f"q{i}" for i in range(len(query_seqs))])
+    with tempfile.TemporaryDirectory() as tmp:
+        save_label_corpus(built, Path(tmp) / "pool.labels")
+        save_label_corpus(built_query, Path(tmp) / "query.labels")
+        loaded = load_label_corpus(Path(tmp) / "pool.labels")
+        loaded_query = load_label_corpus(Path(tmp) / "query.labels")
+    assert loaded.labels.dtype == (np.uint8 if k <= 256 else np.uint16)
+    assert built.labels.dtype == np.int32
+    if data.draw(st.booleans(), label="count budget"):
+        budget = {"budget_c": data.draw(st.integers(1, len(seqs)), label="budget_c")}
+    else:
+        budget = {"duration_budget_s": data.draw(st.floats(0.0, 1.0), label="fraction") * math.fsum(durations)}
+    config = selection.SelectionConfig(
+        **budget, order=order, alpha=0.5, lam=data.draw(st.sampled_from([0.0, 0.6, 1.0]), label="lam")
+    )
+    for select in (selection.select_greedy_scd, selection.select_contrastive):
+        assert _ids_and_trace(select, loaded, loaded_query, config) == _ids_and_trace(
+            select, built, built_query, config
+        )

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from scdselect import selection
-from scdselect.corpus import LabelCorpus, LabelSequence, sort_by_length
+from scdselect.corpus import LabelCorpus, LabelSequence, load_label_corpus, save_label_corpus, sort_by_length
 from scdselect.divergence import CandidateStats, DivergenceUndefinedError, scd
 from scdselect.ngram import count_ngrams
 from scdselect.selection import (
@@ -48,6 +48,24 @@ def naive_greedy(universal, query, config):
             stats.add(chosen.labels)
         trace.append(scd(target, stats.distribution()).nats)
     return tuple(seq.id for seq in picked), tuple(trace)
+
+
+def list_duration_buckets(sequences, n_buckets):
+    """Bucket edges as greedy made them from a list of sequences: Python float sums in order."""
+    total = sum(seq.duration_s for seq in sequences)
+    span = total / n_buckets
+    bounds = []
+    start = 0
+    cum = 0.0
+    threshold = span
+    for index, seq in enumerate(sequences):
+        cum += seq.duration_s
+        is_last = index == len(sequences) - 1
+        if (cum >= threshold and len(bounds) < n_buckets - 1) or is_last:
+            bounds.append((start, index + 1))
+            start = index + 1
+            threshold += span
+    return bounds
 
 
 def random_instance(rng, n_utts, k, max_len=10):
@@ -236,6 +254,30 @@ class TestGreedy:
         query = make_corpus([[0]], 2, ids=["q"])
         with pytest.raises(ValueError, match="duration"):
             select_greedy_scd(universal, query, SelectionConfig(duration_budget_s=1.0))
+
+
+class TestSelectionBuildsNoViews:
+    """Greedy and contrastive read candidates from the corpus columns, so a
+    loaded pool and query never build their ``LabelSequence`` views."""
+
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_loaded_corpora_keep_no_views(self, tmp_path, order):
+        rng = np.random.default_rng(4)
+        seqs = [rng.integers(0, 5, size=rng.integers(0, 12)).tolist() for _ in range(30)]
+        durations = [float(rng.uniform(0.5, 3.0)) for _ in range(30)]
+        save_label_corpus(make_corpus(seqs, 5, durations=durations), tmp_path / "pool.labels")
+        save_label_corpus(make_corpus([[0, 1, 2, 3, 4, 4, 1]], 5, ids=["q"]), tmp_path / "query.labels")
+        pool = load_label_corpus(tmp_path / "pool.labels")
+        query = load_label_corpus(tmp_path / "query.labels")
+        count = SelectionConfig(budget_c=6, order=order)
+        seconds = SelectionConfig(duration_budget_s=0.8 * math.fsum(durations), order=order)
+        with mock.patch.object(LabelSequence, "_view", side_effect=AssertionError("a view was built")):
+            select_greedy_scd(pool, query, count)
+            select_greedy_scd(pool, query, seconds)
+            select_contrastive(pool, query, count)
+            contrastive_scores(pool, query, count)
+        assert pool._sequences is None
+        assert query._sequences is None
 
 
 class TestLambdaEndpoints:
@@ -591,37 +633,52 @@ class TestSubsetScdReuse:
     subset, and picks what a fresh ``scd`` per bucket picks."""
 
     @staticmethod
-    def instance():
+    def instance(tenths=False):
         # At this seed the seconds budget takes several passes at orders 1-3.
         rng = np.random.default_rng(5)
         seqs = [rng.integers(0, 4, size=rng.integers(2, 12)).tolist() for _ in range(40)]
         durations = [float(rng.integers(1, 6)) ** 2 for _ in range(40)]
+        if tenths:
+            # Tenths are no binary fractions, so their sums round: with half
+            # the total as budget, the pass's bucket edges move if the total
+            # is summed another way, such as numpy's pairwise np.sum.
+            durations = [0.1 * (1 + i % 7) for i in range(40)]
         universal = make_corpus(seqs, 4, durations=durations)
         query = make_corpus([rng.integers(0, 4, size=9).tolist() for _ in range(3)], 4, ids=["q0", "q1", "q2"])
         return universal, query, sum(durations)
 
     @pytest.mark.parametrize("order", [1, 2, 3])
-    @pytest.mark.parametrize("budget", ["count", "seconds"])
+    @pytest.mark.parametrize("budget", ["count", "seconds", "tenths"])
     def test_one_scd_call_and_same_picks(self, order, budget):
-        universal, query, total = self.instance()
+        universal, query, total = self.instance(tenths=budget == "tenths")
         if budget == "count":
             config = SelectionConfig(budget_c=12, order=order, lam=0.7)
         else:
-            config = SelectionConfig(duration_budget_s=0.95 * total, order=order, lam=0.7)
+            fraction = 0.95 if budget == "seconds" else 0.5
+            config = SelectionConfig(duration_budget_s=fraction * total, order=order, lam=0.7)
         calls = []
         passes = []
         real_scd, real_buckets = selection.scd, selection._duration_buckets
+        ordered = sort_by_length(universal).sequences
+
+        def duration_buckets(sorted_pool, rows, n_buckets):
+            bounds = real_buckets(sorted_pool, rows, n_buckets)
+            passes.append((bounds, list_duration_buckets([ordered[row] for row in rows.tolist()], n_buckets)))
+            return bounds
+
         with mock.patch.object(selection, "scd", lambda *a: calls.append(1) or real_scd(*a)), \
-                mock.patch.object(selection, "_duration_buckets", lambda *a: passes.append(1) or real_buckets(*a)):
+                mock.patch.object(selection, "_duration_buckets", duration_buckets):
             result = select_greedy_scd(universal, query, config)
         assert len(calls) == 1
         if budget == "seconds":
             assert len(passes) > 1
+        # Each pass's bucket edges are those of the sequence-list form.
+        assert all(bounds == expected for bounds, expected in passes)
 
         pick = selection._pick_from_bucket
 
-        def fresh_base(sequences, cand_stats, target, subset_nats):
-            return pick(sequences, cand_stats, target, None)
+        def fresh_base(sorted_pool, rows, cand_stats, target, subset_nats):
+            return pick(sorted_pool, rows, cand_stats, target, None)
 
         with mock.patch.object(selection, "_pick_from_bucket", fresh_base):
             fresh = select_greedy_scd(universal, query, config)
@@ -635,6 +692,6 @@ class TestSubsetScdReuse:
         subset = CandidateStats(2, 4, config.alpha)
         subset.add(universal.sequences[0].labels)
         base = scd(target, subset.distribution()).nats
-        sequences = universal.sequences[1:]
-        fresh = selection._fast_scores(sequences, subset, target)
-        assert fresh.tobytes() == selection._fast_scores(sequences, subset, target, base).tobytes()
+        rows = np.arange(1, len(universal))
+        fresh = selection._fast_scores(universal, rows, subset, target)
+        assert fresh.tobytes() == selection._fast_scores(universal, rows, subset, target, base).tobytes()
