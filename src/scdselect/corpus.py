@@ -239,6 +239,17 @@ class ManifestEntry:
     audio_path: str
 
 
+def _check_manifest_entry(entry: ManifestEntry, seen: set[str]) -> None:
+    """ValueError unless ``entry`` has an id not in ``seen`` and an audio path; adds its id to ``seen``."""
+    if not entry.id:
+        raise ValueError("manifest entry id must be non-empty")
+    if entry.id in seen:
+        raise ValueError(f"duplicate manifest id {entry.id!r}")
+    if not entry.audio_path:
+        raise ValueError(f"manifest entry {entry.id!r}: empty audio path")
+    seen.add(entry.id)
+
+
 @dataclass(frozen=True)
 class AudioManifest:
     """Utterance ids paired with audio file paths."""
@@ -249,13 +260,7 @@ class AudioManifest:
         object.__setattr__(self, "entries", tuple(self.entries))
         seen: set[str] = set()
         for entry in self.entries:
-            if not entry.id:
-                raise ValueError("manifest entry id must be non-empty")
-            if entry.id in seen:
-                raise ValueError(f"duplicate manifest id {entry.id!r}")
-            seen.add(entry.id)
-            if not entry.audio_path:
-                raise ValueError(f"manifest entry {entry.id!r}: empty audio path")
+            _check_manifest_entry(entry, seen)
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -541,13 +546,10 @@ def load_audio_manifest(path: str | Path) -> AudioManifest:
             fields = line.split("\t")
             if len(fields) != 2:
                 raise CorpusFormatError(f"{path}:{lineno}: expected '<id>\\t<path>', got {len(fields)} fields")
-            utt_id, audio_path = fields
-            if not utt_id:
-                raise CorpusFormatError(f"{path}:{lineno}: manifest entry id must be non-empty")
-            if utt_id in seen:
-                raise CorpusFormatError(f"{path}:{lineno}: duplicate manifest id {utt_id!r}")
-            if not audio_path:
-                raise CorpusFormatError(f"{path}:{lineno}: manifest entry {utt_id!r}: empty audio path")
-            seen.add(utt_id)
-            entries.append(ManifestEntry(id=utt_id, audio_path=audio_path))
+            entry = ManifestEntry(*fields)
+            try:
+                _check_manifest_entry(entry, seen)
+            except ValueError as exc:
+                raise CorpusFormatError(f"{path}:{lineno}: {exc}") from None
+            entries.append(entry)
     return AudioManifest(entries=tuple(entries))

@@ -213,21 +213,8 @@ def _deltas(feats: np.ndarray, width: int = 2) -> np.ndarray:
     return out / denom
 
 
-def compute_mfcc(
-    samples: np.ndarray,
-    config: MfccConfig,
-    sample_rate_hz: int | None = None,
-) -> np.ndarray:
-    """MFCC matrix (frames x feature_dim) of one mono PCM signal.
-
-    ``sample_rate_hz``, when given, is validated against the config; the
-    samples themselves carry no rate.
-    """
-    if sample_rate_hz is not None and sample_rate_hz != config.sample_rate_hz:
-        raise AudioError(
-            f"sample rate {sample_rate_hz} Hz does not match configured "
-            f"{config.sample_rate_hz} Hz"
-        )
+def compute_mfcc(samples: np.ndarray, config: MfccConfig) -> np.ndarray:
+    """MFCC matrix (frames x feature_dim) of one mono PCM signal."""
     samples = np.asarray(samples, dtype=np.float64).reshape(-1)
     flen = config.frame_length_samples
     shift = config.frame_shift_samples

@@ -29,8 +29,8 @@ from .ngram import (
     check_encodable,
     code_positions,
     decode_gram,
-    grouped_codes,
     merge_counts,
+    sequence_gram_counts,
     smoothed_distribution,
     values_at,
 )
@@ -130,13 +130,9 @@ class CandidateStats:
 
     def add(self, labels: LabelSequence | Iterable[int]) -> None:
         """Fold one utterance's gram counts into the accumulator."""
-        labels = _label_array(labels)
-        if labels.size and (labels.min() < 0 or labels.max() >= self.alphabet_size):
-            raise ValueError(f"labels outside [0, {self.alphabet_size})")
-        lengths = np.array([labels.shape[0]], dtype=np.int64)
-        codes, _, counts = grouped_codes(labels, lengths, self.order, self.alphabet_size)
-        self.codes, self.code_counts = merge_counts(self.codes, self.code_counts, codes, counts)
-        self.total += int(counts.sum())
+        counts = sequence_gram_counts(_label_array(labels), self.order, self.alphabet_size)
+        self.codes, self.code_counts = merge_counts(self.codes, self.code_counts, counts.codes, counts.code_counts)
+        self.total += int(counts.code_counts.sum())
 
     def count_at(self, codes: np.ndarray) -> np.ndarray:
         """Subset count of each gram code in ``codes`` (zero where unseen)."""

@@ -9,6 +9,10 @@ aligned count or probability array. The full support size K**N enters only
 the smoothing denominator, as an exact Python integer; it must not exceed
 2**62, so every code fits in int64.
 
+:func:`code_positions` is the one search of a sorted code table; lookups and
+the union layout that :func:`merge_counts` and :func:`interpolate` share are
+built on it.
+
 The smoothed probability of any gram l, seen or not, is
 
     P(l) = (cnt(l) + alpha) / (total + alpha * K**N)
@@ -114,52 +118,58 @@ def run_starts(sorted_codes: np.ndarray) -> np.ndarray:
     return np.flatnonzero(first)
 
 
+def code_positions(sorted_codes: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """How many of ``sorted_codes`` lie below each of ``codes``, and whether it is there.
+
+    The count is searchsorted's left insertion point, unclipped: the index of
+    a code that is there, and the place an absent one would be inserted.
+    """
+    if sorted_codes.shape[0] == 0:
+        return np.zeros(codes.shape, dtype=np.intp), np.zeros(codes.shape, dtype=bool)
+    index = np.searchsorted(sorted_codes, codes)
+    return index, sorted_codes.take(index, mode="clip") == codes
+
+
+def _union(codes_a: np.ndarray, codes_b: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sorted union of the sorted codes of a and the sorted, distinct codes of b.
+
+    Returns ``(codes, from_a, slot_b)``: ``from_a`` marks the slots that hold
+    a's codes, in order, and b's ``j``-th code sits at ``slot_b[j]``. Each
+    code of b is placed in a, so this is O(|b| log |a|) and one pass over a.
+    """
+    slot_b, found = code_positions(codes_a, codes_b)
+    new = ~found
+    # b is sorted, so the new codes inserted before slot_b[j] in a are the
+    # new ones among b[:j]: in the union, b[j] (if new) or the entry of a it
+    # matches sits that many places further right.
+    slot_b += np.cumsum(new)
+    slot_b -= new
+    from_a = np.ones(codes_a.shape[0] + int(np.count_nonzero(new)), dtype=bool)
+    from_a[slot_b[new]] = False
+    codes = np.empty(from_a.shape[0], dtype=codes_a.dtype)
+    codes[from_a] = codes_a
+    codes[slot_b] = codes_b
+    return codes, from_a, slot_b
+
+
 def merge_counts(
     codes_a: np.ndarray, counts_a: np.ndarray, codes_b: np.ndarray, counts_b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Sum of two sorted code/count tables, as one sorted table.
 
-    Each code of b is looked up in a: a found code adds its count there, and
-    the others are inserted where they sort. That is O(|b| log |a|) lookups
-    and one pass over a, so a small table folds cheaply into a large one. An
-    empty input returns the other table itself.
+    b's codes must be distinct. The tables are laid out by :func:`_union`, so
+    a small table folds cheaply into a large one. An empty input returns the
+    other table itself.
     """
     if codes_b.shape[0] == 0:
         return codes_a, counts_a
     if codes_a.shape[0] == 0:
         return codes_b, counts_b
-    position = np.searchsorted(codes_a, codes_b)
-    found = codes_a.take(position, mode="clip") == codes_b
-    new = ~found
-    # b is sorted, so the new codes inserted before position[j] in a are the
-    # new ones among b[:j]: in the output, b[j] (if new) or the entry of a it
-    # matches sits that many places further right.
-    position += np.cumsum(new)
-    position -= new
-    at, hit = position[new], position[found]
-    del position  # before the output tables are allocated
-    from_a = np.ones(codes_a.shape[0] + at.shape[0], dtype=bool)
-    from_a[at] = False
-    codes = np.empty(from_a.shape[0], dtype=codes_a.dtype)
-    codes[from_a] = codes_a
-    codes[at] = codes_b[new]
-    counts = np.empty(from_a.shape[0], dtype=counts_a.dtype)
+    codes, from_a, slot_b = _union(codes_a, codes_b)
+    counts = np.zeros(codes.shape[0], dtype=counts_a.dtype)
     counts[from_a] = counts_a
-    counts[at] = counts_b[new]
-    counts[hit] += counts_b[found]
+    counts[slot_b] += counts_b
     return codes, counts
-
-
-def code_positions(sorted_codes: np.ndarray, codes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Index of each of ``codes`` in ``sorted_codes`` and whether it is there.
-
-    Indices of absent codes are clipped into range and mean nothing.
-    """
-    if sorted_codes.shape[0] == 0:
-        return np.zeros(codes.shape, dtype=np.intp), np.zeros(codes.shape, dtype=bool)
-    index = np.searchsorted(sorted_codes, codes)
-    np.minimum(index, sorted_codes.shape[0] - 1, out=index)
-    return index, sorted_codes[index] == codes
 
 
 def values_at(
@@ -446,9 +456,11 @@ def smoothed_distribution(
 
 
 def sequence_gram_counts(labels, order: int, alphabet_size: int) -> GramCounts:
-    """Sliding-window gram counts of a single label sequence."""
+    """Sliding-window gram counts of a single label sequence; ValueError for a label outside [0, K)."""
     check_encodable(alphabet_size, order)
     labels = np.asarray(labels).reshape(-1)
+    if labels.size and (labels.min() < 0 or labels.max() >= alphabet_size):
+        raise ValueError(f"labels outside [0, {alphabet_size})")
     codes, _, counts = grouped_codes(labels, np.array([labels.shape[0]], dtype=np.int64), order, alphabet_size)
     return GramCounts(order, alphabet_size, codes, counts)
 
@@ -503,14 +515,19 @@ def interpolate(q: NGramStats, u: NGramStats, lam: float) -> Distribution:
         raise ValueError(f"lambda must be in [0, 1], got {lam}")
     dist_q = q.distribution()
     dist_u = u.distribution()
-    # A stable sort of two ascending runs is a linear merge.
-    codes = np.sort(np.concatenate((dist_q.codes, dist_u.codes)), kind="stable")
-    codes = codes[run_starts(codes)]
+    codes, from_u, slot_q = _union(dist_u.codes, dist_q.codes)
+    explicit = np.full(codes.shape[0], dist_q.floor)
+    explicit[slot_q] = dist_q.explicit
+    explicit *= lam
+    p_u = np.full(codes.shape[0], dist_u.floor)
+    p_u[from_u] = dist_u.explicit
+    p_u *= 1.0 - lam
+    explicit += p_u
     return Distribution(
         order=q.order,
         alphabet_size=q.alphabet_size,
         codes=codes,
-        explicit=lam * dist_q.lookup(codes) + (1.0 - lam) * dist_u.lookup(codes),
+        explicit=explicit,
         floor=lam * dist_q.floor + (1.0 - lam) * dist_u.floor,
     )
 
