@@ -84,39 +84,23 @@ class RunConfig:
         return cls(subcommand=args.subcommand, options=options)
 
 
-def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text}")
-    return value
+def _number(convert, accept, expected: str):
+    """An argparse ``type`` that converts with ``convert`` and refuses values ``accept`` rejects."""
+    def check(text: str):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"expected {expected}, got {text}")
+        return value
+
+    check.__name__ = convert.__name__  # argparse then reports "invalid int value: 'x'"
+    return check
 
 
-def _nonneg_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"expected a non-negative integer, got {text}")
-    return value
-
-
-def _nonneg_float(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value >= 0):
-        raise argparse.ArgumentTypeError(f"expected a finite non-negative number, got {text}")
-    return value
-
-
-def _positive_float(text: str) -> float:
-    value = float(text)
-    if not (math.isfinite(value) and value > 0):
-        raise argparse.ArgumentTypeError(f"expected a finite positive number, got {text}")
-    return value
-
-
-def _closed01(text: str) -> float:
-    value = float(text)
-    if not 0.0 <= value <= 1.0:
-        raise argparse.ArgumentTypeError(f"expected a value in [0, 1], got {text}")
-    return value
+_positive_int = _number(int, lambda v: v >= 1, "a positive integer")
+_nonneg_int = _number(int, lambda v: v >= 0, "a non-negative integer")
+_nonneg_float = _number(float, lambda v: math.isfinite(v) and v >= 0, "a finite non-negative number")
+_positive_float = _number(float, lambda v: math.isfinite(v) and v > 0, "a finite positive number")
+_closed01 = _number(float, lambda v: 0.0 <= v <= 1.0, "a value in [0, 1]")
 
 
 def _add_ngram_flags(parser: argparse.ArgumentParser) -> None:

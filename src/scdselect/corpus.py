@@ -36,19 +36,16 @@ Audio manifests are ``<id>\\t<path>`` lines.
 from __future__ import annotations
 
 import contextlib
-import logging
 import math
 import os
 import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import AbstractSet, Iterable, Iterator, NoReturn, Sequence
+from typing import Iterable, Iterator, NoReturn, Sequence
 
 import numpy as np
 
 from .parallel import map_in_order
-
-logger = logging.getLogger(__name__)
 
 LABEL_DTYPE = np.int32
 
@@ -77,6 +74,12 @@ def _as_label_array(labels) -> np.ndarray:
     return arr
 
 
+def _check_id_chars(utt_id: str) -> None:
+    """ValueError when an id holds a tab, LF or CR, which would break its file's records."""
+    if "\t" in utt_id or "\n" in utt_id or "\r" in utt_id:
+        raise ValueError(f"utterance id {utt_id!r} contains tab/newline")
+
+
 @dataclass(frozen=True, eq=False, slots=True)
 class LabelSequence:
     """One utterance as an ordered run of integer cluster labels.
@@ -101,8 +104,7 @@ class LabelSequence:
         """``duration_s`` as a float; ValueError unless the id and the duration are valid."""
         if not utt_id:
             raise ValueError("utterance id must be non-empty")
-        if "\t" in utt_id or "\n" in utt_id or "\r" in utt_id:
-            raise ValueError(f"utterance id {utt_id!r} contains tab/newline")
+        _check_id_chars(utt_id)
         duration = float(duration_s)
         if not (math.isfinite(duration) and duration >= 0):
             raise ValueError(
@@ -222,11 +224,11 @@ class LabelCorpus:
         return int(self.lengths.sum())
 
 
-def _check_unique(ids: Sequence[str], earlier: AbstractSet[str] = frozenset()) -> None:
-    """ValueError naming the first id that repeats an earlier one of ``ids`` or of ``earlier``."""
-    if len(set(ids)) == len(ids) and earlier.isdisjoint(ids):
+def _check_unique(ids: Sequence[str]) -> None:
+    """ValueError naming the first id that repeats an earlier one of ``ids``."""
+    if len(set(ids)) == len(ids):
         return
-    seen = set(earlier)
+    seen: set[str] = set()
     for utt_id in ids:
         if utt_id in seen:
             raise ValueError(f"duplicate utterance id {utt_id!r}")
@@ -240,9 +242,10 @@ class ManifestEntry:
 
 
 def _check_manifest_entry(entry: ManifestEntry, seen: set[str]) -> None:
-    """ValueError unless ``entry`` has an id not in ``seen`` and an audio path; adds its id to ``seen``."""
+    """ValueError unless ``entry`` has a valid id not in ``seen`` and an audio path; adds its id to ``seen``."""
     if not entry.id:
         raise ValueError("manifest entry id must be non-empty")
+    _check_id_chars(entry.id)
     if entry.id in seen:
         raise ValueError(f"duplicate manifest id {entry.id!r}")
     if not entry.audio_path:
@@ -324,7 +327,7 @@ def load_label_corpus(path: str | Path) -> LabelCorpus:
             if not lines[-1]:
                 lines.pop()
             try:
-                values, *rest = _parse_records(lines, alphabet_size, set())
+                values, *rest = _parse_records(lines, alphabet_size)
             except ValueError:
                 return None, lines
             # The values are range-checked, so narrowing keeps them.
@@ -336,13 +339,9 @@ def load_label_corpus(path: str | Path) -> LabelCorpus:
                 if records is None:
                     _raise_first_fault(path, lineno, lines, alphabet_size, seen)
                 values, n_labels, utt_ids, seconds = records
-                # A chunk parses on its own, so ids repeated from earlier chunks are
-                # checked here. Its lines each check out alone, so the first such
-                # id is its first faulty line.
-                if not seen.isdisjoint(utt_ids):
-                    index, utt_id = next((i, u) for i, u in enumerate(utt_ids) if u in seen)
-                    raise CorpusFormatError(f"{path}:{lineno + index}: duplicate utterance id {utt_id!r}")
-                seen.update(utt_ids)
+                # A chunk parses on its own, so ids are checked across chunks here;
+                # its other lines check out, so a repeated id is its first fault.
+                _add_new_ids(path, lineno, utt_ids, seen)
                 labels[filled : filled + values.shape[0]] = values
                 filled += values.shape[0]
                 ids.extend(utt_ids)
@@ -393,13 +392,12 @@ def _check_utf8(path: Path, lineno: int, line: bytes) -> None:
         raise CorpusFormatError(f"{path}:{lineno}: not valid UTF-8") from None
 
 
-def _parse_records(lines: Sequence[bytes], alphabet_size: int, seen: set[str]) -> tuple:
+def _parse_records(lines: Sequence[bytes], alphabet_size: int) -> tuple:
     """Labels (int64), lengths, ids and durations of record lines, checked in bulk.
 
     This is the one definition of a record line. Any fault raises
     ValueError; given a single line, its text is that line's fault message.
-    ``seen`` holds the ids of earlier records; the ids of ``lines`` join it
-    only when every line checks out.
+    Ids are checked against each other, not earlier records (:func:`_add_new_ids`).
     """
     ids: list[str] = []
     durations: list[float] = []
@@ -445,8 +443,7 @@ def _parse_records(lines: Sequence[bytes], alphabet_size: int, seen: set[str]) -
     if not all(ids) or any("\r" in utt_id for utt_id in ids) or min(durations, default=0.0) < 0:
         for utt_id, duration in zip(ids, durations):
             LabelSequence._checked_duration(utt_id, duration)
-    _check_unique(ids, seen)
-    seen.update(ids)
+    _check_unique(ids)
     return values, lengths, ids, durations
 
 
@@ -457,10 +454,19 @@ def _raise_first_fault(
     for lineno, line in enumerate(lines, start=lineno):
         _check_utf8(path, lineno, line)
         try:
-            _parse_records([line], alphabet_size, seen)
+            utt_ids = _parse_records([line], alphabet_size)[2]
         except ValueError as exc:
             raise CorpusFormatError(f"{path}:{lineno}: {exc}") from None
+        _add_new_ids(path, lineno, utt_ids, seen)
     raise RuntimeError(f"{path}: a chunk failed to parse but each of its lines checks out")
+
+
+def _add_new_ids(path: Path, lineno: int, utt_ids: Sequence[str], seen: set[str]) -> None:
+    """Add the distinct ``utt_ids``, numbered from ``lineno``, to ``seen``; raise at the first already there."""
+    if not seen.isdisjoint(utt_ids):
+        index, utt_id = next((i, u) for i, u in enumerate(utt_ids) if u in seen)
+        raise CorpusFormatError(f"{path}:{lineno + index}: duplicate utterance id {utt_id!r}")
+    seen.update(utt_ids)
 
 
 def save_label_corpus(

@@ -130,7 +130,7 @@ class CandidateStats:
 
     def add(self, labels: LabelSequence | Iterable[int]) -> None:
         """Fold one utterance's gram counts into the accumulator."""
-        counts = sequence_gram_counts(_label_array(labels), self.order, self.alphabet_size)
+        counts = sequence_gram_counts(labels, self.order, self.alphabet_size)
         self.codes, self.code_counts = merge_counts(self.codes, self.code_counts, counts.codes, counts.code_counts)
         self.total += int(counts.code_counts.sum())
 
@@ -142,12 +142,6 @@ class CandidateStats:
         return smoothed_distribution(
             self.order, self.alphabet_size, self.codes, self.code_counts, self.total, self.alpha
         )
-
-
-def _label_array(labels: LabelSequence | Iterable[int]) -> np.ndarray:
-    if isinstance(labels, LabelSequence):
-        return labels.labels
-    return np.asarray(labels, dtype=np.int64).reshape(-1)
 
 
 def scd_incremental(

@@ -32,7 +32,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .corpus import LabelCorpus
+from .corpus import LabelCorpus, LabelSequence
 
 Gram = tuple[int, ...]
 
@@ -455,10 +455,11 @@ def smoothed_distribution(
     )
 
 
-def sequence_gram_counts(labels, order: int, alphabet_size: int) -> GramCounts:
+def sequence_gram_counts(labels: LabelSequence | Iterable[int], order: int, alphabet_size: int) -> GramCounts:
     """Sliding-window gram counts of a single label sequence; ValueError for a label outside [0, K)."""
     check_encodable(alphabet_size, order)
-    labels = np.asarray(labels).reshape(-1)
+    labels = labels.labels if isinstance(labels, LabelSequence) else np.asarray(labels).reshape(-1)
+    labels = labels if np.can_cast(labels.dtype, np.int64) else labels.astype(np.int64)
     if labels.size and (labels.min() < 0 or labels.max() >= alphabet_size):
         raise ValueError(f"labels outside [0, {alphabet_size})")
     codes, _, counts = grouped_codes(labels, np.array([labels.shape[0]], dtype=np.int64), order, alphabet_size)

@@ -8,8 +8,8 @@ interpolated target. ``select_random``, ``select_contrastive`` and
 their divergence trace against the same target, so results compare
 directly. Greedy's fast scorer and the contrastive scores share one block
 pass over the pool's grams (:func:`_block_sums`). Contrastive excludes an
-utterance that has no grams at the order or, at alpha=0, holds a gram of
-zero query probability.
+utterance with no grams at the order and, at alpha=0, applies the
+first-zero-gram rule of :func:`contrastive_scores`.
 
 Candidates are rows of the corpus columns (``labels``, ``starts``,
 ``lengths``, ``durations``, ``ids``): a bucket is a run of row indices into
@@ -492,8 +492,9 @@ def contrastive_scores(
     """Per-utterance mean log-likelihood gap between query and pool models.
 
     score(u) = mean over u's gram occurrences of log P_query(g) - log P_pool(g).
-    Utterances with no grams at this order, or with a gram of zero query
-    probability (alpha=0 only), score -inf.
+    Utterances with no grams at this order score -inf. At alpha=0 an
+    utterance's first gram, in code order, that either model gives zero
+    probability decides: -inf if the query's is zero, else a ValueError naming it.
     """
     scores = _scores_from_stats(universal, *_component_stats(universal, query, config))
     return dict(zip(universal.ids, scores.tolist()))

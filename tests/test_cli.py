@@ -495,3 +495,28 @@ class TestEarlyFailures:
             main(["select", corpus, corpus, *budget, flag, value,
                   "--output", str(tmp_path / "r.tsv")])
         assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv,bad_range,expected,kind",
+    [
+        (["select", "u.labels", "q.labels", "--output", "r.tsv", "--budget-count"], "0",
+         "expected a positive integer, got 0", "int"),
+        (["select", "u.labels", "q.labels", "--output", "r.tsv", "--budget-count", "1", "--seed"], "-1",
+         "expected a non-negative integer, got -1", "int"),
+        (["select", "u.labels", "q.labels", "--output", "r.tsv", "--budget-seconds"], "-1.5",
+         "expected a finite non-negative number, got -1.5", "float"),
+        (["train-kmeans", "m.tsv", "--output", "m.json", "--frame-length-ms"], "0",
+         "expected a finite positive number, got 0", "float"),
+        (["select", "u.labels", "q.labels", "--output", "r.tsv", "--budget-count", "1", "--lambda"], "1.5",
+         "expected a value in [0, 1], got 1.5", "float"),
+    ],
+)
+def test_numeric_option_errors(capsys, argv, bad_range, expected, kind):
+    # An out-of-range value names the rule; text that is no number gets
+    # argparse's own wording for its converter.
+    for value, message in ((bad_range, expected), ("x", f"invalid {kind} value: 'x'")):
+        with pytest.raises(SystemExit) as exc:
+            main(argv + [value])
+        assert exc.value.code == 2
+        assert f"{argv[-1]}: {message}" in capsys.readouterr().err

@@ -280,6 +280,16 @@ class TestManifest:
         with pytest.raises(ValueError, match="empty audio path"):
             AudioManifest(entries=(ManifestEntry(id="a", audio_path=""),))
 
+    @pytest.mark.parametrize("bad_id", ["b\tx", "b\nx", "b\rx"])
+    def test_id_with_tab_or_newline_rejected_like_a_label_id(self, bad_id):
+        # The manifest fails when it is built, before any audio is read,
+        # with the message a label sequence gives for the same id.
+        with pytest.raises(ValueError) as from_sequence:
+            LabelSequence(id=bad_id, duration_s=0.0, labels=np.array([], dtype=np.int32))
+        with pytest.raises(ValueError) as from_manifest:
+            AudioManifest((ManifestEntry("a0", "a0.wav"), ManifestEntry(bad_id, "b.wav")))
+        assert str(from_manifest.value) == str(from_sequence.value) == f"utterance id {bad_id!r} contains tab/newline"
+
 
 class TestNonFiniteDurations:
     @pytest.mark.parametrize("text", ["nan", "inf", "-inf", "NaN", "infinity"])

@@ -160,3 +160,11 @@ class TestSequenceLabelsChecked:
     def test_in_range_labels_counted(self):
         assert dict(sequence_gram_counts([0, 2, 2, 0], 2, 3)) == {(0, 2): 1, (2, 2): 1, (2, 0): 1}
         assert dict(sequence_gram_counts([], 2, 3)) == {}
+
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.uint32, np.uint64, np.int64])
+    def test_every_integer_dtype_counted(self, dtype):
+        labels = np.array([0, 2, 2, 0], dtype=dtype)
+        assert dict(sequence_gram_counts(labels, 2, 3)) == {(0, 2): 1, (2, 2): 1, (2, 0): 1}
+        stats = CandidateStats(2, 3, 0.5)
+        stats.add(labels)
+        assert dict(stats.counts) == {(0, 2): 1, (2, 2): 1, (2, 0): 1}

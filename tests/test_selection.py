@@ -383,6 +383,25 @@ class TestContrastive:
         with pytest.raises(ValueError, match="grams at order"):
             select_contrastive(universal, query, SelectionConfig(budget_c=2, order=2))
 
+    def test_alpha_zero_first_undefined_gram_decides(self, caplog):
+        # Pruning leaves (1,) at zero pool probability and the query has no
+        # (0,). Utterance a holds both; its first undefined gram in code
+        # order, (0,), has zero query probability, so a is excluded rather
+        # than failing the run. The trace of the pick e then misses (1,).
+        universal = make_corpus([[0, 1], [0, 0, 2, 2, 2, 2], [2, 2]], 3, ids=["a", "c", "e"])
+        query = make_corpus([[2, 2, 1, 1]], 3, ids=["q"])
+        config = SelectionConfig(budget_c=1, lam=1.0, alpha=0.0, prune_min_count=2)
+        scores = contrastive_scores(universal, query, config)
+        assert scores["a"] == scores["c"] == -math.inf and scores["e"] > -math.inf
+        with caplog.at_level("WARNING"), pytest.raises(DivergenceUndefinedError, match=r"gram \(1,\)"):
+            select_contrastive(universal, query, config)
+        assert any("2 hold a gram of zero query probability" in message for message in caplog.messages)
+        # Where the pool-zero gram comes first, the utterance fails the run.
+        universal = make_corpus([[0, 1], [1, 2], [0, 0, 2, 2, 2, 2], [2, 2]], 3, ids=["a", "b", "c", "e"])
+        query = make_corpus([[2, 2, 2, 1, 1, 1]], 3, ids=["q"])
+        with pytest.raises(ValueError, match=r"pool probability is zero at gram \(1,\)"):
+            contrastive_scores(universal, query, SelectionConfig(budget_c=1, alpha=0.0, prune_min_count=3))
+
 
 class TestOracle:
     def test_full_budget(self):
