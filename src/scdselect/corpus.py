@@ -68,10 +68,20 @@ class CorpusFormatError(ValueError):
     """A label-corpus or manifest file violates its format contract."""
 
 
-def _as_label_array(labels) -> np.ndarray:
-    arr = np.asarray(labels, dtype=LABEL_DTYPE).reshape(-1)
-    arr.flags.writeable = False
-    return arr
+def integer_labels(labels, utt_id: str | None = None) -> np.ndarray:
+    """``labels`` as a flat array whose dtype casts safely to int32.
+
+    ValueError, naming ``utt_id`` when given, unless the labels have an integer
+    dtype and lie within the int32 range; empty input of any dtype is valid. An
+    array of a dtype that fits int32 is returned unread; any other is copied.
+    """
+    arr = np.asarray(labels).reshape(-1)
+    if arr.dtype.kind in "iu" and np.can_cast(arr.dtype, LABEL_DTYPE):
+        return arr
+    if arr.size and (arr.dtype.kind not in "iu" or arr.min() < -_INT32_END or arr.max() >= _INT32_END):
+        owner = "" if utt_id is None else f"utterance {utt_id!r}: "
+        raise ValueError(f"{owner}labels must be integers within the int32 range, got {arr.dtype} values")
+    return arr.astype(LABEL_DTYPE)
 
 
 def _check_id_chars(utt_id: str) -> None:
@@ -86,6 +96,8 @@ class LabelSequence:
 
     ``labels`` is a read-only integer array: int32 when the sequence is
     built here, or a view into a loaded corpus's narrower label column.
+    Built here, labels must have an integer dtype and lie within int32: floats,
+    bools, objects and wider values raise ValueError naming the id, never cast.
     Equality and hashing depend on the label values only, not on the dtype.
     An empty array is a valid (zero-length) utterance. Bounds against the
     owning alphabet are enforced by :class:`LabelCorpus`, not here.
@@ -97,7 +109,9 @@ class LabelSequence:
 
     def __post_init__(self):
         object.__setattr__(self, "duration_s", self._checked_duration(self.id, self.duration_s))
-        object.__setattr__(self, "labels", _as_label_array(self.labels))
+        labels = integer_labels(self.labels, self.id).astype(LABEL_DTYPE, copy=False)
+        labels.flags.writeable = False
+        object.__setattr__(self, "labels", labels)
 
     @staticmethod
     def _checked_duration(utt_id: str, duration_s) -> float:
@@ -264,6 +278,13 @@ class AudioManifest:
         seen: set[str] = set()
         for entry in self.entries:
             _check_manifest_entry(entry, seen)
+
+    @classmethod
+    def _from_checked(cls, entries: tuple[ManifestEntry, ...]) -> AudioManifest:
+        """A manifest over entries that are already checked; they are not checked again."""
+        manifest = cls.__new__(cls)
+        object.__setattr__(manifest, "entries", entries)
+        return manifest
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -558,4 +579,4 @@ def load_audio_manifest(path: str | Path) -> AudioManifest:
             except ValueError as exc:
                 raise CorpusFormatError(f"{path}:{lineno}: {exc}") from None
             entries.append(entry)
-    return AudioManifest(entries=tuple(entries))
+    return AudioManifest._from_checked(tuple(entries))

@@ -23,6 +23,7 @@ import numpy as np
 
 from .corpus import LabelSequence
 from .ngram import (
+    _EMPTY_CODES,
     Distribution,
     GramCounts,
     check_alpha,
@@ -100,10 +101,6 @@ def scd(p: Distribution, q: Distribution) -> ScdValue:
     return ScdValue(nats=nats + implicit, support_terms=union, implicit_mass=implicit)
 
 
-def _no_codes() -> np.ndarray:
-    return np.empty(0, dtype=np.int64)
-
-
 @dataclass(eq=False)
 class CandidateStats:
     """Mutable gram counts for a growing candidate subset.
@@ -116,8 +113,8 @@ class CandidateStats:
     order: int
     alphabet_size: int
     alpha: float
-    codes: np.ndarray = field(default_factory=_no_codes)
-    code_counts: np.ndarray = field(default_factory=_no_codes)
+    codes: np.ndarray = field(default_factory=lambda: _EMPTY_CODES)
+    code_counts: np.ndarray = field(default_factory=lambda: _EMPTY_CODES)
     total: int = 0
 
     def __post_init__(self):

@@ -32,7 +32,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .corpus import LabelCorpus, LabelSequence
+from .corpus import LabelCorpus, LabelSequence, integer_labels
 
 Gram = tuple[int, ...]
 
@@ -290,7 +290,8 @@ def group_limit(alphabet_size: int, order: int) -> int:
 class GramCounts(Mapping):
     """Read-only ``gram tuple -> count`` view of sorted codes and aligned counts.
 
-    Iteration yields grams in lexicographic order. Only counts >= 1 are held.
+    It is built from those arrays, never from a dict. Iteration yields grams
+    in lexicographic order. Only counts >= 1 are held.
     """
 
     __slots__ = ("order", "alphabet_size", "codes", "code_counts")
@@ -300,19 +301,6 @@ class GramCounts(Mapping):
         self.alphabet_size = alphabet_size
         self.codes = codes
         self.code_counts = code_counts
-
-    @classmethod
-    def from_mapping(cls, counts: Mapping, order: int, alphabet_size: int) -> "GramCounts":
-        """Validated, encoded copy of a ``gram tuple -> count`` mapping."""
-        codes = np.empty(len(counts), dtype=np.int64)
-        tallies = np.empty(len(counts), dtype=np.int64)
-        for i, (gram, count) in enumerate(counts.items()):
-            if count < 1:
-                raise ValueError(f"gram {gram} has non-positive count {count}")
-            codes[i] = _gram_code(gram, alphabet_size, order)
-            tallies[i] = count
-        rank = np.argsort(codes)
-        return cls(order, alphabet_size, codes[rank], tallies[rank])
 
     def __len__(self) -> int:
         return int(self.codes.shape[0])
@@ -338,14 +326,12 @@ class GramCounts(Mapping):
 class NGramStats:
     """Sparse gram counts for one corpus at a fixed order.
 
-    ``counts`` may be given as any ``gram tuple -> count`` mapping; it is
-    stored as a :class:`GramCounts` over sorted codes.
+    ``counts`` is a :class:`GramCounts`, never a dict; ``total`` is its sum.
     """
 
     order: int
     alphabet_size: int
-    counts: Mapping[Gram, int]
-    total: int
+    counts: GramCounts
     smoothing_alpha: float
 
     def __post_init__(self):
@@ -357,8 +343,7 @@ class NGramStats:
         check_encodable(self.alphabet_size, self.order)
         counts = self.counts
         if not isinstance(counts, GramCounts):
-            counts = GramCounts.from_mapping(counts, self.order, self.alphabet_size)
-            object.__setattr__(self, "counts", counts)
+            raise TypeError(f"counts must be a GramCounts, got {type(counts).__name__}")
         if (counts.order, counts.alphabet_size) != (self.order, self.alphabet_size):
             raise ValueError("count map has a different order or alphabet")
         codes = counts.codes
@@ -368,8 +353,10 @@ class NGramStats:
             raise ValueError("count map codes must be distinct, ascending and in range")
         if codes.shape[0] and counts.code_counts.min() < 1:
             raise ValueError("count map holds a non-positive count")
-        if self.total != int(counts.code_counts.sum()):
-            raise ValueError("total does not match the sum of the count map")
+
+    @property
+    def total(self) -> int:
+        return int(self.counts.code_counts.sum())
 
     @property
     def support_size(self) -> int:
@@ -456,10 +443,12 @@ def smoothed_distribution(
 
 
 def sequence_gram_counts(labels: LabelSequence | Iterable[int], order: int, alphabet_size: int) -> GramCounts:
-    """Sliding-window gram counts of a single label sequence; ValueError for a label outside [0, K)."""
+    """Sliding-window gram counts of a single label sequence.
+
+    ValueError for labels :func:`integer_labels` refuses or outside [0, K).
+    """
     check_encodable(alphabet_size, order)
-    labels = labels.labels if isinstance(labels, LabelSequence) else np.asarray(labels).reshape(-1)
-    labels = labels if np.can_cast(labels.dtype, np.int64) else labels.astype(np.int64)
+    labels = labels.labels if isinstance(labels, LabelSequence) else integer_labels(labels)
     if labels.size and (labels.min() < 0 or labels.max() >= alphabet_size):
         raise ValueError(f"labels outside [0, {alphabet_size})")
     codes, _, counts = grouped_codes(labels, np.array([labels.shape[0]], dtype=np.int64), order, alphabet_size)
@@ -484,24 +473,22 @@ def count_ngrams(corpus: LabelCorpus, order: int, alpha: float = 0.5) -> NGramSt
         order=order,
         alphabet_size=k,
         counts=GramCounts(order, k, codes, counts),
-        total=int(counts.sum()),
         smoothing_alpha=alpha,
     )
 
 
 def prune(stats: NGramStats, min_count: int) -> NGramStats:
-    """Drop grams counted fewer than ``min_count`` times; total is recomputed."""
+    """Drop grams counted fewer than ``min_count`` times; their counts leave the total."""
     if min_count < 0:
         raise ValueError("min_count must be >= 0")
     if min_count == 0:
         return stats
-    keep = stats.counts.code_counts >= min_count
-    kept = stats.counts.code_counts[keep]
+    counts = stats.counts
+    keep = counts.code_counts >= min_count
     return NGramStats(
         order=stats.order,
         alphabet_size=stats.alphabet_size,
-        counts=GramCounts(stats.order, stats.alphabet_size, stats.counts.codes[keep], kept),
-        total=int(kept.sum()),
+        counts=GramCounts(stats.order, stats.alphabet_size, counts.codes[keep], counts.code_counts[keep]),
         smoothing_alpha=stats.smoothing_alpha,
     )
 

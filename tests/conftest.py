@@ -6,6 +6,7 @@ import pytest
 from hypothesis import settings
 
 from scdselect.corpus import LabelCorpus, LabelSequence
+from scdselect.ngram import GramCounts, NGramStats
 
 # A failing property prints a blob that replays its example with
 # ``@reproduce_failure``, so a rare failure need not be found again.
@@ -31,6 +32,14 @@ def make_corpus(seqs, alphabet_size, ids=None, durations=None):
             )
         )
     return LabelCorpus(alphabet_size=alphabet_size, sequences=tuple(sequences))
+
+
+def stats_from_counts(counts, k, order=1, alpha=0.5):
+    """Stats from a ``gram tuple -> count`` dict; each gram becomes its mixed-radix code."""
+    grams = sorted(counts)
+    codes = np.array([np.ravel_multi_index(gram, (k,) * order) for gram in grams], dtype=np.int64)
+    tallies = np.array([counts[gram] for gram in grams], dtype=np.int64)
+    return NGramStats(order=order, alphabet_size=k, counts=GramCounts(order, k, codes, tallies), smoothing_alpha=alpha)
 
 
 @pytest.fixture

@@ -276,6 +276,15 @@ class TestManifest:
             ManifestEntry(id="b", audio_path="/x/b.wav"),
         )
 
+    def test_each_entry_checked_once(self, tmp_path):
+        path = tmp_path / "m.tsv"
+        write(path, "".join(f"u{i}\t/x/u{i}.wav\n" for i in range(5)))
+        check = corpus_module._check_manifest_entry
+        with mock.patch.object(corpus_module, "_check_manifest_entry", wraps=check) as counted:
+            manifest = load_audio_manifest(path)
+        assert len(manifest) == 5
+        assert [call.args[0].id for call in counted.call_args_list] == [f"u{i}" for i in range(5)]
+
     def test_empty_path_rejected(self):
         with pytest.raises(ValueError, match="empty audio path"):
             AudioManifest(entries=(ManifestEntry(id="a", audio_path=""),))

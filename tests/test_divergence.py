@@ -10,19 +10,9 @@ from scdselect.divergence import (
     scd,
     scd_incremental,
 )
-from scdselect.ngram import NGramStats, count_ngrams
+from scdselect.ngram import count_ngrams
 
-from conftest import make_corpus
-
-
-def stats_from_counts(counts, k, order=1, alpha=0.5):
-    return NGramStats(
-        order=order,
-        alphabet_size=k,
-        counts=counts,
-        total=sum(counts.values()),
-        smoothing_alpha=alpha,
-    )
+from conftest import make_corpus, stats_from_counts
 
 
 def brute_force_scd(p, q):

@@ -12,6 +12,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from scdselect.corpus import LabelSequence
 from scdselect.divergence import CandidateStats
 from scdselect.ngram import (
     Distribution,
@@ -98,7 +99,7 @@ class TestUnion:
 
 def stats_on(codes: np.ndarray, order: int, k: int, alpha: float, seed: int) -> NGramStats:
     counts = np.random.default_rng(seed).integers(1, 20, size=codes.shape[0])
-    return NGramStats(order, k, GramCounts(order, k, codes, counts), int(counts.sum()), alpha)
+    return NGramStats(order, k, GramCounts(order, k, codes, counts), alpha)
 
 
 def assert_bit_equal(got: Distribution, want: Distribution) -> None:
@@ -159,12 +160,44 @@ class TestSequenceLabelsChecked:
 
     def test_in_range_labels_counted(self):
         assert dict(sequence_gram_counts([0, 2, 2, 0], 2, 3)) == {(0, 2): 1, (2, 2): 1, (2, 0): 1}
-        assert dict(sequence_gram_counts([], 2, 3)) == {}
+        # An empty input of any dtype is a zero-length sequence; np.asarray([]) is float64.
+        for empty in ([], np.array([]), np.array([], dtype=np.uint16)):
+            assert dict(sequence_gram_counts(empty, 2, 3)) == {}
+            assert LabelSequence("a", 0.0, empty).labels.tolist() == []
+            stats = CandidateStats(2, 3, 0.5)
+            stats.add(empty)
+            assert stats.total == 0
 
-    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.uint32, np.uint64, np.int64])
+    @pytest.mark.parametrize("dtype", [np.uint8, np.int16, np.uint32, np.uint64, np.int64, np.uint16, np.int32])
     def test_every_integer_dtype_counted(self, dtype):
         labels = np.array([0, 2, 2, 0], dtype=dtype)
         assert dict(sequence_gram_counts(labels, 2, 3)) == {(0, 2): 1, (2, 2): 1, (2, 0): 1}
         stats = CandidateStats(2, 3, 0.5)
         stats.add(labels)
         assert dict(stats.counts) == {(0, 2): 1, (2, 2): 1, (2, 0): 1}
+        sequence = LabelSequence("a", 0.0, labels)
+        assert sequence.labels.dtype == np.int32 and sequence.labels.tolist() == [0, 2, 2, 0]
+
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            [1.5, 2.9],  # once truncated to (1, 2)
+            np.array([1.0, 2.0]),
+            [True, False],  # once stored as [1, 0]
+            np.array([1, 2], dtype=object),
+            np.array([2**32 + 1, 2], dtype=np.int64),  # once wrapped to [1, 2]
+            [2**40, 2],  # once an OverflowError
+            [2**70, 2],
+        ],
+        ids=["float-list", "float64", "bool", "object", "int64-wide", "int-2**40", "int-2**70"],
+    )
+    def test_non_integer_or_wide_labels_rejected(self, labels):
+        message = "labels must be integers within the int32 range"
+        with pytest.raises(ValueError, match=f"utterance 'a': {message}"):
+            LabelSequence("a", 0.0, labels)
+        with pytest.raises(ValueError, match=message):
+            sequence_gram_counts(labels, 2, 3)
+        stats = CandidateStats(2, 3, 0.5)
+        with pytest.raises(ValueError, match=message):
+            stats.add(labels)
+        assert stats.total == 0

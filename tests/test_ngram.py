@@ -20,7 +20,7 @@ from scdselect.ngram import (
     sequence_gram_counts,
 )
 
-from conftest import make_corpus
+from conftest import make_corpus, stats_from_counts
 
 
 def brute_force_counts(seqs, order):
@@ -65,16 +65,19 @@ class TestCountNgrams:
         with pytest.raises(ValueError, match="smoothing alpha must be finite and >= 0"):
             count_ngrams(tiny_corpus, 1, alpha=alpha)
         with pytest.raises(ValueError, match="smoothing alpha must be finite and >= 0"):
-            NGramStats(order=1, alphabet_size=2, counts={(0,): 1}, total=1, smoothing_alpha=alpha)
+            stats_from_counts({(0,): 1}, k=2, alpha=alpha)
 
-    @pytest.mark.parametrize("counts,total,message", [
-        ({(0,): 2, (1,): 1}, 4, "total does not match"),
-        (ngram.GramCounts(1, 3, np.array([1, 0]), np.array([1, 1])), 2, "distinct, ascending"),
-        (ngram.GramCounts(1, 3, np.array([0, 1]), np.array([1, 0])), 1, "non-positive count"),
+    @pytest.mark.parametrize("counts,message", [
+        (ngram.GramCounts(1, 3, np.array([1, 0]), np.array([1, 1])), "distinct, ascending"),
+        (ngram.GramCounts(1, 3, np.array([0, 1]), np.array([1, 0])), "non-positive count"),
     ])
-    def test_inconsistent_counts_rejected(self, counts, total, message):
+    def test_inconsistent_counts_rejected(self, counts, message):
         with pytest.raises(ValueError, match=message):
-            NGramStats(order=1, alphabet_size=3, counts=counts, total=total, smoothing_alpha=0.5)
+            NGramStats(order=1, alphabet_size=3, counts=counts, smoothing_alpha=0.5)
+
+    def test_dict_counts_rejected(self):
+        with pytest.raises(TypeError, match="counts must be a GramCounts, got dict"):
+            NGramStats(order=1, alphabet_size=3, counts={(0,): 1}, smoothing_alpha=0.5)
 
     def test_total_matches_window_formula(self):
         rng = np.random.default_rng(11)
@@ -83,6 +86,9 @@ class TestCountNgrams:
             corpus = make_corpus(seqs, alphabet_size=5)
             stats = count_ngrams(corpus, order)
             assert stats.total == sum(max(0, len(s) - order + 1) for s in seqs)
+            counts = brute_force_counts(seqs, order)
+            for min_count in (1, 2, 3):
+                assert prune(stats, min_count).total == sum(c for c in counts.values() if c >= min_count)
 
     @pytest.mark.parametrize("order", [1, 2, 3])
     def test_matches_brute_force(self, order):
@@ -136,13 +142,13 @@ class TestPrune:
         assert prune(stats, 0) is stats
 
     def test_drops_rare(self):
-        stats = NGramStats(order=1, alphabet_size=3, counts={(0,): 5, (1,): 1}, total=6, smoothing_alpha=0.0)
+        stats = stats_from_counts({(0,): 5, (1,): 1}, k=3, alpha=0.0)
         pruned = prune(stats, 2)
         assert pruned.counts == {(0,): 5}
         assert pruned.total == 5
 
     def test_all_pruned_is_valid(self):
-        stats = NGramStats(order=1, alphabet_size=3, counts={(0,): 1}, total=1, smoothing_alpha=0.5)
+        stats = stats_from_counts({(0,): 1}, k=3)
         pruned = prune(stats, 10)
         assert pruned.counts == {}
         assert pruned.total == 0
@@ -156,7 +162,7 @@ class TestDistribution:
 
     def test_unseen_gram_closed_form(self):
         # (0 + 1) / (8 + 1*2) with K=2, N=1, alpha=1, total=8
-        stats = NGramStats(order=1, alphabet_size=2, counts={(0,): 8}, total=8, smoothing_alpha=1.0)
+        stats = stats_from_counts({(0,): 8}, k=2, alpha=1.0)
         assert stats.distribution().probability((1,)) == pytest.approx(0.1)
 
     def test_strictly_positive_when_smoothed(self):
@@ -278,7 +284,7 @@ class TestEncodeLimit:
 
     def test_stats_and_sequence_counts_reject(self):
         with pytest.raises(ValueError, match=r"K=2 at order 63"):
-            NGramStats(order=63, alphabet_size=2, counts={}, total=0, smoothing_alpha=0.5)
+            stats_from_counts({}, k=2, order=63)
         with pytest.raises(ValueError, match=r"K=2 at order 63"):
             sequence_gram_counts([0, 1], 63, 2)
 
