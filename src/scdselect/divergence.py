@@ -27,7 +27,7 @@ from .ngram import (
     Distribution,
     GramCounts,
     check_alpha,
-    check_encodable,
+    check_gram_space,
     code_positions,
     decode_gram,
     merge_counts,
@@ -105,40 +105,39 @@ def scd(p: Distribution, q: Distribution) -> ScdValue:
 class CandidateStats:
     """Mutable gram counts for a growing candidate subset.
 
-    ``codes`` (sorted gram codes) and ``code_counts`` are replaced, never
-    written in place, so instances may share them. One instance per worker:
-    concurrent mutation is not synchronized here.
+    ``counts`` is a :class:`GramCounts`, the same table form as
+    :attr:`NGramStats.counts`, empty at construction; ``total`` is its sum.
+    Each ``add`` replaces the table, never writes it in place, so instances
+    may share it. One instance per worker: concurrent mutation is not
+    synchronized here.
     """
 
     order: int
     alphabet_size: int
     alpha: float
-    codes: np.ndarray = field(default_factory=lambda: _EMPTY_CODES)
-    code_counts: np.ndarray = field(default_factory=lambda: _EMPTY_CODES)
-    total: int = 0
+    counts: GramCounts = field(init=False)
 
     def __post_init__(self):
         check_alpha(self.alpha)
-        check_encodable(self.alphabet_size, self.order)
+        check_gram_space(self.alphabet_size, self.order)
+        self.counts = GramCounts(self.order, self.alphabet_size, _EMPTY_CODES, _EMPTY_CODES)
 
     @property
-    def counts(self) -> GramCounts:
-        return GramCounts(self.order, self.alphabet_size, self.codes, self.code_counts)
+    def total(self) -> int:
+        return int(self.counts.code_counts.sum())
 
     def add(self, labels: LabelSequence | Iterable[int]) -> None:
         """Fold one utterance's gram counts into the accumulator."""
-        counts = sequence_gram_counts(labels, self.order, self.alphabet_size)
-        self.codes, self.code_counts = merge_counts(self.codes, self.code_counts, counts.codes, counts.code_counts)
-        self.total += int(counts.code_counts.sum())
+        added = sequence_gram_counts(labels, self.order, self.alphabet_size)
+        merged = merge_counts(self.counts.codes, self.counts.code_counts, added.codes, added.code_counts)
+        self.counts = GramCounts(self.order, self.alphabet_size, *merged)
 
     def count_at(self, codes: np.ndarray) -> np.ndarray:
         """Subset count of each gram code in ``codes`` (zero where unseen)."""
-        return values_at(self.codes, self.code_counts, codes, 0)
+        return values_at(self.counts.codes, self.counts.code_counts, codes, 0)
 
     def distribution(self) -> Distribution:
-        return smoothed_distribution(
-            self.order, self.alphabet_size, self.codes, self.code_counts, self.total, self.alpha
-        )
+        return smoothed_distribution(self.counts, self.alpha)
 
 
 def scd_incremental(
@@ -152,6 +151,7 @@ def scd_incremental(
     recount of the extended subset would give.
     """
     # The class is named, not type(base), so a subclass's add is not run here.
-    merged = CandidateStats(base.order, base.alphabet_size, base.alpha, base.codes, base.code_counts, base.total)
+    merged = CandidateStats(base.order, base.alphabet_size, base.alpha)
+    merged.counts = base.counts
     merged.add(addition)
     return scd(query, merged.distribution())

@@ -60,8 +60,12 @@ _EMPTY_CODES = np.empty(0, dtype=np.int64)
 _EMPTY_CODES.flags.writeable = False
 
 
-def check_encodable(alphabet_size: int, order: int) -> None:
-    """Raise ValueError when K**order grams do not fit in int64 codes."""
+def check_gram_space(alphabet_size: int, order: int) -> None:
+    """Raise ValueError unless order >= 1, K >= 1 and K**order grams fit in int64 codes."""
+    if order < 1:
+        raise ValueError(f"order must be >= 1, got {order}")
+    if alphabet_size < 1:
+        raise ValueError("alphabet_size must be >= 1")
     if alphabet_size**order > _ENCODE_LIMIT:
         raise ValueError(
             f"alphabet size K={alphabet_size} at order {order} gives "
@@ -91,12 +95,14 @@ def decode_gram(code: int, alphabet_size: int, order: int) -> Gram:
 
 
 def _gram_code(gram: Iterable[int], alphabet_size: int, order: int) -> int:
-    gram = tuple(int(g) for g in gram)
-    if len(gram) != order:
+    """Code of one gram; its elements follow the label rule of :func:`integer_labels`."""
+    gram = tuple(gram)
+    labels = integer_labels(gram)
+    if np.ndim(gram) != 1 or len(gram) != order:
         raise ValueError(f"gram {gram} has wrong order (expected {order})")
-    if any(g < 0 or g >= alphabet_size for g in gram):
+    if labels.min() < 0 or labels.max() >= alphabet_size:
         raise ValueError(f"gram {gram} outside alphabet [0, {alphabet_size})")
-    return int(np.dot(gram, _radix(alphabet_size, order)))
+    return int(np.dot(labels, _radix(alphabet_size, order)))
 
 
 def _window_codes(labels: np.ndarray, order: int, alphabet_size: int) -> np.ndarray:
@@ -155,16 +161,11 @@ def _union(codes_a: np.ndarray, codes_b: np.ndarray) -> tuple[np.ndarray, np.nda
 def merge_counts(
     codes_a: np.ndarray, counts_a: np.ndarray, codes_b: np.ndarray, counts_b: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Sum of two sorted code/count tables, as one sorted table.
+    """Sum of two sorted code/count tables, as one new sorted table.
 
     b's codes must be distinct. The tables are laid out by :func:`_union`, so
-    a small table folds cheaply into a large one. An empty input returns the
-    other table itself.
+    a small table folds cheaply into a large one; either may be empty.
     """
-    if codes_b.shape[0] == 0:
-        return codes_a, counts_a
-    if codes_a.shape[0] == 0:
-        return codes_b, counts_b
     codes, from_a, slot_b = _union(codes_a, codes_b)
     counts = np.zeros(codes.shape[0], dtype=counts_a.dtype)
     counts[from_a] = counts_a
@@ -335,12 +336,8 @@ class NGramStats:
     smoothing_alpha: float
 
     def __post_init__(self):
-        if self.order < 1:
-            raise ValueError(f"order must be >= 1, got {self.order}")
-        if self.alphabet_size < 1:
-            raise ValueError("alphabet_size must be >= 1")
+        check_gram_space(self.alphabet_size, self.order)
         check_alpha(self.smoothing_alpha)
-        check_encodable(self.alphabet_size, self.order)
         counts = self.counts
         if not isinstance(counts, GramCounts):
             raise TypeError(f"counts must be a GramCounts, got {type(counts).__name__}")
@@ -364,14 +361,7 @@ class NGramStats:
 
     def distribution(self) -> "Distribution":
         """Smoothed probability view of these counts."""
-        return smoothed_distribution(
-            self.order,
-            self.alphabet_size,
-            self.counts.codes,
-            self.counts.code_counts,
-            self.total,
-            self.smoothing_alpha,
-        )
+        return smoothed_distribution(self.counts, self.smoothing_alpha)
 
 
 @dataclass(frozen=True, eq=False)
@@ -418,16 +408,10 @@ class Distribution:
         return dense
 
 
-def smoothed_distribution(
-    order: int,
-    alphabet_size: int,
-    codes: np.ndarray,
-    code_counts: np.ndarray,
-    total: int,
-    alpha: float,
-) -> Distribution:
-    """Add-alpha smoothed view of sorted codes and their counts."""
-    denom = total + alpha * float(alphabet_size**order)
+def smoothed_distribution(counts: GramCounts, alpha: float) -> Distribution:
+    """Add-alpha smoothed view of a count table; the total is the table's sum."""
+    order, alphabet_size = counts.order, counts.alphabet_size
+    denom = int(counts.code_counts.sum()) + alpha * float(alphabet_size**order)
     if denom <= 0:
         raise ValueError(
             "cannot form a distribution from empty counts with alpha=0; "
@@ -436,8 +420,8 @@ def smoothed_distribution(
     return Distribution(
         order=order,
         alphabet_size=alphabet_size,
-        codes=codes,
-        explicit=(code_counts + alpha) / denom,
+        codes=counts.codes,
+        explicit=(counts.code_counts + alpha) / denom,
         floor=alpha / denom,
     )
 
@@ -447,7 +431,7 @@ def sequence_gram_counts(labels: LabelSequence | Iterable[int], order: int, alph
 
     ValueError for labels :func:`integer_labels` refuses or outside [0, K).
     """
-    check_encodable(alphabet_size, order)
+    check_gram_space(alphabet_size, order)
     labels = labels.labels if isinstance(labels, LabelSequence) else integer_labels(labels)
     if labels.size and (labels.min() < 0 or labels.max() >= alphabet_size):
         raise ValueError(f"labels outside [0, {alphabet_size})")
@@ -457,11 +441,9 @@ def sequence_gram_counts(labels: LabelSequence | Iterable[int], order: int, alph
 
 def count_ngrams(corpus: LabelCorpus, order: int, alpha: float = 0.5) -> NGramStats:
     """Count order-N grams over a corpus with per-utterance sliding windows."""
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    check_alpha(alpha)
     k = corpus.alphabet_size
-    check_encodable(k, order)
+    check_gram_space(k, order)
+    check_alpha(alpha)
     # In order of their starts the utterances tile the corpus label array.
     lengths = corpus.lengths[np.argsort(corpus.starts, kind="stable")]
     codes, counts = _tally(

@@ -59,6 +59,10 @@ STRATEGY_ORACLE = "oracle"
 # windows, which keeps its working arrays in cache.
 _BLOCK_WINDOWS = 1 << 16
 
+# The oracle enumerates every C-subset: at most this many utterances and this budget.
+_ORACLE_MAX_UNIVERSE = 20
+_ORACLE_MAX_BUDGET = 6
+
 
 @dataclass(frozen=True)
 class SelectionConfig:
@@ -562,13 +566,7 @@ def select_contrastive(
     return _traced_result(universal, picked, target, config, STRATEGY_CONTRASTIVE)
 
 
-def select_oracle(
-    universal: LabelCorpus,
-    query: LabelCorpus,
-    config: SelectionConfig,
-    max_universe: int = 20,
-    max_budget: int = 6,
-) -> SelectionResult:
+def select_oracle(universal: LabelCorpus, query: LabelCorpus, config: SelectionConfig) -> SelectionResult:
     """Exhaustive search over all C-subsets; the exact reference minimizer.
 
     Guarded against combinatorial blowup; count budgets only. Ties go to the
@@ -576,9 +574,9 @@ def select_oracle(
     """
     if config.budget_c is None:
         raise ValueError("oracle supports count budgets only")
-    if len(universal) > max_universe or config.budget_c > max_budget:
+    if len(universal) > _ORACLE_MAX_UNIVERSE or config.budget_c > _ORACLE_MAX_BUDGET:
         raise ValueError(
-            f"oracle limited to |U| <= {max_universe} and C <= {max_budget}; "
+            f"oracle limited to |U| <= {_ORACLE_MAX_UNIVERSE} and C <= {_ORACLE_MAX_BUDGET}; "
             f"got |U|={len(universal)}, C={config.budget_c}"
         )
     _check_budget(universal, config)

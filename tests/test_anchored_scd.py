@@ -20,6 +20,7 @@ from hypothesis import strategies as st
 from scdselect.divergence import CandidateStats, DivergenceUndefinedError, ScdValue, scd
 from scdselect.ngram import (
     Distribution,
+    GramCounts,
     code_positions,
     decode_gram,
     sequence_gram_counts,
@@ -63,7 +64,7 @@ def distribution(labels, k, order, alpha, keep=None):
     codes, tallies = counts.codes, counts.code_counts
     if keep is not None:
         codes, tallies = codes[keep(codes)], tallies[keep(codes)]
-    return smoothed_distribution(order, k, codes, tallies, int(tallies.sum()), alpha)
+    return smoothed_distribution(GramCounts(order, k, codes, tallies), alpha)
 
 
 @st.composite
@@ -124,7 +125,7 @@ def test_repeat_call_memory_is_bounded_by_the_subset():
     rng = np.random.default_rng(5)
     codes = np.arange(0, k**order, 4, dtype=np.int64)
     counts = rng.integers(1, 50, size=codes.shape[0])
-    target = smoothed_distribution(order, k, codes, counts, int(counts.sum()), 0.5)
+    target = smoothed_distribution(GramCounts(order, k, codes, counts), 0.5)
     subset = CandidateStats(order, k, 0.5)
     for _ in range(3):
         subset.add(rng.integers(0, k, size=150))

@@ -20,10 +20,13 @@ from scdselect.ngram import (
     NGramStats,
     _union,
     code_positions,
+    count_ngrams,
     interpolate,
     run_starts,
     sequence_gram_counts,
 )
+
+from conftest import make_corpus
 
 
 def reference_interpolate(q: NGramStats, u: NGramStats, lam: float) -> Distribution:
@@ -156,7 +159,7 @@ class TestSequenceLabelsChecked:
         stats = CandidateStats(order, 3, 0.5)
         with pytest.raises(ValueError, match=r"labels outside \[0, 3\)"):
             stats.add(labels)
-        assert stats.total == 0 and stats.codes.shape[0] == 0
+        assert stats.total == 0 and stats.counts.codes.shape[0] == 0
 
     def test_in_range_labels_counted(self):
         assert dict(sequence_gram_counts([0, 2, 2, 0], 2, 3)) == {(0, 2): 1, (2, 2): 1, (2, 0): 1}
@@ -175,6 +178,10 @@ class TestSequenceLabelsChecked:
         stats = CandidateStats(2, 3, 0.5)
         stats.add(labels)
         assert dict(stats.counts) == {(0, 2): 1, (2, 2): 1, (2, 0): 1}
+        # A gram of numpy integers, or an integer array, is looked up as its values.
+        for gram in (tuple(labels[1:3]), labels[1:3]):
+            assert stats.counts[gram] == 1
+            assert stats.distribution().probability(gram) == (1 + 0.5) / (3 + 4.5)
         sequence = LabelSequence("a", 0.0, labels)
         assert sequence.labels.dtype == np.int32 and sequence.labels.tolist() == [0, 2, 2, 0]
 
@@ -201,3 +208,37 @@ class TestSequenceLabelsChecked:
         with pytest.raises(ValueError, match=message):
             stats.add(labels)
         assert stats.total == 0
+
+
+class TestCandidateTable:
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_subset_table_is_the_corpus_table(self, order):
+        # [2] and [] are shorter than order 2 and 3, so they add no window.
+        seqs = [[0, 1, 1, 2], [2], [3, 3, 0, 1, 1], [], [1, 2, 3]]
+        stats = CandidateStats(order, 4, 0.5)
+        for labels in seqs:
+            stats.add(labels)
+        expected = count_ngrams(make_corpus(seqs, 4), order).counts
+        assert isinstance(stats.counts, GramCounts)
+        assert (stats.counts.order, stats.counts.alphabet_size) == (order, 4)
+        assert stats.counts.codes.dtype == stats.counts.code_counts.dtype == np.int64
+        assert stats.counts.codes.tolist() == expected.codes.tolist()
+        assert stats.counts.code_counts.tolist() == expected.code_counts.tolist()
+        assert stats.total == sum(max(0, len(labels) - order + 1) for labels in seqs)
+
+
+class TestGramLookup:
+    @pytest.mark.parametrize(
+        "gram",
+        [(1.9,), (True,), (np.float64(1.0),), (1.5,), ((1,),)],  # the first four were once read as (1,)
+        ids=["float", "bool", "float64", "half", "nested"],
+    )
+    def test_non_integer_gram_not_found(self, gram):
+        counts = sequence_gram_counts([0, 1, 1], 1, 3)
+        assert gram not in counts
+        with pytest.raises(KeyError):
+            counts[gram]
+        stats = CandidateStats(1, 3, 0.5)
+        stats.add([0, 1, 1])
+        with pytest.raises(ValueError):
+            stats.distribution().probability(gram)

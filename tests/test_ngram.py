@@ -5,11 +5,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from scdselect import ngram
 from scdselect.corpus import LabelCorpus, LabelSequence
+from scdselect.divergence import CandidateStats
 from scdselect.ngram import (
     NGramStats,
     count_ngrams,
@@ -18,6 +19,7 @@ from scdselect.ngram import (
     prune,
     save_stats_dump,
     sequence_gram_counts,
+    smoothed_distribution,
 )
 
 from conftest import make_corpus, stats_from_counts
@@ -178,6 +180,24 @@ class TestDistribution:
         with pytest.raises(ValueError, match="order"):
             dist.probability((0, 0))
 
+    @pytest.mark.parametrize(
+        "order,k,table,alpha",
+        [
+            (1, 3, {(0,): 8, (2,): 1}, 0.0),
+            (1, 3, {(0,): 8, (2,): 1}, 0.5),
+            (2, 4, {(0, 3): 2, (1, 1): 5, (3, 0): 1}, 0.25),
+            (3, 5, {(4, 4, 4): 7}, 3.0),
+            (2, 4, {}, 0.5),
+        ],
+    )
+    def test_smoothed_view_of_a_table_is_the_closed_form(self, order, k, table, alpha):
+        counts = stats_from_counts(table, k, order).counts
+        dist = smoothed_distribution(counts, alpha)
+        denom = int(sum(table.values())) + alpha * float(k**order)
+        assert dist.codes is counts.codes and (dist.order, dist.alphabet_size) == (order, k)
+        assert dist.explicit.tobytes() == ((counts.code_counts + alpha) / denom).tobytes()
+        assert dist.floor == alpha / denom
+
     @pytest.mark.parametrize("alpha", [0.0, 0.25, 0.5, 1.0, 3.0])
     @pytest.mark.parametrize("order", [1, 2])
     def test_normalization_by_enumeration(self, alpha, order):
@@ -282,6 +302,27 @@ class TestEncodeLimit:
         with pytest.raises(ValueError, match=r"K=3 at order 40"):
             build_target_distribution(corpus, corpus, SelectionConfig(budget_c=1, order=40))
 
+    @pytest.mark.parametrize("order", [0, -1])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda order: CandidateStats(order, 3, 0.5),
+            lambda order: sequence_gram_counts([1, 2], order, 3),
+            lambda order: stats_from_counts({}, 3, order),
+            lambda order: count_ngrams(make_corpus([[1, 2]], 3), order),
+        ],
+        ids=["CandidateStats", "sequence_gram_counts", "NGramStats", "count_ngrams"],
+    )
+    def test_order_below_one_rejected_everywhere(self, build, order):
+        with pytest.raises(ValueError, match=f"order must be >= 1, got {order}"):
+            build(order)
+
+    def test_empty_alphabet_rejected(self):
+        with pytest.raises(ValueError, match="alphabet_size must be >= 1"):
+            CandidateStats(1, 0, 0.5)
+        with pytest.raises(ValueError, match="alphabet_size must be >= 1"):
+            sequence_gram_counts([], 1, 0)
+
     def test_stats_and_sequence_counts_reject(self):
         with pytest.raises(ValueError, match=r"K=2 at order 63"):
             stats_from_counts({}, k=2, order=63)
@@ -339,6 +380,9 @@ class TestFoldedTally:
 
     @settings(max_examples=150, deadline=None)
     @given(st.lists(st.integers(0, 60)), st.lists(st.integers(0, 60)))
+    @example([], [])
+    @example([], [4, 1, 4])
+    @example([0, 60, 60], [])
     def test_merge_counts_is_a_counter_sum(self, a, b):
         tables = []
         for keys in (a, b):
@@ -346,6 +390,7 @@ class TestFoldedTally:
             codes = np.array(sorted(counter), dtype=np.int64)
             tables += [codes, np.array([counter[c] for c in codes.tolist()], dtype=np.int64)]
         codes, counts = merge_counts(*tables)
+        assert codes.dtype == counts.dtype == np.int64
         expected = collections.Counter(a) + collections.Counter(b)
         assert codes.tolist() == sorted(expected)
         assert counts.tolist() == [expected[c] for c in sorted(expected)]

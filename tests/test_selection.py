@@ -450,8 +450,9 @@ class TestOracle:
         universal, query = random_instance(rng, 8, k=2)
         with pytest.raises(ValueError, match="oracle limited"):
             select_oracle(universal, query, SelectionConfig(budget_c=7))
-        with pytest.raises(ValueError, match="oracle limited"):
-            select_oracle(universal, query, SelectionConfig(budget_c=2), max_universe=5)
+        wide, _ = random_instance(rng, 21, k=2)
+        with pytest.raises(ValueError, match=r"oracle limited to \|U\| <= 20 and C <= 6; got \|U\|=21, C=2"):
+            select_oracle(wide, query, SelectionConfig(budget_c=2))
         with pytest.raises(ValueError, match="count budgets"):
             select_oracle(universal, query, SelectionConfig(duration_budget_s=1.0))
 
