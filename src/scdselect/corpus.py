@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import operator
 import os
 import re
 from dataclasses import dataclass
@@ -82,6 +83,19 @@ def integer_labels(labels, utt_id: str | None = None) -> np.ndarray:
         owner = "" if utt_id is None else f"utterance {utt_id!r}: "
         raise ValueError(f"{owner}labels must be integers within the int32 range, got {arr.dtype} values")
     return arr.astype(LABEL_DTYPE)
+
+
+def integer_scalar(value, name: str) -> int:
+    """``value`` as a plain int: ValueError naming ``name`` for a bool or a non-integer.
+
+    Python and numpy integers pass; ``True``, ``2.0`` and ``"2"`` do not.
+    """
+    if not isinstance(value, (bool, np.bool_)):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ValueError(f"{name} must be an integer, got {value!r}")
 
 
 def _check_id_chars(utt_id: str) -> None:
@@ -177,6 +191,7 @@ class LabelCorpus:
     )
 
     def __init__(self, alphabet_size: int, sequences: Iterable[LabelSequence]):
+        alphabet_size = integer_scalar(alphabet_size, "alphabet_size")
         if alphabet_size < 1:
             raise ValueError("alphabet_size must be >= 1")
         sequences = tuple(sequences)

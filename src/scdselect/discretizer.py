@@ -85,7 +85,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import AudioManifest, LabelCorpus, LabelSequence
+from .corpus import AudioManifest, LabelCorpus, LabelSequence, integer_scalar
 from .parallel import map_in_order
 
 logger = logging.getLogger(__name__)
@@ -270,6 +270,8 @@ class KMeansModel:
     final_inertia: float
 
     def __post_init__(self):
+        for name in ("k", "feature_dim", "iterations_run"):
+            object.__setattr__(self, name, integer_scalar(getattr(self, name), name))
         centroids = np.asarray(self.centroids, dtype=np.float64)
         if self.k < 1:
             raise ValueError("k must be >= 1")

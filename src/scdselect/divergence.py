@@ -16,7 +16,7 @@ Natural log throughout; values are in nats.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import InitVar, dataclass, field
 from typing import Iterable
 
 import numpy as np
@@ -105,22 +105,22 @@ def scd(p: Distribution, q: Distribution) -> ScdValue:
 class CandidateStats:
     """Mutable gram counts for a growing candidate subset.
 
-    ``counts`` is a :class:`GramCounts`, the same table form as
-    :attr:`NGramStats.counts`, empty at construction; ``total`` is its sum.
-    Each ``add`` replaces the table, never writes it in place, so instances
-    may share it. One instance per worker: concurrent mutation is not
-    synchronized here.
+    Only its table and alpha are stored: ``counts`` is a :class:`GramCounts`
+    like :attr:`NGramStats.counts`, empty at construction at the given integer
+    order and alphabet size, and ``total`` is its sum. Each ``add`` replaces the
+    table, never writes it in place, so instances may share it. One instance
+    per worker: concurrent mutation is not synchronized here.
     """
 
-    order: int
-    alphabet_size: int
+    order: InitVar[int]
+    alphabet_size: InitVar[int]
     alpha: float
     counts: GramCounts = field(init=False)
 
-    def __post_init__(self):
+    def __post_init__(self, order: int, alphabet_size: int):
         check_alpha(self.alpha)
-        check_gram_space(self.alphabet_size, self.order)
-        self.counts = GramCounts(self.order, self.alphabet_size, _EMPTY_CODES, _EMPTY_CODES)
+        check_gram_space(alphabet_size, order)
+        self.counts = GramCounts(order, alphabet_size, _EMPTY_CODES, _EMPTY_CODES)
 
     @property
     def total(self) -> int:
@@ -128,9 +128,7 @@ class CandidateStats:
 
     def add(self, labels: LabelSequence | Iterable[int]) -> None:
         """Fold one utterance's gram counts into the accumulator."""
-        added = sequence_gram_counts(labels, self.order, self.alphabet_size)
-        merged = merge_counts(self.counts.codes, self.counts.code_counts, added.codes, added.code_counts)
-        self.counts = GramCounts(self.order, self.alphabet_size, *merged)
+        self.counts = _extended(self.counts, labels)
 
     def count_at(self, codes: np.ndarray) -> np.ndarray:
         """Subset count of each gram code in ``codes`` (zero where unseen)."""
@@ -140,6 +138,13 @@ class CandidateStats:
         return smoothed_distribution(self.counts, self.alpha)
 
 
+def _extended(counts: GramCounts, labels: LabelSequence | Iterable[int]) -> GramCounts:
+    """A new table: ``counts`` plus the gram counts of one more utterance."""
+    added = sequence_gram_counts(labels, counts.order, counts.alphabet_size)
+    merged = merge_counts(counts.codes, counts.code_counts, added.codes, added.code_counts)
+    return GramCounts(counts.order, counts.alphabet_size, *merged)
+
+
 def scd_incremental(
     base: CandidateStats,
     addition: LabelSequence | Iterable[int],
@@ -147,11 +152,7 @@ def scd_incremental(
 ) -> ScdValue:
     """Divergence of ``query`` from the counts of ``base`` with ``addition`` appended.
 
-    ``base`` is left untouched; the result is exactly what a from-scratch
-    recount of the extended subset would give.
+    ``base`` is left untouched, as its table is extended into a new one; the
+    result is exactly what a from-scratch recount of the extended subset gives.
     """
-    # The class is named, not type(base), so a subclass's add is not run here.
-    merged = CandidateStats(base.order, base.alphabet_size, base.alpha)
-    merged.counts = base.counts
-    merged.add(addition)
-    return scd(query, merged.distribution())
+    return scd(query, smoothed_distribution(_extended(base.counts, addition), base.alpha))

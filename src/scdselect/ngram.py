@@ -32,7 +32,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .corpus import LabelCorpus, LabelSequence, integer_labels
+from .corpus import LabelCorpus, LabelSequence, integer_labels, integer_scalar
 
 Gram = tuple[int, ...]
 
@@ -61,7 +61,9 @@ _EMPTY_CODES.flags.writeable = False
 
 
 def check_gram_space(alphabet_size: int, order: int) -> None:
-    """Raise ValueError unless order >= 1, K >= 1 and K**order grams fit in int64 codes."""
+    """Raise ValueError unless order and K are integers >= 1 and K**order grams fit in int64 codes."""
+    order = integer_scalar(order, "order")
+    alphabet_size = integer_scalar(alphabet_size, "alphabet_size")
     if order < 1:
         raise ValueError(f"order must be >= 1, got {order}")
     if alphabet_size < 1:
@@ -327,25 +329,23 @@ class GramCounts(Mapping):
 class NGramStats:
     """Sparse gram counts for one corpus at a fixed order.
 
-    ``counts`` is a :class:`GramCounts`, never a dict; ``total`` is its sum.
+    ``NGramStats(counts, smoothing_alpha)`` reads order, alphabet size K and
+    ``total`` (its sum) from ``counts``, a :class:`GramCounts`, never a dict,
+    whose order and K must be integers.
     """
 
-    order: int
-    alphabet_size: int
     counts: GramCounts
     smoothing_alpha: float
 
     def __post_init__(self):
-        check_gram_space(self.alphabet_size, self.order)
-        check_alpha(self.smoothing_alpha)
         counts = self.counts
         if not isinstance(counts, GramCounts):
             raise TypeError(f"counts must be a GramCounts, got {type(counts).__name__}")
-        if (counts.order, counts.alphabet_size) != (self.order, self.alphabet_size):
-            raise ValueError("count map has a different order or alphabet")
+        check_gram_space(counts.alphabet_size, counts.order)
+        check_alpha(self.smoothing_alpha)
         codes = counts.codes
         if codes.shape[0] and (
-            codes[0] < 0 or codes[-1] >= self.support_size or np.any(codes[1:] <= codes[:-1])
+            codes[0] < 0 or codes[-1] >= counts.alphabet_size**counts.order or np.any(codes[1:] <= codes[:-1])
         ):
             raise ValueError("count map codes must be distinct, ascending and in range")
         if codes.shape[0] and counts.code_counts.min() < 1:
@@ -354,10 +354,6 @@ class NGramStats:
     @property
     def total(self) -> int:
         return int(self.counts.code_counts.sum())
-
-    @property
-    def support_size(self) -> int:
-        return self.alphabet_size**self.order
 
     def distribution(self) -> "Distribution":
         """Smoothed probability view of these counts."""
@@ -451,16 +447,12 @@ def count_ngrams(corpus: LabelCorpus, order: int, alpha: float = 0.5) -> NGramSt
         int(np.maximum(lengths - order + 1, 0).sum()),
         k**order,
     )
-    return NGramStats(
-        order=order,
-        alphabet_size=k,
-        counts=GramCounts(order, k, codes, counts),
-        smoothing_alpha=alpha,
-    )
+    return NGramStats(GramCounts(order, k, codes, counts), alpha)
 
 
 def prune(stats: NGramStats, min_count: int) -> NGramStats:
     """Drop grams counted fewer than ``min_count`` times; their counts leave the total."""
+    min_count = integer_scalar(min_count, "min_count")
     if min_count < 0:
         raise ValueError("min_count must be >= 0")
     if min_count == 0:
@@ -468,19 +460,17 @@ def prune(stats: NGramStats, min_count: int) -> NGramStats:
     counts = stats.counts
     keep = counts.code_counts >= min_count
     return NGramStats(
-        order=stats.order,
-        alphabet_size=stats.alphabet_size,
-        counts=GramCounts(stats.order, stats.alphabet_size, counts.codes[keep], counts.code_counts[keep]),
-        smoothing_alpha=stats.smoothing_alpha,
+        GramCounts(counts.order, counts.alphabet_size, counts.codes[keep], counts.code_counts[keep]),
+        stats.smoothing_alpha,
     )
 
 
 def interpolate(q: NGramStats, u: NGramStats, lam: float) -> Distribution:
     """Pointwise mixture lam * P_q + (1 - lam) * P_u of two smoothed views."""
-    if q.order != u.order:
-        raise ValueError(f"order mismatch: {q.order} vs {u.order}")
-    if q.alphabet_size != u.alphabet_size:
-        raise ValueError(f"alphabet mismatch: {q.alphabet_size} vs {u.alphabet_size}")
+    if q.counts.order != u.counts.order:
+        raise ValueError(f"order mismatch: {q.counts.order} vs {u.counts.order}")
+    if q.counts.alphabet_size != u.counts.alphabet_size:
+        raise ValueError(f"alphabet mismatch: {q.counts.alphabet_size} vs {u.counts.alphabet_size}")
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must be in [0, 1], got {lam}")
     dist_q = q.distribution()
@@ -494,8 +484,8 @@ def interpolate(q: NGramStats, u: NGramStats, lam: float) -> Distribution:
     p_u *= 1.0 - lam
     explicit += p_u
     return Distribution(
-        order=q.order,
-        alphabet_size=q.alphabet_size,
+        order=dist_q.order,
+        alphabet_size=dist_q.alphabet_size,
         codes=codes,
         explicit=explicit,
         floor=lam * dist_q.floor + (1.0 - lam) * dist_u.floor,
@@ -509,8 +499,8 @@ def save_stats_dump(
     path = Path(path)
     codes, counts = stats.counts.codes, stats.counts.code_counts
     with path.open("w", encoding="utf-8", newline="\n") as handle:
-        handle.write(f"#order={stats.order}\n")
-        handle.write(f"#K={stats.alphabet_size}\n")
+        handle.write(f"#order={stats.counts.order}\n")
+        handle.write(f"#K={stats.counts.alphabet_size}\n")
         handle.write(f"#total={stats.total}\n")
         handle.write(f"#alpha={stats.smoothing_alpha!r}\n")
         for comment in comments:
@@ -518,7 +508,7 @@ def save_stats_dump(
         # Grams become Python lists a block at a time, so memory follows the block.
         for first in range(0, codes.shape[0], _DUMP_ROWS):
             rows = slice(first, first + _DUMP_ROWS)
-            grams = decode_codes(codes[rows], stats.alphabet_size, stats.order).tolist()
+            grams = decode_codes(codes[rows], stats.counts.alphabet_size, stats.counts.order).tolist()
             handle.write("".join(
                 f"{' '.join(map(str, gram))}\t{count}\n" for gram, count in zip(grams, counts[rows].tolist())
             ))

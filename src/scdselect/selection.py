@@ -26,6 +26,7 @@ import itertools
 import json
 import logging
 import math
+import numbers
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -33,7 +34,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import LabelCorpus, LabelSequence, length_order, sort_by_length
+from .corpus import LabelCorpus, LabelSequence, integer_scalar, length_order, sort_by_length
 from .divergence import CandidateStats, ScdValue, scd, scd_incremental
 from .ngram import (
     Distribution,
@@ -64,6 +65,13 @@ _ORACLE_MAX_UNIVERSE = 20
 _ORACLE_MAX_BUDGET = 6
 
 
+def _real_scalar(value, name: str) -> float:
+    """``value`` as a plain float: ValueError naming ``name`` for a bool or a non-number."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class SelectionConfig:
     """Hyperparameters of one selection run.
@@ -73,7 +81,9 @@ class SelectionConfig:
     pool distribution to keep a small query from being overfit; ``alpha`` is
     the add-alpha smoothing pseudo-count applied on every estimated
     distribution; ``prune_min_count`` drops rare grams from the pool/query
-    models before the target is formed.
+    models before the target is formed. Integer fields are stored as plain
+    ints (see :func:`~scdselect.corpus.integer_scalar`) and the others as
+    floats, so the config always serializes to JSON; bools are refused.
     """
 
     budget_c: int | None = None
@@ -87,6 +97,10 @@ class SelectionConfig:
     def __post_init__(self):
         if (self.budget_c is None) == (self.duration_budget_s is None):
             raise ValueError("exactly one of budget_c and duration_budget_s must be set")
+        budget = ("budget_c", integer_scalar) if self.budget_c is not None else ("duration_budget_s", _real_scalar)
+        for name, rule in (budget, ("order", integer_scalar), ("lam", _real_scalar), ("alpha", _real_scalar),
+                           ("prune_min_count", integer_scalar), ("seed", integer_scalar)):
+            object.__setattr__(self, name, rule(getattr(self, name), name))
         if self.budget_c is not None and self.budget_c < 1:
             raise ValueError("budget_c must be >= 1")
         if self.duration_budget_s is not None and not (

@@ -39,7 +39,7 @@ def stats_from_counts(counts, k, order=1, alpha=0.5):
     grams = sorted(counts)
     codes = np.array([np.ravel_multi_index(gram, (k,) * order) for gram in grams], dtype=np.int64)
     tallies = np.array([counts[gram] for gram in grams], dtype=np.int64)
-    return NGramStats(order=order, alphabet_size=k, counts=GramCounts(order, k, codes, tallies), smoothing_alpha=alpha)
+    return NGramStats(counts=GramCounts(order, k, codes, tallies), smoothing_alpha=alpha)
 
 
 @pytest.fixture

@@ -1,4 +1,5 @@
 import dataclasses
+import json
 import subprocess
 import sys
 from unittest import mock
@@ -228,6 +229,18 @@ class TestDiscretize:
             assert main(["discretize", audio_setup, "--model", str(bare), "--output", str(without)]) == 0
         assert "model file carries no MFCC config; using defaults" in caplog.messages
         assert load_label_corpus(without).sequences == load_label_corpus(with_echo).sequences
+
+    @pytest.mark.parametrize("k,edited", [(4, 4.0), (1, True)])
+    def test_non_integer_model_k_refused(self, audio_setup, tmp_path, capsys, k, edited):
+        model = tmp_path / "model.json"
+        assert main(["train-kmeans", audio_setup, "--k", str(k), "--seed", "1", "--output", str(model)]) == 0
+        payload = json.loads(model.read_text(encoding="utf-8"))
+        payload["k"] = edited
+        model.write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "c.labels"
+        assert main(["discretize", audio_setup, "--model", str(model), "--output", str(out)]) == 1
+        assert f"model.json: bad model file (k must be an integer, got {edited!r})" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("text", [
         '{"k": 2}',

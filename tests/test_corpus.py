@@ -235,6 +235,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="alphabet_size must be >= 1"):
             make_corpus([], alphabet_size=0)
 
+    @pytest.mark.parametrize("k", [2.0, True, "2"])
+    def test_non_integer_alphabet_size(self, k):
+        with pytest.raises(ValueError, match=f"^alphabet_size must be an integer, got {k!r}$"):
+            make_corpus([[0]], alphabet_size=k)
+
+    def test_numpy_alphabet_size_stored_as_int(self, tmp_path):
+        corpus = make_corpus([[0, 2]], alphabet_size=np.int64(3))
+        assert type(corpus.alphabet_size) is int
+        save_label_corpus(corpus, tmp_path / "c.labels")
+        assert (tmp_path / "c.labels").read_text(encoding="utf-8").startswith("#K=3\n")
+
     def test_negative_duration(self):
         with pytest.raises(ValueError, match="duration"):
             LabelSequence(id="a", duration_s=-1.0, labels=np.array([0], dtype=np.int32))

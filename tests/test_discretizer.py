@@ -184,6 +184,14 @@ class TestKMeans:
         ("[1, 2]", "bad model file"),
         ('{"k": 2, "feature_dim": 2, "iterations_run": 1, "final_inertia": 0.0, '
          '"centroids": [[0.0, 0.0]]}', "bad model file"),
+        ('{"k": 2.0, "feature_dim": 2, "iterations_run": 1, "final_inertia": 0.0, '
+         '"centroids": [[0.0, 0.0], [1.0, 1.0]]}', r"bad model file \(k must be an integer, got 2\.0\)"),
+        ('{"k": true, "feature_dim": 2, "iterations_run": 1, "final_inertia": 0.0, '
+         '"centroids": [[0.0, 0.0]]}', r"bad model file \(k must be an integer, got True\)"),
+        ('{"k": 1, "feature_dim": 2.0, "iterations_run": 1, "final_inertia": 0.0, '
+         '"centroids": [[0.0, 0.0]]}', r"bad model file \(feature_dim must be an integer, got 2\.0\)"),
+        ('{"k": 1, "feature_dim": 2, "iterations_run": false, "final_inertia": 0.0, '
+         '"centroids": [[0.0, 0.0]]}', r"bad model file \(iterations_run must be an integer, got False\)"),
     ])
     def test_malformed_model_file_named(self, tmp_path, text, message):
         path = tmp_path / "model.json"

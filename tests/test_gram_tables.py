@@ -36,8 +36,8 @@ def reference_interpolate(q: NGramStats, u: NGramStats, lam: float) -> Distribut
     codes = np.sort(np.concatenate((dist_q.codes, dist_u.codes)), kind="stable")
     codes = codes[run_starts(codes)]
     return Distribution(
-        order=q.order,
-        alphabet_size=q.alphabet_size,
+        order=q.counts.order,
+        alphabet_size=q.counts.alphabet_size,
         codes=codes,
         explicit=lam * dist_q.lookup(codes) + (1.0 - lam) * dist_u.lookup(codes),
         floor=lam * dist_q.floor + (1.0 - lam) * dist_u.floor,
@@ -102,7 +102,7 @@ class TestUnion:
 
 def stats_on(codes: np.ndarray, order: int, k: int, alpha: float, seed: int) -> NGramStats:
     counts = np.random.default_rng(seed).integers(1, 20, size=codes.shape[0])
-    return NGramStats(order, k, GramCounts(order, k, codes, counts), alpha)
+    return NGramStats(GramCounts(order, k, codes, counts), alpha)
 
 
 def assert_bit_equal(got: Distribution, want: Distribution) -> None:

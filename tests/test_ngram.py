@@ -24,6 +24,8 @@ from scdselect.ngram import (
 
 from conftest import make_corpus, stats_from_counts
 
+EMPTY = np.empty(0, dtype=np.int64)
+
 
 def brute_force_counts(seqs, order):
     """Independent recount: python sliding windows per sequence."""
@@ -75,11 +77,11 @@ class TestCountNgrams:
     ])
     def test_inconsistent_counts_rejected(self, counts, message):
         with pytest.raises(ValueError, match=message):
-            NGramStats(order=1, alphabet_size=3, counts=counts, smoothing_alpha=0.5)
+            NGramStats(counts=counts, smoothing_alpha=0.5)
 
     def test_dict_counts_rejected(self):
         with pytest.raises(TypeError, match="counts must be a GramCounts, got dict"):
-            NGramStats(order=1, alphabet_size=3, counts={(0,): 1}, smoothing_alpha=0.5)
+            NGramStats(counts={(0,): 1}, smoothing_alpha=0.5)
 
     def test_total_matches_window_formula(self):
         rng = np.random.default_rng(11)
@@ -316,6 +318,25 @@ class TestEncodeLimit:
     def test_order_below_one_rejected_everywhere(self, build, order):
         with pytest.raises(ValueError, match=f"order must be >= 1, got {order}"):
             build(order)
+
+    @pytest.mark.parametrize("value", [True, 1.5, "2"])
+    @pytest.mark.parametrize(
+        "field,build",
+        [
+            ("order", lambda order: count_ngrams(make_corpus([[1, 2]], 3), order)),
+            ("order", lambda order: CandidateStats(order, 3, 0.5)),
+            ("order", lambda order: sequence_gram_counts([1, 2], order, 3)),
+            ("order", lambda order: NGramStats(ngram.GramCounts(order, 3, EMPTY, EMPTY), 0.5)),
+            ("alphabet_size", lambda k: CandidateStats(1, k, 0.5)),
+            ("alphabet_size", lambda k: sequence_gram_counts([], 1, k)),
+            ("min_count", lambda min_count: prune(count_ngrams(make_corpus([[1, 2]], 3), 1), min_count)),
+        ],
+        ids=["count_ngrams", "CandidateStats", "sequence_gram_counts", "NGramStats",
+             "CandidateStats-K", "sequence_gram_counts-K", "prune"],
+    )
+    def test_non_integer_size_rejected(self, field, build, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            build(value)
 
     def test_empty_alphabet_rejected(self):
         with pytest.raises(ValueError, match="alphabet_size must be >= 1"):

@@ -27,6 +27,7 @@ from scdselect.ngram import count_ngrams, interpolate
 
 from conftest import make_corpus
 from test_divergence import brute_force_scd, stats_from_counts
+from test_selection import naive_greedy
 
 ALPHAS = [0.0, 0.1, 0.5, 1.0, 2.0]
 
@@ -235,6 +236,42 @@ def test_greedy_seconds_budget_matches_naive_recount(run, lam, alpha):
     for i, pick in enumerate(picks):
         values = [naive_scd(picks[:i] + [seq]) for seq in buckets[i]]
         assert buckets[i].index(pick) == values.index(min(values))
+
+
+@st.composite
+def covering_runs(draw):
+    """A pool whose every utterance holds every gram of the order, a query, and an alpha=0 config.
+
+    Each utterance is random labels around all K**N grams laid end to end,
+    so every subset covers the whole support and alpha=0 stays defined.
+    """
+    k = draw(st.integers(2, 3))
+    order = draw(st.integers(1, 2))
+    budget_c = draw(st.integers(2, 4))
+    labels = st.lists(st.integers(0, k - 1), max_size=4)
+    grams = list(itertools.product(range(k), repeat=order))
+    seqs = [
+        draw(labels) + [label for gram in draw(st.permutations(grams)) for label in gram] + draw(labels)
+        for _ in range(draw(st.integers(budget_c, 8)))
+    ]
+    query = make_corpus([draw(st.lists(st.integers(0, k - 1), min_size=order, max_size=8))], k, ids=["q"])
+    config = selection.SelectionConfig(
+        budget_c=budget_c,
+        order=order,
+        lam=draw(st.sampled_from([0.0, 0.5, 0.9])),
+        alpha=0.0,
+        prune_min_count=draw(st.sampled_from([0, 1])),
+    )
+    return make_corpus(seqs, k), query, config
+
+
+@settings(max_examples=100, deadline=None)
+@given(covering_runs())
+def test_greedy_at_alpha_zero_matches_naive_recount(run):
+    """AC-2 at alpha=0 past the first bucket: greedy rescores every candidate exactly."""
+    pool, query, config = run
+    result = selection.select_greedy_scd(pool, query, config)
+    assert (result.selected_ids, result.scd_trace) == naive_greedy(pool, query, config)
 
 
 def _ids_and_trace(select, pool, query, config):

@@ -96,6 +96,26 @@ class TestSelectionConfig:
             SelectionConfig(budget_c=1, seed=-5)
         assert SelectionConfig(budget_c=1, seed=0).seed == 0
 
+    @pytest.mark.parametrize("field,value,stored", [
+        ("budget_c", True, None), ("budget_c", 1.5, None), ("budget_c", np.int64(3), 3),
+        ("duration_budget_s", True, None), ("duration_budget_s", 1.5, 1.5),
+        ("duration_budget_s", np.float32(2.5), 2.5),
+        ("order", True, None), ("order", 1.5, None), ("order", np.int32(2), 2),
+        ("lam", True, None), ("lam", np.float32(0.25), 0.25),
+        ("alpha", True, None), ("alpha", 1.5, 1.5), ("alpha", np.float32(0.75), 0.75),
+        ("prune_min_count", True, None), ("prune_min_count", 1.5, None), ("prune_min_count", np.uint8(1), 1),
+        ("seed", True, None), ("seed", 1.5, None), ("seed", np.int16(7), 7),
+    ])
+    def test_fields_store_plain_numbers(self, field, value, stored):
+        budget = {} if field in ("budget_c", "duration_budget_s") else {"budget_c": 2}
+        if stored is None:
+            with pytest.raises(ValueError, match=f"^{field} must be an? (integer|real number), got {value!r}$"):
+                SelectionConfig(**budget, **{field: value})
+            return
+        config = SelectionConfig(**budget, **{field: value})
+        assert type(getattr(config, field)) is type(stored) and getattr(config, field) == stored
+        assert SelectionConfig.from_json(config.to_json()) == config
+
     def test_json_round_trip(self):
         config = SelectionConfig(budget_c=3, order=2, lam=0.25, alpha=0.75, prune_min_count=1, seed=9)
         assert SelectionConfig.from_json(config.to_json()) == config
