@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 import operator
 import os
 import re
@@ -96,6 +97,13 @@ def integer_scalar(value, name: str) -> int:
         except TypeError:
             pass
     raise ValueError(f"{name} must be an integer, got {value!r}")
+
+
+def real_scalar(value, name: str) -> float:
+    """``value`` as a plain float: ValueError naming ``name`` for a bool or a non-real (``"0.5"``, a ``Decimal``)."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
 
 
 def _check_id_chars(utt_id: str) -> None:

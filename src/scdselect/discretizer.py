@@ -85,7 +85,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import AudioManifest, LabelCorpus, LabelSequence, integer_scalar
+from .corpus import AudioManifest, LabelCorpus, LabelSequence, integer_scalar, real_scalar
 from .parallel import map_in_order
 
 logger = logging.getLogger(__name__)
@@ -110,7 +110,12 @@ class AudioError(RuntimeError):
 
 @dataclass(frozen=True)
 class MfccConfig:
-    """MFCC front-end parameters; defaults are the conventional ASR setup."""
+    """MFCC front-end parameters; defaults are the conventional ASR setup.
+
+    The rate, coefficient and filter counts are stored as plain ints and the
+    other numbers as floats (see :func:`~scdselect.corpus.integer_scalar` and
+    :func:`~scdselect.corpus.real_scalar`); ``include_deltas`` must be a bool.
+    """
 
     sample_rate_hz: int = 16000
     frame_length_ms: float = 25.0
@@ -121,10 +126,20 @@ class MfccConfig:
     preemphasis: float = 0.97
 
     def __post_init__(self):
+        for name, rule in (("sample_rate_hz", integer_scalar), ("frame_length_ms", real_scalar),
+                           ("frame_shift_ms", real_scalar), ("num_coeffs", integer_scalar),
+                           ("num_mel_filters", integer_scalar), ("preemphasis", real_scalar)):
+            object.__setattr__(self, name, rule(getattr(self, name), name))
+        if not isinstance(self.include_deltas, bool):
+            raise ValueError(f"include_deltas must be a bool, got {self.include_deltas!r}")
         if self.sample_rate_hz <= 0:
             raise ValueError("sample_rate_hz must be positive")
         if not (math.isfinite(self.frame_length_ms) and self.frame_length_ms > self.frame_shift_ms > 0):
             raise ValueError("need finite frame_length_ms > frame_shift_ms > 0")
+        if not math.isfinite(self.sample_rate_hz * self.frame_length_ms):
+            raise ValueError(
+                f"frame_length_ms={self.frame_length_ms} spans no finite sample count at {self.sample_rate_hz} Hz"
+            )
         # The length is the larger size, so it spans at least as many samples.
         if self.frame_shift_samples < 1:
             raise ValueError(
@@ -404,6 +419,11 @@ def train_kmeans(
     currently farthest from its centroid. The assignments run on
     ``threads`` threads; the model does not depend on their number.
     """
+    k = integer_scalar(k, "k")
+    seed = integer_scalar(seed, "seed")
+    max_iters = integer_scalar(max_iters, "max_iters")
+    threads = integer_scalar(threads, "threads")
+    tol = real_scalar(tol, "tol")
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
         raise ValueError("features must be a 2-D matrix")
@@ -709,6 +729,7 @@ def discretize_manifest(
     order, and omitted. Work is farmed over ``max_workers`` threads;
     output order never depends on completion order.
     """
+    max_workers = integer_scalar(max_workers, "max_workers")
     if model.feature_dim != config.feature_dim:
         raise ValueError(
             f"model expects {model.feature_dim}-dim features but config produces "

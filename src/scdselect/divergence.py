@@ -118,7 +118,7 @@ class CandidateStats:
     counts: GramCounts = field(init=False)
 
     def __post_init__(self, order: int, alphabet_size: int):
-        check_alpha(self.alpha)
+        self.alpha = check_alpha(self.alpha)
         check_gram_space(alphabet_size, order)
         self.counts = GramCounts(order, alphabet_size, _EMPTY_CODES, _EMPTY_CODES)
 

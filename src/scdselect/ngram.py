@@ -32,7 +32,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .corpus import LabelCorpus, LabelSequence, integer_labels, integer_scalar
+from .corpus import LabelCorpus, LabelSequence, integer_labels, integer_scalar, real_scalar
 
 Gram = tuple[int, ...]
 
@@ -76,10 +76,12 @@ def check_gram_space(alphabet_size: int, order: int) -> None:
         )
 
 
-def check_alpha(alpha: float) -> None:
-    """Raise ValueError unless the smoothing alpha is finite and >= 0."""
+def check_alpha(alpha: float) -> float:
+    """The smoothing alpha as a plain float (see :func:`real_scalar`); ValueError unless finite and >= 0."""
+    alpha = real_scalar(alpha, "smoothing alpha")
     if not (math.isfinite(alpha) and alpha >= 0):
         raise ValueError(f"smoothing alpha must be finite and >= 0, got {alpha!r}")
+    return alpha
 
 
 def _radix(alphabet_size: int, order: int) -> np.ndarray:
@@ -342,7 +344,7 @@ class NGramStats:
         if not isinstance(counts, GramCounts):
             raise TypeError(f"counts must be a GramCounts, got {type(counts).__name__}")
         check_gram_space(counts.alphabet_size, counts.order)
-        check_alpha(self.smoothing_alpha)
+        object.__setattr__(self, "smoothing_alpha", check_alpha(self.smoothing_alpha))
         codes = counts.codes
         if codes.shape[0] and (
             codes[0] < 0 or codes[-1] >= counts.alphabet_size**counts.order or np.any(codes[1:] <= codes[:-1])
@@ -439,7 +441,7 @@ def count_ngrams(corpus: LabelCorpus, order: int, alpha: float = 0.5) -> NGramSt
     """Count order-N grams over a corpus with per-utterance sliding windows."""
     k = corpus.alphabet_size
     check_gram_space(k, order)
-    check_alpha(alpha)
+    alpha = check_alpha(alpha)
     # In order of their starts the utterances tile the corpus label array.
     lengths = corpus.lengths[np.argsort(corpus.starts, kind="stable")]
     codes, counts = _tally(

@@ -26,7 +26,6 @@ import itertools
 import json
 import logging
 import math
-import numbers
 import random
 from dataclasses import dataclass
 from pathlib import Path
@@ -34,7 +33,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import LabelCorpus, LabelSequence, integer_scalar, length_order, sort_by_length
+from .corpus import LabelCorpus, LabelSequence, integer_scalar, length_order, real_scalar, sort_by_length
 from .divergence import CandidateStats, ScdValue, scd, scd_incremental
 from .ngram import (
     Distribution,
@@ -65,13 +64,6 @@ _ORACLE_MAX_UNIVERSE = 20
 _ORACLE_MAX_BUDGET = 6
 
 
-def _real_scalar(value, name: str) -> float:
-    """``value`` as a plain float: ValueError naming ``name`` for a bool or a non-number."""
-    if isinstance(value, bool) or not isinstance(value, numbers.Real):
-        raise ValueError(f"{name} must be a real number, got {value!r}")
-    return float(value)
-
-
 @dataclass(frozen=True)
 class SelectionConfig:
     """Hyperparameters of one selection run.
@@ -97,8 +89,8 @@ class SelectionConfig:
     def __post_init__(self):
         if (self.budget_c is None) == (self.duration_budget_s is None):
             raise ValueError("exactly one of budget_c and duration_budget_s must be set")
-        budget = ("budget_c", integer_scalar) if self.budget_c is not None else ("duration_budget_s", _real_scalar)
-        for name, rule in (budget, ("order", integer_scalar), ("lam", _real_scalar), ("alpha", _real_scalar),
+        budget = ("budget_c", integer_scalar) if self.budget_c is not None else ("duration_budget_s", real_scalar)
+        for name, rule in (budget, ("order", integer_scalar), ("lam", real_scalar), ("alpha", real_scalar),
                            ("prune_min_count", integer_scalar), ("seed", integer_scalar)):
             object.__setattr__(self, name, rule(getattr(self, name), name))
         if self.budget_c is not None and self.budget_c < 1:
@@ -243,9 +235,12 @@ def _fast_scores(pool: LabelCorpus, rows: np.ndarray, subset: CandidateStats, ta
 
     with W_u and T_S the windows of u and S; the last term uses that the
     target's mass is 1. ``subset_nats`` is SCD(S); when None it is computed
-    with :func:`scd`. Requires alpha > 0.
+    with :func:`scd`. At alpha=0 there is no fast estimate, as the empty
+    subset has no finite divergence to start from: every candidate scores 0.
     """
-    alpha = float(subset.alpha)
+    alpha = subset.alpha
+    if alpha == 0:
+        return np.zeros(rows.shape[0])
 
     def terms(codes, rows, added, weight, base):
         return weight * np.log((base + added + alpha) / (base + alpha))
@@ -255,8 +250,7 @@ def _fast_scores(pool: LabelCorpus, rows: np.ndarray, subset: CandidateStats, ta
     )
     if subset_nats is None:
         subset_nats = scd(target, subset.distribution()).nats
-    alpha_mass = alpha * float(target.support_size)
-    return subset_nats - corrections + np.log1p(windows / (subset.total + alpha_mass))
+    return subset_nats - corrections + np.log1p(windows / (subset.total + alpha * float(target.support_size)))
 
 
 def _block_sums(labels: np.ndarray, starts: np.ndarray, lengths: np.ndarray, model: Distribution,
@@ -300,22 +294,17 @@ def _pick_from_bucket(
     ``subset_nats`` is the exact SCD of ``cand_stats``, or None to have
     :func:`_fast_scores` compute it. The first candidate wins ties. The fast
     scores' factorization can drift from the from-scratch value by a few
-    ulp, enough to flip exact ties, so near-minimal candidates are re-scored
-    through the exact path before the winner is fixed. At alpha=0 there is
-    no fast score: every candidate is re-scored, in order, and the first
-    whose addition leaves a target gram uncovered raises
+    ulp, enough to flip exact ties, so every candidate within a tie margin of
+    the best fast score is re-scored, in bucket order, through the exact path
+    before the winner is fixed; an exact score that is undefined raises
     :class:`DivergenceUndefinedError`.
     """
-    if cand_stats.alpha > 0:
-        scores = _fast_scores(pool, rows, cand_stats, target, subset_nats)
-        cutoff = float(scores.min())
-        cutoff += 1e-9 * (1.0 + abs(cutoff))
-        finalists = np.flatnonzero(scores <= cutoff).tolist()
-    else:
-        finalists = range(rows.shape[0])
+    scores = _fast_scores(pool, rows, cand_stats, target, subset_nats)
+    cutoff = float(scores.min())
+    cutoff += 1e-9 * (1.0 + abs(cutoff))
     best_index = 0
     best: ScdValue | None = None
-    for position in finalists:
+    for position in np.flatnonzero(scores <= cutoff).tolist():
         value = scd_incremental(cand_stats, _row_labels(pool, rows[position]), target)
         if best is None or value.nats < best.nats:
             best = value
@@ -340,9 +329,9 @@ def select_greedy_scd(
     pool total can sum one ulp short of it and take the whole pool).
 
     At alpha=0 the divergence is defined only while the subset covers the
-    target's support, and the first bucket rescores every candidate exactly
-    (see :func:`_pick_from_bucket`). So every candidate of the first bucket
-    must cover the support on its own, or the run raises
+    target's support, and the fast scorer has no estimate, so every candidate
+    is rescored exactly (see :func:`_fast_scores`). So every candidate of the
+    first bucket must cover the support on its own, or the run raises
     :class:`DivergenceUndefinedError`; later picks add to a covering subset.
     """
     mean_duration = _check_budget(universal, config) / len(universal)

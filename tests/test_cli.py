@@ -2,6 +2,7 @@ import dataclasses
 import json
 import subprocess
 import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -169,6 +170,13 @@ class TestTrainKmeans:
         assert "below one sample" in capsys.readouterr().err
         assert not (tmp_path / "m.json").exists()
 
+    def test_frame_length_without_finite_sample_count_runtime_error(self, audio_setup, tmp_path, capsys):
+        code = main(["train-kmeans", audio_setup, "--k", "2", "--frame-length-ms", "1e308",
+                     "--output", str(tmp_path / "m.json")])
+        assert code == 1
+        assert capsys.readouterr().err == "error: frame_length_ms=1e+308 spans no finite sample count at 16000 Hz\n"
+        assert not (tmp_path / "m.json").exists()
+
 
 class TestDiscretize:
     @pytest.fixture
@@ -212,6 +220,21 @@ class TestDiscretize:
                      "--output", str(tmp_path / "c.labels")])
         assert code == 1
         assert "bad.json: bad MFCC config echo" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("num_mel_filters", 26.5, "num_mel_filters must be an integer, got 26.5"),
+        ("include_deltas", "no", "include_deltas must be a bool, got 'no'"),
+    ])
+    def test_mistyped_mfcc_echo_field_names_model(self, audio_setup, model_path, tmp_path, capsys,
+                                                  field, value, message):
+        payload = json.loads(Path(model_path).read_text(encoding="utf-8"))
+        payload["config_echo"]["mfcc"][field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "c.labels"
+        assert main(["discretize", audio_setup, "--model", str(bad), "--output", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: bad MFCC config echo ({message})\n"
+        assert not out.exists()
 
     def test_model_without_mfcc_echo_uses_defaults(self, audio_setup, model_path, tmp_path, caplog):
         import json

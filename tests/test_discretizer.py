@@ -1,5 +1,9 @@
+import dataclasses
+import json
+import re
 import tracemalloc
 import wave
+from decimal import Decimal
 
 import numpy as np
 import pytest
@@ -89,10 +93,30 @@ class TestMfcc:
             MfccConfig(**{field: value})
 
     @pytest.mark.parametrize("length,shift", [(float("inf"), 10.0), (float("nan"), 10.0),
-                                              (25.0, float("nan"))])
+                                              (25.0, float("nan")), (1e308, 10.0)])
     def test_non_finite_frame_sizes_rejected(self, length, shift):
         with pytest.raises(ValueError, match="finite"):
             MfccConfig(frame_length_ms=length, frame_shift_ms=shift)
+
+    @pytest.mark.parametrize("field,value,kind", [
+        ("sample_rate_hz", 16000.0, "an integer"),
+        ("num_coeffs", True, "an integer"),
+        ("num_mel_filters", 26.5, "an integer"),
+        ("frame_length_ms", "25", "a real number"),
+        ("frame_shift_ms", True, "a real number"),
+        ("preemphasis", Decimal("0.5"), "a real number"),
+        ("include_deltas", "no", "a bool"),
+        ("include_deltas", 1, "a bool"),
+    ])
+    def test_field_type_rejected(self, field, value, kind):
+        with pytest.raises(ValueError, match=f"^{field} must be {kind}, got {re.escape(repr(value))}$"):
+            MfccConfig(**{field: value})
+
+    def test_numpy_fields_stored_as_plain_numbers(self):
+        config = MfccConfig(sample_rate_hz=np.int64(8000), frame_length_ms=np.float32(25.0),
+                            num_mel_filters=np.int32(20), preemphasis=np.float64(0.5))
+        assert MfccConfig(**json.loads(json.dumps(dataclasses.asdict(config)))) == config
+        assert [type(v) for v in dataclasses.astuple(config)] == [int, float, float, int, bool, int, float]
 
     @pytest.mark.parametrize("shift", [1e-9, 0.03])
     def test_shift_below_one_sample_rejected(self, shift):
@@ -147,6 +171,16 @@ class TestKMeans:
     def test_bad_shape_or_k_rejected(self, features, k, message):
         with pytest.raises(ValueError, match=message):
             train_kmeans(features, k=k, seed=0)
+
+    @pytest.mark.parametrize("field,value", [
+        ("k", True), ("k", 2.0), ("max_iters", True), ("seed", True), ("seed", 1.5),
+        ("threads", 2.0), ("threads", True), ("tol", True), ("tol", "1e-6"),
+    ])
+    def test_non_number_argument_rejected_before_the_frames(self, field, value):
+        # NaN frames would fail the frame check if they were read first.
+        kind = "a real number" if field == "tol" else "an integer"
+        with pytest.raises(ValueError, match=f"^{field} must be {kind}, got {value!r}$"):
+            train_kmeans(np.full((4, 2), np.nan), **{"k": 2, "seed": 0, field: value})
 
     def test_inertia_non_increasing_across_iterations(self):
         # Same seed and tol=0 make every run follow one trajectory, so the
@@ -315,6 +349,12 @@ class TestDiscretizeManifest:
         threaded = discretize_manifest(manifest, model, config, max_workers=4)
         assert reference == again
         assert reference == threaded
+
+    @pytest.mark.parametrize("workers", [2.0, True])
+    def test_non_integer_worker_count_rejected(self, setup, workers):
+        manifest, model, config, _ = setup
+        with pytest.raises(ValueError, match=f"^max_workers must be an integer, got {workers!r}$"):
+            discretize_manifest(manifest, model, config, max_workers=workers)
 
     def test_dim_mismatch_rejected(self, setup):
         manifest, model, _, _ = setup

@@ -1,6 +1,8 @@
 import collections
 import itertools
+import re
 import tracemalloc
+from decimal import Decimal
 from unittest import mock
 
 import numpy as np
@@ -70,6 +72,23 @@ class TestCountNgrams:
             count_ngrams(tiny_corpus, 1, alpha=alpha)
         with pytest.raises(ValueError, match="smoothing alpha must be finite and >= 0"):
             stats_from_counts({(0,): 1}, k=2, alpha=alpha)
+
+    @pytest.mark.parametrize("alpha", [True, Decimal("0.5"), "0.5"])
+    def test_non_real_alpha_rejected_by_every_holder(self, tiny_corpus, alpha):
+        table = count_ngrams(tiny_corpus, 1).counts
+        message = f"^smoothing alpha must be a real number, got {re.escape(repr(alpha))}$"
+        for build in (lambda: count_ngrams(tiny_corpus, 1, alpha=alpha),
+                      lambda: NGramStats(table, alpha), lambda: CandidateStats(1, 3, alpha)):
+            with pytest.raises(ValueError, match=message):
+                build()
+
+    def test_numpy_alpha_stored_as_plain_float(self, tiny_corpus, tmp_path):
+        table = count_ngrams(tiny_corpus, 1).counts
+        for stats in (count_ngrams(tiny_corpus, 1, alpha=np.float32(0.5)), NGramStats(table, np.float32(0.5))):
+            assert type(stats.smoothing_alpha) is float
+            save_stats_dump(stats, tmp_path / "s.tsv")
+            assert (tmp_path / "s.tsv").read_text(encoding="utf-8").splitlines()[3] == "#alpha=0.5"
+        assert type(CandidateStats(1, 3, np.float32(0.5)).alpha) is float
 
     @pytest.mark.parametrize("counts,message", [
         (ngram.GramCounts(1, 3, np.array([1, 0]), np.array([1, 1])), "distinct, ascending"),

@@ -5,22 +5,28 @@ batched bucket scorer of greedy selection against ``scd_incremental``. The
 seconds-budget contract of the selection strategies is checked on random
 pools, and greedy with a seconds budget against a from-scratch recount.
 Greedy and contrastive select the same on a loaded pool, with its narrow
-label column, as on the same pool built with int32 labels.
+label column, as on the same pool built with int32 labels. ``select`` runs
+every strategy from files to a report whose trace is the from-scratch SCD,
+or fails with one error line.
 """
 
+import contextlib
 import dataclasses
+import io
 import itertools
 import math
+import re
 import tempfile
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, event, given, settings
 from hypothesis import strategies as st
 
 from scdselect import selection
+from scdselect.cli import main
 from scdselect.corpus import load_label_corpus, save_label_corpus, sort_by_length
 from scdselect.divergence import CandidateStats, DivergenceUndefinedError, scd, scd_incremental
 from scdselect.ngram import count_ngrams, interpolate
@@ -314,3 +320,61 @@ def test_selection_does_not_depend_on_the_label_dtype(data):
         assert _ids_and_trace(select, loaded, loaded_query, config) == _ids_and_trace(
             select, built, built_query, config
         )
+
+
+@st.composite
+def cli_select_runs(draw):
+    """Pool and query label lists with the pool's durations, and the options of one ``select`` run."""
+    k = draw(st.integers(1, 4))
+    labels = st.lists(st.integers(0, k - 1), max_size=7)
+    pool = draw(st.lists(labels, max_size=7))
+    durations = draw(st.lists(st.floats(0.0, 2.5), min_size=len(pool), max_size=len(pool)))
+    query = draw(st.lists(labels, min_size=1, max_size=3))
+    if draw(st.booleans()):
+        budget = ["--budget-count", str(draw(st.integers(1, 8)))]
+    else:
+        budget = ["--budget-seconds", repr(draw(st.floats(0.0, 20.0)))]
+    strategies = [selection.STRATEGY_GREEDY, selection.STRATEGY_RANDOM, selection.STRATEGY_CONTRASTIVE,
+                  selection.STRATEGY_ORACLE]
+    options = [
+        "--strategy", draw(st.sampled_from(strategies)),
+        "--order", str(draw(st.integers(1, 3))),
+        "--alpha", draw(st.sampled_from(["0", "0.5"])),
+        "--prune-min-count", draw(st.sampled_from(["0", "1"])),
+        "--lambda", draw(st.sampled_from(["0", "0.5", "1"])),
+        *budget,
+    ]
+    return k, pool, durations, query, options
+
+
+@settings(max_examples=400, deadline=None)
+@given(cli_select_runs())
+def test_cli_select_reports_its_trace_or_fails_cleanly(run):
+    """``select`` exits 0 with distinct pool ids and their from-scratch SCD trace, or 1 with one error line."""
+    k, pool_seqs, durations, query_seqs, options = run
+    with tempfile.TemporaryDirectory() as tmp:
+        pool_path, query_path, report = (str(Path(tmp) / name) for name in ("pool", "query", "report"))
+        save_label_corpus(make_corpus(pool_seqs, k, durations=durations), pool_path)
+        save_label_corpus(make_corpus(query_seqs, k, ids=[f"q{i}" for i in range(len(query_seqs))]), query_path)
+        stderr = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
+            code = main(["select", pool_path, query_path, *options, "--output", report])
+        event(f"exit {code}")
+        if code == 1:
+            assert re.fullmatch(r"error: [^\n]*\n", stderr.getvalue())
+            assert not Path(report).exists() and not Path(report + ".ids").exists()
+            return
+        assert code == 0
+        lines = Path(report).read_text(encoding="utf-8").splitlines()
+        ids = Path(report + ".ids").read_text(encoding="utf-8").splitlines()[1:]
+        pool, query = load_label_corpus(pool_path), load_label_corpus(query_path)
+    rows = [line.split("\t") for line in lines if not line.startswith("#")]
+    assert [row[1] for row in rows] == ids
+    assert len(set(ids)) == len(ids) and set(ids) <= set(pool.ids)
+    config = selection.SelectionConfig.from_json(next(line for line in lines if line.startswith("#config="))[8:])
+    target = selection.build_target_distribution(pool, query, config)
+    subset = CandidateStats(config.order, k, config.alpha)
+    by_id = {seq.id: seq for seq in pool}
+    for _, utt_id, nats in rows:
+        subset.add(by_id[utt_id].labels)
+        assert float(nats) == scd(target, subset.distribution()).nats
