@@ -86,24 +86,33 @@ def integer_labels(labels, utt_id: str | None = None) -> np.ndarray:
     return arr.astype(LABEL_DTYPE)
 
 
-def integer_scalar(value, name: str) -> int:
-    """``value`` as a plain int: ValueError naming ``name`` for a bool or a non-integer.
+def integer_scalar(value, name: str, minimum: int | None = None) -> int:
+    """``value`` as a plain int: ValueError naming ``name`` for a bool, a non-integer or a value below ``minimum``.
 
     Python and numpy integers pass; ``True``, ``2.0`` and ``"2"`` do not.
     """
-    if not isinstance(value, (bool, np.bool_)):
-        try:
-            return operator.index(value)
-        except TypeError:
-            pass
-    raise ValueError(f"{name} must be an integer, got {value!r}")
+    try:
+        number = None if isinstance(value, (bool, np.bool_)) else operator.index(value)
+    except TypeError:
+        number = None
+    if number is None:
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if minimum is not None and number < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {number}")
+    return number
 
 
-def real_scalar(value, name: str) -> float:
-    """``value`` as a plain float: ValueError naming ``name`` for a bool or a non-real (``"0.5"``, a ``Decimal``)."""
+def real_scalar(value, name: str, minimum: float | None = None) -> float:
+    """``value`` as a plain float: ValueError naming ``name`` for a bool or a non-real (``"0.5"``, a ``Decimal``).
+
+    Given a ``minimum``, the value must also be finite and at least that.
+    """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    number = float(value)
+    if minimum is not None and not (math.isfinite(number) and number >= minimum):
+        raise ValueError(f"{name} must be finite and >= {minimum}, got {number!r}")
+    return number
 
 
 def _check_id_chars(utt_id: str) -> None:
@@ -199,9 +208,7 @@ class LabelCorpus:
     )
 
     def __init__(self, alphabet_size: int, sequences: Iterable[LabelSequence]):
-        alphabet_size = integer_scalar(alphabet_size, "alphabet_size")
-        if alphabet_size < 1:
-            raise ValueError("alphabet_size must be >= 1")
+        alphabet_size = integer_scalar(alphabet_size, "alphabet_size", 1)
         sequences = tuple(sequences)
         ids = tuple(seq.id for seq in sequences)
         _check_unique(ids)

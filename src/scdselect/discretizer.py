@@ -78,6 +78,7 @@ import json
 import logging
 import math
 import os
+import sys
 import threading
 import wave
 from dataclasses import dataclass
@@ -112,8 +113,9 @@ class AudioError(RuntimeError):
 class MfccConfig:
     """MFCC front-end parameters; defaults are the conventional ASR setup.
 
-    The rate, coefficient and filter counts are stored as plain ints and the
-    other numbers as floats (see :func:`~scdselect.corpus.integer_scalar` and
+    The rate, coefficient and filter counts are stored as plain ints, each
+    at least 1, and the other numbers as floats (see
+    :func:`~scdselect.corpus.integer_scalar` and
     :func:`~scdselect.corpus.real_scalar`); ``include_deltas`` must be a bool.
     """
 
@@ -126,17 +128,16 @@ class MfccConfig:
     preemphasis: float = 0.97
 
     def __post_init__(self):
-        for name, rule in (("sample_rate_hz", integer_scalar), ("frame_length_ms", real_scalar),
-                           ("frame_shift_ms", real_scalar), ("num_coeffs", integer_scalar),
-                           ("num_mel_filters", integer_scalar), ("preemphasis", real_scalar)):
-            object.__setattr__(self, name, rule(getattr(self, name), name))
+        for name, rule, minimum in (("sample_rate_hz", integer_scalar, 1), ("frame_length_ms", real_scalar, None),
+                                    ("frame_shift_ms", real_scalar, None), ("num_coeffs", integer_scalar, 1),
+                                    ("num_mel_filters", integer_scalar, 1), ("preemphasis", real_scalar, None)):
+            object.__setattr__(self, name, rule(getattr(self, name), name, minimum))
         if not isinstance(self.include_deltas, bool):
             raise ValueError(f"include_deltas must be a bool, got {self.include_deltas!r}")
-        if self.sample_rate_hz <= 0:
-            raise ValueError("sample_rate_hz must be positive")
         if not (math.isfinite(self.frame_length_ms) and self.frame_length_ms > self.frame_shift_ms > 0):
             raise ValueError("need finite frame_length_ms > frame_shift_ms > 0")
-        if not math.isfinite(self.sample_rate_hz * self.frame_length_ms):
+        # A rate past the float range makes the product raise OverflowError, not come out infinite.
+        if self.sample_rate_hz > sys.float_info.max or not math.isfinite(self.sample_rate_hz * self.frame_length_ms):
             raise ValueError(
                 f"frame_length_ms={self.frame_length_ms} spans no finite sample count at {self.sample_rate_hz} Hz"
             )
@@ -285,11 +286,10 @@ class KMeansModel:
     final_inertia: float
 
     def __post_init__(self):
-        for name in ("k", "feature_dim", "iterations_run"):
-            object.__setattr__(self, name, integer_scalar(getattr(self, name), name))
+        for name, rule, minimum in (("k", integer_scalar, 1), ("feature_dim", integer_scalar, 1),
+                                    ("iterations_run", integer_scalar, 0), ("final_inertia", real_scalar, 0)):
+            object.__setattr__(self, name, rule(getattr(self, name), name, minimum))
         centroids = np.asarray(self.centroids, dtype=np.float64)
-        if self.k < 1:
-            raise ValueError("k must be >= 1")
         if centroids.shape != (self.k, self.feature_dim):
             raise ValueError(
                 f"centroids must be {self.k} x {self.feature_dim}, got {centroids.shape}"
@@ -419,10 +419,10 @@ def train_kmeans(
     currently farthest from its centroid. The assignments run on
     ``threads`` threads; the model does not depend on their number.
     """
-    k = integer_scalar(k, "k")
-    seed = integer_scalar(seed, "seed")
-    max_iters = integer_scalar(max_iters, "max_iters")
-    threads = integer_scalar(threads, "threads")
+    k = integer_scalar(k, "k", 1)
+    seed = integer_scalar(seed, "seed", 0)
+    max_iters = integer_scalar(max_iters, "max_iters", 0)
+    threads = integer_scalar(threads, "threads", 1)
     tol = real_scalar(tol, "tol")
     features = np.asarray(features, dtype=np.float64)
     if features.ndim != 2:
@@ -430,8 +430,6 @@ def train_kmeans(
     if not np.isfinite(features).all():
         raise ValueError("features must be finite")
     n, dim = features.shape
-    if k < 1:
-        raise ValueError("k must be >= 1")
     if n < k:
         raise ValueError(f"need at least k={k} rows, got {n}")
 
@@ -729,7 +727,7 @@ def discretize_manifest(
     order, and omitted. Work is farmed over ``max_workers`` threads;
     output order never depends on completion order.
     """
-    max_workers = integer_scalar(max_workers, "max_workers")
+    max_workers = integer_scalar(max_workers, "max_workers", 1)
     if model.feature_dim != config.feature_dim:
         raise ValueError(
             f"model expects {model.feature_dim}-dim features but config produces "

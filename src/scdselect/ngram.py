@@ -23,7 +23,6 @@ alpha > 0.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property
@@ -62,12 +61,8 @@ _EMPTY_CODES.flags.writeable = False
 
 def check_gram_space(alphabet_size: int, order: int) -> None:
     """Raise ValueError unless order and K are integers >= 1 and K**order grams fit in int64 codes."""
-    order = integer_scalar(order, "order")
-    alphabet_size = integer_scalar(alphabet_size, "alphabet_size")
-    if order < 1:
-        raise ValueError(f"order must be >= 1, got {order}")
-    if alphabet_size < 1:
-        raise ValueError("alphabet_size must be >= 1")
+    order = integer_scalar(order, "order", 1)
+    alphabet_size = integer_scalar(alphabet_size, "alphabet_size", 1)
     if alphabet_size**order > _ENCODE_LIMIT:
         raise ValueError(
             f"alphabet size K={alphabet_size} at order {order} gives "
@@ -77,11 +72,8 @@ def check_gram_space(alphabet_size: int, order: int) -> None:
 
 
 def check_alpha(alpha: float) -> float:
-    """The smoothing alpha as a plain float (see :func:`real_scalar`); ValueError unless finite and >= 0."""
-    alpha = real_scalar(alpha, "smoothing alpha")
-    if not (math.isfinite(alpha) and alpha >= 0):
-        raise ValueError(f"smoothing alpha must be finite and >= 0, got {alpha!r}")
-    return alpha
+    """The smoothing alpha as a plain float: :func:`real_scalar` at minimum 0, so finite and >= 0."""
+    return real_scalar(alpha, "smoothing alpha", 0)
 
 
 def _radix(alphabet_size: int, order: int) -> np.ndarray:
@@ -454,9 +446,7 @@ def count_ngrams(corpus: LabelCorpus, order: int, alpha: float = 0.5) -> NGramSt
 
 def prune(stats: NGramStats, min_count: int) -> NGramStats:
     """Drop grams counted fewer than ``min_count`` times; their counts leave the total."""
-    min_count = integer_scalar(min_count, "min_count")
-    if min_count < 0:
-        raise ValueError("min_count must be >= 0")
+    min_count = integer_scalar(min_count, "min_count", 0)
     if min_count == 0:
         return stats
     counts = stats.counts
@@ -473,6 +463,7 @@ def interpolate(q: NGramStats, u: NGramStats, lam: float) -> Distribution:
         raise ValueError(f"order mismatch: {q.counts.order} vs {u.counts.order}")
     if q.counts.alphabet_size != u.counts.alphabet_size:
         raise ValueError(f"alphabet mismatch: {q.counts.alphabet_size} vs {u.counts.alphabet_size}")
+    lam = real_scalar(lam, "lambda")
     if not 0.0 <= lam <= 1.0:
         raise ValueError(f"lambda must be in [0, 1], got {lam}")
     dist_q = q.distribution()

@@ -38,7 +38,6 @@ from .divergence import CandidateStats, ScdValue, scd, scd_incremental
 from .ngram import (
     Distribution,
     NGramStats,
-    check_alpha,
     count_ngrams,
     decode_gram,
     group_limit,
@@ -76,6 +75,8 @@ class SelectionConfig:
     models before the target is formed. Integer fields are stored as plain
     ints (see :func:`~scdselect.corpus.integer_scalar`) and the others as
     floats, so the config always serializes to JSON; bools are refused.
+    ``budget_c`` and ``order`` must be >= 1, ``prune_min_count`` and
+    ``seed`` >= 0, and ``duration_budget_s`` and ``alpha`` finite and >= 0.
     """
 
     budget_c: int | None = None
@@ -89,26 +90,15 @@ class SelectionConfig:
     def __post_init__(self):
         if (self.budget_c is None) == (self.duration_budget_s is None):
             raise ValueError("exactly one of budget_c and duration_budget_s must be set")
-        budget = ("budget_c", integer_scalar) if self.budget_c is not None else ("duration_budget_s", real_scalar)
-        for name, rule in (budget, ("order", integer_scalar), ("lam", real_scalar), ("alpha", real_scalar),
-                           ("prune_min_count", integer_scalar), ("seed", integer_scalar)):
-            object.__setattr__(self, name, rule(getattr(self, name), name))
-        if self.budget_c is not None and self.budget_c < 1:
-            raise ValueError("budget_c must be >= 1")
-        if self.duration_budget_s is not None and not (
-            math.isfinite(self.duration_budget_s) and self.duration_budget_s >= 0
-        ):
-            raise ValueError("duration_budget_s must be finite and >= 0")
-        if self.order < 1:
-            raise ValueError("order must be >= 1")
+        budget = (("budget_c", integer_scalar, 1) if self.budget_c is not None
+                  else ("duration_budget_s", real_scalar, 0))
+        # random.Random seeds with abs(seed), so -5 would repeat the picks of 5.
+        for name, rule, minimum in (budget, ("order", integer_scalar, 1), ("lam", real_scalar, None),
+                                    ("alpha", real_scalar, 0), ("prune_min_count", integer_scalar, 0),
+                                    ("seed", integer_scalar, 0)):
+            object.__setattr__(self, name, rule(getattr(self, name), name, minimum))
         if not 0.0 <= self.lam <= 1.0:
             raise ValueError(f"lambda must be in [0, 1], got {self.lam}")
-        check_alpha(self.alpha)
-        if self.prune_min_count < 0:
-            raise ValueError("prune_min_count must be >= 0")
-        # random.Random seeds with abs(seed), so -5 would repeat the picks of 5.
-        if self.seed < 0:
-            raise ValueError(f"seed must be >= 0, got {self.seed}")
 
     def to_json(self) -> str:
         return json.dumps(dataclasses.asdict(self), sort_keys=True)

@@ -54,6 +54,15 @@ class TestTrainKmeans:
         assert capsys.readouterr().err == "error: manifest is empty; nothing to train on\n"
         assert not (tmp_path / "m.json").exists()
 
+    def test_sample_rate_past_float_range_fails(self, audio_setup, tmp_path, capsys):
+        out = tmp_path / "m.json"
+        code = main(["train-kmeans", audio_setup, "--sample-rate", "1" + "0" * 400, "--output", str(out)])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: frame_length_ms=25.0 spans no finite sample count at 1000")
+        assert err.count("\n") == 1
+        assert not out.exists()
+
     def test_k_exceeds_frames(self, audio_setup, tmp_path, capsys):
         # The manifest holds 36 + 48 + 61 = 145 frames.
         code = main(["train-kmeans", audio_setup, "--k", "200", "--output", str(tmp_path / "m.json")])
@@ -224,6 +233,7 @@ class TestDiscretize:
     @pytest.mark.parametrize("field,value,message", [
         ("num_mel_filters", 26.5, "num_mel_filters must be an integer, got 26.5"),
         ("include_deltas", "no", "include_deltas must be a bool, got 'no'"),
+        ("num_coeffs", 0, "num_coeffs must be >= 1, got 0"),
     ])
     def test_mistyped_mfcc_echo_field_names_model(self, audio_setup, model_path, tmp_path, capsys,
                                                   field, value, message):
@@ -263,6 +273,21 @@ class TestDiscretize:
         out = tmp_path / "c.labels"
         assert main(["discretize", audio_setup, "--model", str(model), "--output", str(out)]) == 1
         assert f"model.json: bad model file (k must be an integer, got {edited!r})" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("k", 0, "k must be >= 1, got 0"),
+        ("iterations_run", -1, "iterations_run must be >= 0, got -1"),
+    ])
+    def test_model_field_below_its_minimum_refused(self, audio_setup, model_path, tmp_path, capsys,
+                                                   field, value, message):
+        payload = json.loads(Path(model_path).read_text(encoding="utf-8"))
+        payload[field] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload), encoding="utf-8")
+        out = tmp_path / "c.labels"
+        assert main(["discretize", audio_setup, "--model", str(bad), "--output", str(out)]) == 1
+        assert capsys.readouterr().err == f"error: {bad}: bad model file ({message})\n"
         assert not out.exists()
 
     @pytest.mark.parametrize("text", [

@@ -1,3 +1,4 @@
+import math
 import sys
 import threading
 import time
@@ -15,8 +16,10 @@ from scdselect.corpus import (
     LabelCorpus,
     LabelSequence,
     ManifestEntry,
+    integer_scalar,
     load_audio_manifest,
     load_label_corpus,
+    real_scalar,
     save_label_corpus,
     sort_by_length,
 )
@@ -246,6 +249,10 @@ class TestValidation:
         save_label_corpus(corpus, tmp_path / "c.labels")
         assert (tmp_path / "c.labels").read_text(encoding="utf-8").startswith("#K=3\n")
 
+    def test_empty_id(self):
+        with pytest.raises(ValueError, match="^utterance id must be non-empty$"):
+            LabelSequence("", 0.0, [])
+
     def test_negative_duration(self):
         with pytest.raises(ValueError, match="duration"):
             LabelSequence(id="a", duration_s=-1.0, labels=np.array([0], dtype=np.int32))
@@ -256,6 +263,24 @@ class TestValidation:
     def test_labels_read_only(self, tiny_corpus):
         with pytest.raises(ValueError):
             tiny_corpus.sequences[0].labels[0] = 1
+
+
+class TestScalarRules:
+    @pytest.mark.parametrize("rule,value,minimum,message", [
+        (integer_scalar, -1, 0, "n must be >= 0, got -1"),
+        (integer_scalar, np.int64(-3), -2, "n must be >= -2, got -3"),
+        (real_scalar, -0.5, 0, "n must be finite and >= 0, got -0.5"),
+        (real_scalar, np.float32(0.5), 1, "n must be finite and >= 1, got 0.5"),
+        (real_scalar, math.nan, 0, "n must be finite and >= 0, got nan"),
+        (real_scalar, math.inf, 0, "n must be finite and >= 0, got inf"),
+    ])
+    def test_value_below_minimum_rejected(self, rule, value, minimum, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            rule(value, "n", minimum)
+
+    def test_minimum_is_inclusive_and_optional(self):
+        assert integer_scalar(np.uint8(0), "n", 0) == 0 and integer_scalar(-5, "n") == -5
+        assert real_scalar(0, "n", 0) == 0.0 and real_scalar(-math.inf, "n") == -math.inf
 
 
 class TestManifest:
@@ -416,6 +441,7 @@ class TestChunkBoundaryErrors:
             ("utt000002\t1.0\t1 2 3", "duplicate utterance id 'utt000002'"),
             ("utt-bad\t1.0\t1 4294967296 3", "utterance 'utt-bad' has a label outside the int32 range"),
             ("utt-bad\tfast\t1", "bad duration 'fast'"),
+            ("\t1.0\t1 2 3", "utterance id must be non-empty"),
         ],
     )
     def test_exact_line(self, tmp_path, bad_record, message):

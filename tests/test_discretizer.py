@@ -85,8 +85,10 @@ class TestMfcc:
             MfccConfig(num_coeffs=30, num_mel_filters=26)
 
     @pytest.mark.parametrize("field,value,message", [
-        ("sample_rate_hz", 0, "sample_rate_hz must be positive"),
+        ("sample_rate_hz", 0, "sample_rate_hz must be >= 1"),
         ("preemphasis", 1.0, "preemphasis must be in"),
+        ("num_coeffs", 0, "^num_coeffs must be >= 1, got 0$"),
+        ("num_mel_filters", 0, "^num_mel_filters must be >= 1, got 0$"),
     ])
     def test_rate_and_preemphasis_rejected(self, field, value, message):
         with pytest.raises(ValueError, match=message):
@@ -97,6 +99,11 @@ class TestMfcc:
     def test_non_finite_frame_sizes_rejected(self, length, shift):
         with pytest.raises(ValueError, match="finite"):
             MfccConfig(frame_length_ms=length, frame_shift_ms=shift)
+
+    def test_rate_past_float_range_rejected(self):
+        # The rate times the frame length cannot be a float, so it spans no finite sample count.
+        with pytest.raises(ValueError, match="frame_length_ms=25.0 spans no finite sample count"):
+            MfccConfig(sample_rate_hz=10**400)
 
     @pytest.mark.parametrize("field,value,kind", [
         ("sample_rate_hz", 16000.0, "an integer"),
@@ -182,6 +189,15 @@ class TestKMeans:
         with pytest.raises(ValueError, match=f"^{field} must be {kind}, got {value!r}$"):
             train_kmeans(np.full((4, 2), np.nan), **{"k": 2, "seed": 0, field: value})
 
+    @pytest.mark.parametrize("field,value,message", [
+        ("max_iters", -3, "max_iters must be >= 0, got -3"),
+        ("seed", -1, "seed must be >= 0, got -1"),
+        ("threads", 0, "threads must be >= 1, got 0"),
+    ])
+    def test_argument_below_its_minimum_rejected_before_the_frames(self, field, value, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            train_kmeans(np.full((4, 2), np.nan), **{"k": 2, "seed": 0, field: value})
+
     def test_inertia_non_increasing_across_iterations(self):
         # Same seed and tol=0 make every run follow one trajectory, so the
         # final inertia after t updates is the iteration-t inertia.
@@ -226,6 +242,18 @@ class TestKMeans:
          '"centroids": [[0.0, 0.0]]}', r"bad model file \(feature_dim must be an integer, got 2\.0\)"),
         ('{"k": 1, "feature_dim": 2, "iterations_run": false, "final_inertia": 0.0, '
          '"centroids": [[0.0, 0.0]]}', r"bad model file \(iterations_run must be an integer, got False\)"),
+        ('{"k": 0, "feature_dim": 2, "iterations_run": 1, "final_inertia": 0.0, '
+         '"centroids": []}', r"bad model file \(k must be >= 1, got 0\)"),
+        ('{"k": 1, "feature_dim": 0, "iterations_run": 1, "final_inertia": 0.0, '
+         '"centroids": [[]]}', r"bad model file \(feature_dim must be >= 1, got 0\)"),
+        ('{"k": 1, "feature_dim": 2, "iterations_run": -5, "final_inertia": 0.0, '
+         '"centroids": [[0.0, 0.0]]}', r"bad model file \(iterations_run must be >= 0, got -5\)"),
+        ('{"k": 1, "feature_dim": 2, "iterations_run": 1, "final_inertia": "x", '
+         '"centroids": [[0.0, 0.0]]}', r"bad model file \(final_inertia must be a real number, got 'x'\)"),
+        ('{"k": 1, "feature_dim": 2, "iterations_run": 1, "final_inertia": -1.0, '
+         '"centroids": [[0.0, 0.0]]}', r"bad model file \(final_inertia must be finite and >= 0, got -1.0\)"),
+        ('{"k": 1, "feature_dim": 2, "iterations_run": 1, "final_inertia": Infinity, '
+         '"centroids": [[0.0, 0.0]]}', r"bad model file \(final_inertia must be finite and >= 0, got inf\)"),
     ])
     def test_malformed_model_file_named(self, tmp_path, text, message):
         path = tmp_path / "model.json"
@@ -354,6 +382,12 @@ class TestDiscretizeManifest:
     def test_non_integer_worker_count_rejected(self, setup, workers):
         manifest, model, config, _ = setup
         with pytest.raises(ValueError, match=f"^max_workers must be an integer, got {workers!r}$"):
+            discretize_manifest(manifest, model, config, max_workers=workers)
+
+    @pytest.mark.parametrize("workers", [0, -1])
+    def test_worker_count_below_one_rejected(self, setup, workers):
+        manifest, model, config, _ = setup
+        with pytest.raises(ValueError, match=f"^max_workers must be >= 1, got {workers}$"):
             discretize_manifest(manifest, model, config, max_workers=workers)
 
     def test_dim_mismatch_rejected(self, setup):

@@ -170,6 +170,10 @@ class TestPrune:
         assert pruned.counts == {(0,): 5}
         assert pruned.total == 5
 
+    def test_negative_min_count_rejected(self):
+        with pytest.raises(ValueError, match="^min_count must be >= 0, got -1$"):
+            prune(stats_from_counts({(0,): 1}, k=3), -1)
+
     def test_all_pruned_is_valid(self):
         stats = stats_from_counts({(0,): 1}, k=3)
         pruned = prune(stats, 10)
@@ -237,6 +241,19 @@ class TestInterpolate:
         q = count_ngrams(make_corpus([[0, 0, 0, 0]], 2), 1, alpha=0.0)
         u = count_ngrams(make_corpus([[0, 0, 1, 1]], 2), 1, alpha=0.0)
         return q, u
+
+    @pytest.mark.parametrize("lam", [True, "0.5", Decimal("0.5")])
+    def test_non_real_lambda_rejected(self, lam):
+        q, u = self._dists()
+        with pytest.raises(ValueError, match=f"^lambda must be a real number, got {re.escape(repr(lam))}$"):
+            interpolate(q, u, lam)
+
+    def test_numpy_lambda_mixes_in_float64(self):
+        q = count_ngrams(make_corpus([[0, 0, 0, 0]], 3), 1, alpha=0.1)
+        u = count_ngrams(make_corpus([[0, 1, 1]], 3), 1, alpha=0.3)
+        mixed = interpolate(q, u, np.float32(0.3))
+        assert np.asarray(mixed.floor).dtype == np.float64
+        assert mixed.floor == interpolate(q, u, 0.30000001192092896).floor
 
     def test_lambda_zero_reproduces_u(self):
         q, u = self._dists()

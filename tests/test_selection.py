@@ -96,6 +96,10 @@ class TestSelectionConfig:
             SelectionConfig(budget_c=1, seed=-5)
         assert SelectionConfig(budget_c=1, seed=0).seed == 0
 
+    def test_negative_prune_min_count_rejected(self):
+        with pytest.raises(ValueError, match="^prune_min_count must be >= 0, got -1$"):
+            SelectionConfig(budget_c=1, prune_min_count=-1)
+
     @pytest.mark.parametrize("field,value,stored", [
         ("budget_c", True, None), ("budget_c", 1.5, None), ("budget_c", np.int64(3), 3),
         ("duration_budget_s", True, None), ("duration_budget_s", 1.5, 1.5),
