@@ -103,13 +103,17 @@ def integer_scalar(value, name: str, minimum: int | None = None) -> int:
 
 
 def real_scalar(value, name: str, minimum: float | None = None) -> float:
-    """``value`` as a plain float: ValueError naming ``name`` for a bool or a non-real (``"0.5"``, a ``Decimal``).
+    """``value`` as a plain float: ValueError naming ``name`` for a bool, a non-real (``"0.5"``, a ``Decimal``)
+    or a real past the float range (``10**400``).
 
     Given a ``minimum``, the value must also be finite and at least that.
     """
     if isinstance(value, bool) or not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    number = float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        raise ValueError(f"{name} must be within the float range") from None
     if minimum is not None and not (math.isfinite(number) and number >= minimum):
         raise ValueError(f"{name} must be finite and >= {minimum}, got {number!r}")
     return number
@@ -146,16 +150,16 @@ class LabelSequence:
 
     @staticmethod
     def _checked_duration(utt_id: str, duration_s) -> float:
-        """``duration_s`` as a float; ValueError unless the id and the duration are valid."""
+        """``duration_s`` through :func:`real_scalar` at minimum 0; ValueError unless the id and it are valid."""
+        if not isinstance(utt_id, str):
+            raise ValueError(f"utterance id must be a string, got {utt_id!r}")
         if not utt_id:
             raise ValueError("utterance id must be non-empty")
         _check_id_chars(utt_id)
-        duration = float(duration_s)
-        if not (math.isfinite(duration) and duration >= 0):
-            raise ValueError(
-                f"utterance {utt_id!r}: duration_s must be a finite number >= 0, got {duration_s!r}"
-            )
-        return duration
+        try:
+            return real_scalar(duration_s, "duration_s", 0)
+        except ValueError as exc:
+            raise ValueError(f"utterance {utt_id!r}: {exc}") from None
 
     @classmethod
     def _view(cls, utt_id: str, duration_s: float, labels: np.ndarray) -> LabelSequence:
@@ -199,8 +203,8 @@ class LabelCorpus:
     ``labels``.
 
     The constructor copies the labels of ``sequences`` into one new
-    ``labels`` column and checks that ids are unique and every label lies in
-    ``[0, alphabet_size)``.
+    ``labels`` column and checks that ids are unique (:func:`_first_repeat`)
+    and every label lies in ``[0, alphabet_size)`` (:func:`_first_outside`).
     """
 
     __slots__ = (
@@ -211,16 +215,13 @@ class LabelCorpus:
         alphabet_size = integer_scalar(alphabet_size, "alphabet_size", 1)
         sequences = tuple(sequences)
         ids = tuple(seq.id for seq in sequences)
-        _check_unique(ids)
+        if (repeat := _first_repeat(ids, set())) is not None:
+            raise ValueError(f"duplicate utterance id {ids[repeat]!r}")
         lengths = np.array([len(seq) for seq in sequences], dtype=np.int64)
         labels = np.concatenate([seq.labels for seq in sequences] or [np.empty(0, LABEL_DTYPE)])
         if labels.size and (labels.min() < 0 or labels.max() >= alphabet_size):
-            position = int(np.argmax((labels < 0) | (labels >= alphabet_size)))
-            owner = int(np.searchsorted(np.cumsum(lengths), position, side="right"))
-            raise ValueError(
-                f"utterance {ids[owner]!r}: label {int(labels[position])} "
-                f"outside [0, {alphabet_size})"
-            )
+            row, label = _first_outside(labels, lengths, alphabet_size)
+            raise ValueError(f"utterance {ids[row]!r}: label {label} outside [0, {alphabet_size})")
         durations = np.array([seq.duration_s for seq in sequences], dtype=np.float64)
         self._assign(alphabet_size, labels, np.cumsum(lengths) - lengths, lengths, ids, durations)
 
@@ -268,15 +269,24 @@ class LabelCorpus:
         return int(self.lengths.sum())
 
 
-def _check_unique(ids: Sequence[str]) -> None:
-    """ValueError naming the first id that repeats an earlier one of ``ids``."""
-    if len(set(ids)) == len(ids):
-        return
-    seen: set[str] = set()
-    for utt_id in ids:
-        if utt_id in seen:
-            raise ValueError(f"duplicate utterance id {utt_id!r}")
-        seen.add(utt_id)
+def _first_repeat(ids: Sequence[str], seen: set[str]) -> int | None:
+    """Index of the first of ``ids`` in ``seen`` or earlier in ``ids``; if none, None, and all join ``seen``."""
+    if len(set(ids)) == len(ids) and seen.isdisjoint(ids):
+        # Not ``seen |= set(ids)``: a merge sizes the table smaller, and the table freed after a load
+        # sets glibc's mmap threshold; the smaller one slowed the greedy pass on a 30k pool by a fifth.
+        seen.update(ids)
+        return None
+    # set.add returns None, so each id is looked up, then added.
+    return next(index for index, utt_id in enumerate(ids) if utt_id in seen or seen.add(utt_id))
+
+
+def _first_outside(values: np.ndarray, lengths, end: int) -> tuple[int, int]:
+    """Row and value of the first of ``values`` outside ``[0, end)``, where row ``r`` holds the next ``lengths[r]``.
+
+    There must be such a value.
+    """
+    position = int(np.argmax((values < 0) | (values >= end)))
+    return int(np.searchsorted(np.cumsum(lengths), position, side="right")), int(values[position])
 
 
 @dataclass(frozen=True)
@@ -335,14 +345,14 @@ def load_label_corpus(path: str | Path) -> LabelCorpus:
     up to K=65536, uint32 beyond). A worker range-checks its chunk's values,
     narrows them to that type and returns them with the chunk's ids, lengths
     and durations, but not its lines. Results are taken in file order: each
-    chunk's ids are checked against those of the chunks before it, and its
-    labels are copied into the column. The first chunk that fails, in file
-    order, holds the first faulty line: only that chunk's lines are then
-    checked one at a time, and the first that fails raises
-    :class:`CorpusFormatError` naming ``path:line`` (and the utterance id for
-    label and id faults). An id repeated from an earlier chunk is named at
-    its own line. Neither the result nor the error depends on the number of
-    threads. Never silently drops a record.
+    chunk's ids are checked for repeats, within the chunk and against the
+    chunks before it (:func:`_first_repeat`), and its labels are copied into
+    the column. The first chunk that fails, in file order, holds the first
+    faulty line: only that chunk's lines are then checked one at a time, and
+    the first that fails raises :class:`CorpusFormatError` naming
+    ``path:line`` (and the utterance id for label and id faults). A repeated
+    id is named at its own line. Neither the result nor the error depends on
+    the number of threads. Never silently drops a record.
     """
     path = Path(path)
     with path.open("rb") as handle:
@@ -390,9 +400,10 @@ def load_label_corpus(path: str | Path) -> LabelCorpus:
                 if records is None:
                     _raise_first_fault(path, lineno, lines, alphabet_size, seen)
                 values, n_labels, utt_ids, seconds = records
-                # A chunk parses on its own, so ids are checked across chunks here;
-                # its other lines check out, so a repeated id is its first fault.
-                _add_new_ids(path, lineno, utt_ids, seen)
+                # A chunk parses without its ids, so they are checked here; its
+                # lines check out, so a repeated id is its first fault.
+                if (repeat := _first_repeat(utt_ids, seen)) is not None:
+                    raise CorpusFormatError(f"{path}:{lineno + repeat}: duplicate utterance id {utt_ids[repeat]!r}")
                 labels[filled : filled + values.shape[0]] = values
                 filled += values.shape[0]
                 ids.extend(utt_ids)
@@ -448,7 +459,7 @@ def _parse_records(lines: Sequence[bytes], alphabet_size: int) -> tuple:
 
     This is the one definition of a record line. Any fault raises
     ValueError; given a single line, its text is that line's fault message.
-    Ids are checked against each other, not earlier records (:func:`_add_new_ids`).
+    Each line is checked on its own; repeated ids are left to :func:`_first_repeat`.
     """
     ids: list[str] = []
     durations: list[float] = []
@@ -486,15 +497,12 @@ def _parse_records(lines: Sequence[bytes], alphabet_size: int) -> tuple:
                 raise ValueError(f"utterance {utt_id!r} has a label outside the int32 range")
         if not well_formed:
             raise ValueError("labels must be space-separated integers")
-        position = int(np.argmax(values >= label_end))
-        owner = int(np.searchsorted(np.cumsum(lengths), position, side="right"))
-        raise ValueError(
-            f"utterance {ids[owner]!r} has label {int(values[position])} outside [0, {alphabet_size})"
-        )
+        row, label = _first_outside(values, lengths, label_end)
+        raise ValueError(f"utterance {ids[row]!r} has label {label} outside [0, {alphabet_size})")
+    # Only a chunk that may break a LabelSequence rule pays for it per record.
     if not all(ids) or any("\r" in utt_id for utt_id in ids) or min(durations, default=0.0) < 0:
         for utt_id, duration in zip(ids, durations):
             LabelSequence._checked_duration(utt_id, duration)
-    _check_unique(ids)
     return values, lengths, ids, durations
 
 
@@ -508,16 +516,9 @@ def _raise_first_fault(
             utt_ids = _parse_records([line], alphabet_size)[2]
         except ValueError as exc:
             raise CorpusFormatError(f"{path}:{lineno}: {exc}") from None
-        _add_new_ids(path, lineno, utt_ids, seen)
+        if _first_repeat(utt_ids, seen) is not None:
+            raise CorpusFormatError(f"{path}:{lineno}: duplicate utterance id {utt_ids[0]!r}")
     raise RuntimeError(f"{path}: a chunk failed to parse but each of its lines checks out")
-
-
-def _add_new_ids(path: Path, lineno: int, utt_ids: Sequence[str], seen: set[str]) -> None:
-    """Add the distinct ``utt_ids``, numbered from ``lineno``, to ``seen``; raise at the first already there."""
-    if not seen.isdisjoint(utt_ids):
-        index, utt_id = next((i, u) for i, u in enumerate(utt_ids) if u in seen)
-        raise CorpusFormatError(f"{path}:{lineno + index}: duplicate utterance id {utt_id!r}")
-    seen.update(utt_ids)
 
 
 def save_label_corpus(

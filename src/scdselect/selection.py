@@ -135,6 +135,7 @@ class MarkovSource:
     transition: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "alphabet_size", integer_scalar(self.alphabet_size, "alphabet_size", 1))
         initial = np.asarray(self.initial_probs, dtype=np.float64).reshape(-1)
         transition = np.asarray(self.transition, dtype=np.float64)
         if initial.shape != (self.alphabet_size,):
@@ -199,8 +200,10 @@ def build_target_distribution(
 def partition_buckets(n_items: int, n_buckets: int) -> list[tuple[int, int]]:
     """Split ``range(n_items)`` into contiguous buckets whose sizes differ by <= 1.
 
-    The first ``n_items % n_buckets`` buckets take the extra element.
+    The first ``n_items % n_buckets`` buckets take the extra element. Both
+    arguments go through :func:`integer_scalar`.
     """
+    n_items, n_buckets = integer_scalar(n_items, "n_items"), integer_scalar(n_buckets, "n_buckets")
     if not 1 <= n_buckets <= n_items:
         raise ValueError(f"need 1 <= n_buckets <= n_items, got {n_buckets}, {n_items}")
     base, extra = divmod(n_items, n_buckets)
@@ -608,12 +611,16 @@ def generate_synthetic(
 
     Returns the corpus and a separate id -> origin ("A" | "B") map; the
     origin never appears inside the corpus itself, so selection cannot see it.
+    ``n_utts`` (>= 0) and the ``len_range`` ends go through
+    :func:`integer_scalar`, ``mix_b`` through :func:`real_scalar`.
     """
     if source_a.alphabet_size != source_b.alphabet_size:
         raise ValueError("sources must share an alphabet")
+    n_utts = integer_scalar(n_utts, "n_utts", 0)
+    mix_b = real_scalar(mix_b, "mix_b")
     if not 0.0 <= mix_b <= 1.0:
         raise ValueError(f"mix_b must be in [0, 1], got {mix_b}")
-    lo, hi = len_range
+    lo, hi = (integer_scalar(end, "len_range end") for end in len_range)
     if not 1 <= lo <= hi:
         raise ValueError(f"need 1 <= min <= max in len_range, got {len_range}")
 

@@ -1,7 +1,10 @@
 import math
+import re
 import sys
 import threading
 import time
+from decimal import Decimal
+from fractions import Fraction
 from unittest import mock
 
 import numpy as np
@@ -257,6 +260,21 @@ class TestValidation:
         with pytest.raises(ValueError, match="duration"):
             LabelSequence(id="a", duration_s=-1.0, labels=np.array([0], dtype=np.int32))
 
+    @pytest.mark.parametrize("duration,message", [
+        ("1.5", "must be a real number, got '1.5'"),
+        (True, "must be a real number, got True"),
+        (Decimal("1.5"), "must be a real number, got Decimal('1.5')"),
+        (10**400, "must be within the float range"),
+    ], ids=["str", "bool", "Decimal", "10**400"])
+    def test_duration_not_a_real_number_rejected(self, duration, message):
+        with pytest.raises(ValueError, match=f"^utterance 'a': duration_s {re.escape(message)}$"):
+            LabelSequence("a", duration, [])
+
+    @pytest.mark.parametrize("utt_id", [5, None, b"a"])
+    def test_id_not_a_string_rejected(self, utt_id):
+        with pytest.raises(ValueError, match=f"^utterance id must be a string, got {re.escape(repr(utt_id))}$"):
+            LabelSequence(utt_id, 0.0, [])
+
     def test_total_frames(self, tiny_corpus):
         assert tiny_corpus.total_frames == 5
 
@@ -277,6 +295,12 @@ class TestScalarRules:
     def test_value_below_minimum_rejected(self, rule, value, minimum, message):
         with pytest.raises(ValueError, match=f"^{message}$"):
             rule(value, "n", minimum)
+
+    @pytest.mark.parametrize("value", [10**400, -(10**400), Fraction(10**400, 3)],
+                             ids=["10**400", "-10**400", "Fraction"])
+    def test_real_past_the_float_range_rejected(self, value):
+        with pytest.raises(ValueError, match="^n must be within the float range$"):
+            real_scalar(value, "n")
 
     def test_minimum_is_inclusive_and_optional(self):
         assert integer_scalar(np.uint8(0), "n", 0) == 0 and integer_scalar(-5, "n") == -5
@@ -523,6 +547,18 @@ class TestFaultLocation:
         assert line_calls[-1] == [bad_record.encode()]
         assert len(line_calls) <= len(failing)
         assert len(calls) == len(chunks) + len(line_calls)
+
+    def test_repeat_within_a_chunk_needs_no_line_by_line_pass(self, tmp_path):
+        # Line 9001 repeats the id of line 9000. Every line of their chunk
+        # parses, so the repeat is named from the chunk's ids alone.
+        path = tmp_path / "big.labels"
+        text = _big_label_file(path, 12_000, bad_line=9_001, bad_record="utt009000\t1.0\t1 2 3")
+        first, second = (line.encode() for line in text.split("\n")[8_999:9_001])
+        calls, recording = _recorded_parses()
+        with recording, pytest.raises(CorpusFormatError, match="big.labels:9001: duplicate utterance id 'utt009000'$"):
+            load_label_corpus(path)
+        assert any(first in lines and second in lines for lines, _ in calls)
+        assert all(len(lines) > 1 for lines, _ in calls)
 
     @pytest.mark.parametrize("workers", [2, 3, 4])
     def test_chunks_parsed_past_the_failing_one_are_bounded(self, tmp_path, workers):

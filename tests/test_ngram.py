@@ -387,6 +387,21 @@ class TestEncodeLimit:
             sequence_gram_counts([0, 1], 63, 2)
 
 
+class TestSizeRefusals:
+    def test_grouped_codes_refuses_more_sequences_than_int64_keys(self):
+        # group_limit(2, 61) = 2**62 // 2**61 = 2
+        lengths = np.ones(3, dtype=np.int64)
+        with pytest.raises(ValueError, match=r"^too many sequences \(3\) to key in int64$"):
+            ngram.grouped_codes(np.zeros(3, dtype=np.int32), lengths, 61, 2)
+        assert ngram.grouped_codes(np.zeros(2, dtype=np.int32), lengths[:2], 61, 2)[0].size == 0
+
+    def test_to_dense_refuses_a_support_beyond_the_limit(self):
+        assert 2001**2 > ngram.DENSE_SUPPORT_LIMIT >= 2000**2
+        with pytest.raises(ValueError, match="^support size 4004001 too large to materialize$"):
+            smoothed_distribution(stats_from_counts({}, k=2001, order=2).counts, 0.5).to_dense()
+        assert smoothed_distribution(stats_from_counts({}, k=2000, order=2).counts, 0.5).to_dense().size == 2000**2
+
+
 class TestCodeOrder:
     def test_dump_order_is_lexicographic(self, tmp_path):
         rng = np.random.default_rng(4)

@@ -1,4 +1,5 @@
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -6,11 +7,12 @@ import pytest
 
 from scdselect import selection
 from scdselect.corpus import LabelCorpus, LabelSequence, load_label_corpus, save_label_corpus, sort_by_length
-from scdselect.divergence import CandidateStats, DivergenceUndefinedError, scd
+from scdselect.divergence import CandidateStats, DivergenceUndefinedError, ScdValue, scd
 from scdselect.ngram import count_ngrams
 from scdselect.selection import (
     MarkovSource,
     SelectionConfig,
+    SelectionResult,
     build_target_distribution,
     contrastive_scores,
     format_report,
@@ -124,6 +126,24 @@ class TestSelectionConfig:
         config = SelectionConfig(budget_c=3, order=2, lam=0.25, alpha=0.75, prune_min_count=1, seed=9)
         assert SelectionConfig.from_json(config.to_json()) == config
 
+    @pytest.mark.parametrize("field", ["duration_budget_s", "alpha"])
+    def test_real_past_the_float_range_rejected(self, field):
+        budget = {} if field == "duration_budget_s" else {"budget_c": 1}
+        with pytest.raises(ValueError, match=f"^{field} must be within the float range$"):
+            SelectionConfig(**budget, **{field: 10**400})
+
+
+class TestSelectionResult:
+    def test_repeated_id_rejected(self):
+        with pytest.raises(ValueError, match="^selected ids must be unique$"):
+            SelectionResult(("a", "b", "a"), (), None, "random", SelectionConfig(budget_c=3))
+
+    def test_trace_must_end_at_final_scd(self):
+        final = ScdValue(0.5, 1, 0.0)
+        with pytest.raises(ValueError, match="^trace must end at final_scd$"):
+            SelectionResult(("a",), (0.25,), final, "greedy", SelectionConfig(budget_c=1))
+        assert SelectionResult(("a",), (0.5,), final, "greedy", SelectionConfig(budget_c=1)).final_scd is final
+
 
 class TestPartitionBuckets:
     @pytest.mark.parametrize("n,c", [(10, 3), (12, 4), (7, 7), (100, 1), (5, 2)])
@@ -144,6 +164,19 @@ class TestPartitionBuckets:
             partition_buckets(3, 4)
         with pytest.raises(ValueError):
             partition_buckets(3, 0)
+
+    @pytest.mark.parametrize("n,c,field,value", [
+        (10.0, 3, "n_items", 10.0), (True, True, "n_items", True),
+        (10, 3.0, "n_buckets", 3.0), (10, True, "n_buckets", True),
+    ])
+    def test_non_integer_rejected(self, n, c, field, value):
+        with pytest.raises(ValueError, match=f"^{field} must be an integer, got {value!r}$"):
+            partition_buckets(n, c)
+
+    def test_numpy_sizes_give_int_bounds(self):
+        bounds = partition_buckets(np.int64(10), np.uint8(3))
+        assert bounds == [(0, 4), (4, 7), (7, 10)]
+        assert all(type(edge) is int for bound in bounds for edge in bound)
 
 
 class TestGreedy:
@@ -507,6 +540,22 @@ class TestMarkovSource:
         with pytest.raises(ValueError, match="non-negative"):
             MarkovSource(k, good_init, np.array([[1.5, -0.5, 0], [0, 1, 0], [0, 0, 1]], dtype=float))
 
+    @pytest.mark.parametrize("k", [2.0, True, "2"])
+    def test_non_integer_alphabet_size_rejected(self, k):
+        with pytest.raises(ValueError, match=f"^alphabet_size must be an integer, got {k!r}$"):
+            MarkovSource(k, np.full(2, 0.5), np.full((2, 2), 0.5))
+
+    def test_empty_alphabet_rejected(self):
+        with pytest.raises(ValueError, match="^alphabet_size must be >= 1, got 0$"):
+            MarkovSource(0, np.empty(0), np.empty((0, 0)))
+
+    def test_shapes_must_match_the_alphabet(self):
+        with pytest.raises(ValueError, match="^initial_probs must have length K$"):
+            MarkovSource(3, np.full(2, 0.5), np.full((3, 3), 1 / 3))
+        with pytest.raises(ValueError, match="^transition must be K x K$"):
+            MarkovSource(2, np.full(2, 0.5), np.full((2, 3), 1 / 3))
+        assert type(MarkovSource(np.int64(2), np.full(2, 0.5), np.full((2, 2), 0.5)).alphabet_size) is int
+
     def test_sample_shape_and_range(self):
         source_a, _ = skewed_sources()
         rng = np.random.default_rng(0)
@@ -549,6 +598,24 @@ class TestGenerateSynthetic:
         _, source_b = skewed_sources(k=5)
         with pytest.raises(ValueError, match="share an alphabet"):
             generate_synthetic(source_a, source_b, 10, 0.5, (2, 4), seed=0)
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("n_utts", 2.0, "n_utts must be an integer, got 2.0"),
+        ("n_utts", -1, "n_utts must be >= 0, got -1"),
+        ("mix_b", True, "mix_b must be a real number, got True"),
+        ("mix_b", "0.5", "mix_b must be a real number, got '0.5'"),
+        ("mix_b", 1.5, "mix_b must be in [0, 1], got 1.5"),
+        ("mix_b", math.nan, "mix_b must be in [0, 1], got nan"),
+        ("len_range", (1.5, 3), "len_range end must be an integer, got 1.5"),
+        ("len_range", (2, True), "len_range end must be an integer, got True"),
+        ("len_range", (0, 3), "need 1 <= min <= max in len_range, got (0, 3)"),
+        ("len_range", (4, 3), "need 1 <= min <= max in len_range, got (4, 3)"),
+    ])
+    def test_bad_argument_rejected(self, field, value, message):
+        source_a, source_b = skewed_sources()
+        arguments = {"n_utts": 10, "mix_b": 0.5, "len_range": (2, 4), field: value}
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            generate_synthetic(source_a, source_b, seed=0, **arguments)
 
 
 class TestGreedyBeatsRandomOnAverage:
