@@ -17,13 +17,14 @@ import dataclasses
 import json
 import logging
 import math
+import os
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import __version__
-from .corpus import LabelCorpus, load_audio_manifest, load_label_corpus, save_label_corpus
+from .corpus import LabelCorpus, load_audio_manifest, load_label_corpus, save_label_corpus, write_text_file
 from .discretizer import (
     AudioError,
     MfccConfig,
@@ -365,11 +366,7 @@ def cmd_select(args: argparse.Namespace) -> int:
         result = select_oracle(universal, query, config)
 
     save_report(result, args.output, extra_header={"run_config": run_config.to_json()})
-    ids_path = args.ids_output if args.ids_output else args.output + ".ids"
-    with open(ids_path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(f"#run_config={run_config.to_json()}\n")
-        for utt_id in result.selected_ids:
-            handle.write(utt_id + "\n")
+    write_text_file(_ids_path(args), [f"run_config={run_config.to_json()}"], (i + "\n" for i in result.selected_ids))
 
     final = result.final_scd.nats if result.final_scd is not None else float("nan")
     print(f"{result.strategy}: selected {len(result.selected_ids)} utterances, "
@@ -378,12 +375,20 @@ def cmd_select(args: argparse.Namespace) -> int:
     return 0
 
 
+def _ids_path(args: argparse.Namespace) -> str:
+    """The file ``select`` writes its id worklist to."""
+    return args.ids_output if args.ids_output else args.output + ".ids"
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.subcommand == "train-kmeans" and args.max_frames is not None and args.max_frames < args.k:
         parser.error(f"train-kmeans: --max-frames {args.max_frames} is below --k {args.k}; "
                      "k-means needs at least k frames")
+    if args.subcommand == "select" and os.path.realpath(_ids_path(args)) == os.path.realpath(args.output):
+        parser.error(f"select: --ids-output {args.ids_output} names the --output file; "
+                     "the id worklist would overwrite the report")
     level = {0: logging.WARNING, 1: logging.INFO}.get(args.verbose, logging.DEBUG)
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     try:

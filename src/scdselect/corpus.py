@@ -16,7 +16,7 @@ the LF are rejected. ``<duration_s>`` is anything ``float()`` reads as a
 finite number >= 0, or empty for an absent duration (stored as 0.0). Ids
 are non-empty, unique and hold no CR. Extra ``#``-prefixed lines directly
 after the header are tolerated on load (tools may embed a config echo
-there) but never written by :func:`save_label_corpus`.
+there); :func:`save_label_corpus` writes its ``comments`` there.
 
 The loader checks each line-aligned chunk of the body in bulk with the one
 record parser, :func:`_parse_records`, on up to four threads (one per
@@ -521,9 +521,26 @@ def _raise_first_fault(
     raise RuntimeError(f"{path}: a chunk failed to parse but each of its lines checks out")
 
 
-def save_label_corpus(
-    corpus: LabelCorpus, path: str | Path, comments: Sequence[str] = ()
-) -> None:
+def header_text(lines: Iterable[str]) -> str:
+    """``lines`` as ``#`` lines ended by LF; ValueError if one holds a tab, LF or CR (it would not read back)."""
+    lines = list(lines)
+    if any("\t" in line or "\n" in line or "\r" in line for line in lines):
+        raise ValueError("header comments must not contain tabs or newlines")
+    return "".join(f"#{line}\n" for line in lines)
+
+
+def write_text_file(path: str | Path, header: Iterable[str], body: Iterable[str]) -> None:
+    """The package's one file writer: :func:`header_text` of ``header``, then the ``body`` chunks, UTF-8 and LF.
+
+    The header is checked before the file is opened, so a refused one leaves no file behind.
+    """
+    text = header_text(header)
+    with Path(path).open("w", encoding="utf-8", newline="\n") as handle:
+        handle.write(text)
+        handle.writelines(body)
+
+
+def save_label_corpus(corpus: LabelCorpus, path: str | Path, comments: Sequence[str] = ()) -> None:
     """Write a corpus in the label-corpus format; load-after-save is identity.
 
     ``comments`` become extra ``#``-prefixed lines between the header and the
@@ -534,10 +551,6 @@ def save_label_corpus(
     array of texts by label value; otherwise labels are formatted with
     ``str``.
     """
-    path = Path(path)
-    for comment in comments:
-        if "\t" in comment or "\n" in comment:
-            raise ValueError("header comments must not contain tabs or newlines")
     labels = corpus.labels
     top = int(labels.max(initial=0)) + 1
     if top <= _TOKEN_TABLE_ROWS:
@@ -548,19 +561,19 @@ def save_label_corpus(
     else:
         def field(values: np.ndarray) -> str:
             return " ".join(map(str, values.tolist()))
-    with path.open("w", encoding="utf-8", newline="\n") as handle:
-        handle.write(f"#K={corpus.alphabet_size}\n")
-        for comment in comments:
-            handle.write(f"#{comment}\n")
+
+    def chunks() -> Iterator[str]:
         for first in range(0, len(corpus), _WRITE_CHUNK_UTTS):
             rows = slice(first, first + _WRITE_CHUNK_UTTS)
             ends = (corpus.starts[rows] + corpus.lengths[rows]).tolist()
-            handle.write("".join(
+            yield "".join(
                 f"{utt_id}\t{duration!r}\t{field(labels[start:end])}\n"
                 for utt_id, duration, start, end in zip(
                     corpus.ids[rows], corpus.durations[rows].tolist(), corpus.starts[rows].tolist(), ends
                 )
-            ))
+            )
+
+    write_text_file(path, [f"K={corpus.alphabet_size}", *comments], chunks())
 
 
 def length_order(corpus: LabelCorpus) -> np.ndarray:

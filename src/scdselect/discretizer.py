@@ -86,7 +86,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import AudioManifest, LabelCorpus, LabelSequence, integer_scalar, real_scalar
+from .corpus import AudioManifest, LabelCorpus, LabelSequence, integer_scalar, real_scalar, write_text_file
 from .parallel import map_in_order
 
 logger = logging.getLogger(__name__)
@@ -489,11 +489,7 @@ def save_kmeans_model(model: KMeansModel, path: str | Path, config_echo: dict | 
         "centroids": [[float(v) for v in row] for row in model.centroids],
         "config_echo": config_echo or {},
     }
-    Path(path).write_text(
-        json.dumps(payload, sort_keys=True, indent=None, separators=(",", ":")) + "\n",
-        encoding="utf-8",
-        newline="\n",
-    )
+    write_text_file(path, (), [json.dumps(payload, sort_keys=True, indent=None, separators=(",", ":")) + "\n"])
 
 
 def load_kmeans_model(path: str | Path) -> tuple[KMeansModel, dict]:

@@ -31,7 +31,7 @@ from typing import Iterable, Iterator
 
 import numpy as np
 
-from .corpus import LabelCorpus, LabelSequence, integer_labels, integer_scalar, real_scalar
+from .corpus import LabelCorpus, LabelSequence, integer_labels, integer_scalar, real_scalar, write_text_file
 
 Gram = tuple[int, ...]
 
@@ -39,8 +39,9 @@ Gram = tuple[int, ...]
 # and tallies sort their keys instead of counting into a dense vector.
 DENSE_SUPPORT_LIMIT = 4_000_000
 
-# Gram codes are int64, so K**order must stay at or below this.
+# Gram codes are int64, so K**order must stay at or below this; at K >= 2 that bounds the order by 62.
 _ENCODE_LIMIT = 2**62
+_MAX_ORDER = 62
 
 # Labels per batch when counting a corpus.
 _COUNT_BATCH = 1 << 16
@@ -60,10 +61,16 @@ _EMPTY_CODES.flags.writeable = False
 
 
 def check_gram_space(alphabet_size: int, order: int) -> None:
-    """Raise ValueError unless order and K are integers >= 1 and K**order grams fit in int64 codes."""
+    """Raise ValueError unless order and K are integers >= 1, order <= 62 and K**order grams fit in int64 codes.
+
+    The order is compared with 62 before K**order is computed, so an order of any size fails at once. At K=1,
+    where every order fits, an order above 62 is refused all the same.
+    """
     order = integer_scalar(order, "order", 1)
     alphabet_size = integer_scalar(alphabet_size, "alphabet_size", 1)
-    if alphabet_size**order > _ENCODE_LIMIT:
+    if order > _MAX_ORDER and alphabet_size == 1:
+        raise ValueError(f"order must be <= {_MAX_ORDER}, got {order}")
+    if order > _MAX_ORDER or alphabet_size**order > _ENCODE_LIMIT:
         raise ValueError(
             f"alphabet size K={alphabet_size} at order {order} gives "
             f"{alphabet_size}**{order} grams, more than int64 gram codes can hold "
@@ -485,23 +492,18 @@ def interpolate(q: NGramStats, u: NGramStats, lam: float) -> Distribution:
     )
 
 
-def save_stats_dump(
-    stats: NGramStats, path: str | Path, comments: Iterable[str] = ()
-) -> None:
-    """Write counts as ``<gram>\\t<count>`` lines under a small header, for diffing."""
-    path = Path(path)
-    codes, counts = stats.counts.codes, stats.counts.code_counts
-    with path.open("w", encoding="utf-8", newline="\n") as handle:
-        handle.write(f"#order={stats.counts.order}\n")
-        handle.write(f"#K={stats.counts.alphabet_size}\n")
-        handle.write(f"#total={stats.total}\n")
-        handle.write(f"#alpha={stats.smoothing_alpha!r}\n")
-        for comment in comments:
-            handle.write(f"#{comment}\n")
-        # Grams become Python lists a block at a time, so memory follows the block.
-        for first in range(0, codes.shape[0], _DUMP_ROWS):
+def save_stats_dump(stats: NGramStats, path: str | Path, comments: Iterable[str] = ()) -> None:
+    """Write counts as ``<gram>\\t<count>`` lines under a small header and ``comments``, for diffing."""
+    counts = stats.counts
+
+    # Grams become Python lists a block at a time, so memory follows the block.
+    def chunks() -> Iterator[str]:
+        for first in range(0, counts.codes.shape[0], _DUMP_ROWS):
             rows = slice(first, first + _DUMP_ROWS)
-            grams = decode_codes(codes[rows], stats.counts.alphabet_size, stats.counts.order).tolist()
-            handle.write("".join(
-                f"{' '.join(map(str, gram))}\t{count}\n" for gram, count in zip(grams, counts[rows].tolist())
-            ))
+            grams = decode_codes(counts.codes[rows], counts.alphabet_size, counts.order).tolist()
+            yield "".join(f"{' '.join(map(str, gram))}\t{count}\n"
+                          for gram, count in zip(grams, counts.code_counts[rows].tolist()))
+
+    header = [f"order={counts.order}", f"K={counts.alphabet_size}", f"total={stats.total}",
+              f"alpha={stats.smoothing_alpha!r}", *comments]
+    write_text_file(path, header, chunks())

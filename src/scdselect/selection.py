@@ -33,7 +33,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .corpus import LabelCorpus, LabelSequence, integer_scalar, length_order, real_scalar, sort_by_length
+from .corpus import (LabelCorpus, LabelSequence, header_text, integer_scalar, length_order, real_scalar,
+                     sort_by_length, write_text_file)
 from .divergence import CandidateStats, ScdValue, scd, scd_incremental
 from .ngram import (
     Distribution,
@@ -416,22 +417,20 @@ def _take_until_met(corpus: LabelCorpus, rows: list[int], config: SelectionConfi
 
 
 def _duration_buckets(pool: LabelCorpus, rows: np.ndarray, n_buckets: int) -> list[tuple[int, int]]:
-    """Contiguous runs of ``rows`` of ``pool`` spanning roughly equal cumulative duration.
+    """Contiguous runs of ``rows`` (not empty) of ``pool`` spanning roughly equal cumulative duration.
 
-    The seconds are Python floats summed with ``sum`` and ``+=`` in row order:
-    the edges compare rounded sums with thresholds, so a sum in another order
-    (numpy's pairwise ``np.sum``) can move them.
+    The edges compare rounded running sums of the seconds with thresholds, so
+    a sum in another order (numpy's pairwise ``np.sum``) or a compensated one
+    (``sum`` of floats from Python 3.12) can move them. Every sum, the total
+    included, is one left-to-right float accumulation.
     """
-    seconds = pool.durations[rows].tolist()
-    total = sum(seconds)
-    span = total / n_buckets
+    sums = list(itertools.accumulate(pool.durations[rows].tolist()))
+    span = sums[-1] / n_buckets
     bounds: list[tuple[int, int]] = []
     start = 0
-    cum = 0.0
     threshold = span
-    for index, duration in enumerate(seconds):
-        cum += duration
-        is_last = index == len(seconds) - 1
+    for index, cum in enumerate(sums):
+        is_last = index == len(sums) - 1
         if (cum >= threshold and len(bounds) < n_buckets - 1) or is_last:
             bounds.append((start, index + 1))
             start = index + 1
@@ -641,25 +640,19 @@ def generate_synthetic(
 
 
 def format_report(result: SelectionResult, extra_header: dict[str, str] | None = None) -> str:
-    """Selection report: ``#`` header lines, then one ``rank\\tid\\tscd`` row per pick."""
-    lines = [
-        f"#strategy={result.strategy}",
-        f"#config={result.config_echo.to_json()}",
-        f"#final_scd_nats={result.final_scd.nats!r}" if result.final_scd is not None else "#final_scd_nats=",
-        f"#num_selected={len(result.selected_ids)}",
+    """Selection report: ``#`` lines (:func:`corpus.header_text`), then one ``rank\\tid\\tscd`` row per pick."""
+    header = [
+        f"strategy={result.strategy}",
+        f"config={result.config_echo.to_json()}",
+        f"final_scd_nats={result.final_scd.nats!r}" if result.final_scd is not None else "final_scd_nats=",
+        f"num_selected={len(result.selected_ids)}",
+        *(f"{key}={value}" for key, value in (extra_header or {}).items()),
     ]
-    if extra_header:
-        for key, value in extra_header.items():
-            lines.append(f"#{key}={value}")
-    for rank, utt_id in enumerate(result.selected_ids, start=1):
-        scd_text = repr(result.scd_trace[rank - 1]) if result.scd_trace else ""
-        lines.append(f"{rank}\t{utt_id}\t{scd_text}")
-    return "\n".join(lines) + "\n"
+    return header_text(header) + "".join(
+        f"{rank}\t{utt_id}\t{repr(result.scd_trace[rank - 1]) if result.scd_trace else ''}\n"
+        for rank, utt_id in enumerate(result.selected_ids, start=1)
+    )
 
 
-def save_report(
-    result: SelectionResult,
-    path: str | Path,
-    extra_header: dict[str, str] | None = None,
-) -> None:
-    Path(path).write_text(format_report(result, extra_header), encoding="utf-8", newline="\n")
+def save_report(result: SelectionResult, path: str | Path, extra_header: dict[str, str] | None = None) -> None:
+    write_text_file(path, (), [format_report(result, extra_header)])

@@ -581,3 +581,31 @@ def test_numeric_option_errors(capsys, argv, bad_range, expected, kind):
             main(argv + [value])
         assert exc.value.code == 2
         assert f"{argv[-1]}: {message}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("same", ["{out}", "{dir}/./r.tsv"])
+def test_ids_output_naming_the_report_is_a_usage_error(tmp_path, capsys, same):
+    universal = write_corpus(tmp_path, "u.labels", [[0, 1], [1, 1]], 2)
+    out = str(tmp_path / "r.tsv")
+    with mock.patch.object(cli, "select_greedy_scd") as select:
+        with pytest.raises(SystemExit) as exc:
+            main(["select", universal, universal, "--budget-count", "1", "--output", out,
+                  "--ids-output", same.format(out=out, dir=tmp_path)])
+    assert exc.value.code == 2
+    assert "--ids-output" in (err := capsys.readouterr().err) and "--output" in err
+    assert not select.called and not Path(out).exists()
+
+
+@pytest.mark.parametrize("k", [500, 1])
+@pytest.mark.parametrize("order", ["10000000", "99999999999999999999999"])
+def test_any_order_fails_at_once(tmp_path, k, order):
+    # Computing K**order before comparing the order with 62 took 40 s to fail
+    # at order 10**7 and did not end at larger ones; the child is given 10 s.
+    corpus = write_corpus(tmp_path, "c.labels", [[0, k - 1]], k)
+    for argv in (["ngram-stats", corpus, "--output", str(tmp_path / "s.tsv")],
+                 ["select", corpus, corpus, "--budget-count", "1", "--output", str(tmp_path / "r.tsv")]):
+        proc = subprocess.run([sys.executable, "-m", "scdselect", *argv, "--order", order],
+                              capture_output=True, text=True, timeout=10)
+        expected = "order must be <= 62" if k == 1 else f"K={k} at order {order} "
+        assert proc.returncode == 1 and expected in proc.stderr
+    assert not (tmp_path / "s.tsv").exists() and not (tmp_path / "r.tsv").exists()

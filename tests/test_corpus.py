@@ -178,7 +178,7 @@ class TestRoundTrip:
         save_label_corpus(tiny_corpus, p2)
         assert p1.read_bytes() == p2.read_bytes()
 
-    @pytest.mark.parametrize("comment", ["a\tb", "a\nb"])
+    @pytest.mark.parametrize("comment", ["a\tb", "a\nb", "a\rb"])
     def test_comment_with_tab_or_newline_rejected(self, tmp_path, tiny_corpus, comment):
         path = tmp_path / "c.labels"
         with pytest.raises(ValueError, match="header comments must not contain tabs or newlines"):
@@ -275,6 +275,13 @@ class TestValidation:
         with pytest.raises(ValueError, match=f"^utterance id must be a string, got {re.escape(repr(utt_id))}$"):
             LabelSequence(utt_id, 0.0, [])
 
+    @pytest.mark.parametrize("build", [lambda: LabelSequence("a", 0.0, [1]), lambda: make_corpus([[1]], 2)],
+                             ids=["LabelSequence", "LabelCorpus"])
+    def test_not_equal_to_another_type(self, build):
+        value = build()
+        assert value.__eq__("a") is NotImplemented
+        assert value != "a" and value != [1] and value == build()
+
     def test_total_frames(self, tiny_corpus):
         assert tiny_corpus.total_frames == 5
 
@@ -344,6 +351,10 @@ class TestManifest:
             manifest = load_audio_manifest(path)
         assert len(manifest) == 5
         assert [call.args[0].id for call in counted.call_args_list] == [f"u{i}" for i in range(5)]
+
+    def test_iterates_its_entries(self):
+        entries = (ManifestEntry("a", "a.wav"), ManifestEntry("b", "b.wav"))
+        assert list(AudioManifest(entries)) == list(entries)
 
     def test_empty_path_rejected(self):
         with pytest.raises(ValueError, match="empty audio path"):
@@ -587,6 +598,12 @@ class TestFaultLocation:
 
 class TestLoaderThreads:
     """Label files parse on a bounded pool of threads that ends with the load."""
+
+    def test_worker_count_follows_cpu_count_without_an_affinity_mask(self, monkeypatch):
+        monkeypatch.delattr(corpus_module.os, "sched_getaffinity", raising=False)
+        for cpus, workers in ((3, 3), (64, 4), (None, 1)):
+            monkeypatch.setattr(corpus_module.os, "cpu_count", lambda: cpus)
+            assert corpus_module._load_workers() == workers
 
     def test_worker_count_follows_usable_cpus(self):
         for cpus, workers in ((1, 1), (2, 2), (3, 3), (4, 4), (64, 4)):

@@ -217,8 +217,9 @@ def reference_save_bytes(corpus, comments=()) -> bytes:
     return "".join(line + "\n" for line in lines).encode("utf-8")
 
 
+# Header comments hold no tab, LF or CR (corpus.header_text refuses them).
 COMMENTS = st.lists(
-    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n"), max_size=10),
+    st.text(st.characters(blacklist_categories=("Cs",), blacklist_characters="\t\n\r"), max_size=10),
     max_size=3,
 )
 

@@ -7,6 +7,7 @@ import pytest
 from scdselect.divergence import (
     CandidateStats,
     DivergenceUndefinedError,
+    ScdValue,
     scd,
     scd_incremental,
 )
@@ -28,6 +29,9 @@ def brute_force_scd(p, q):
 
 
 class TestScd:
+    def test_value_converts_to_its_nats(self):
+        assert float(ScdValue(0.25, 3, 0.125)) == 0.25
+
     def test_self_divergence_is_zero(self):
         corpus = make_corpus([[0, 1, 1, 2, 0]], alphabet_size=3)
         dist = count_ngrams(corpus, 1, alpha=0.5).distribution()

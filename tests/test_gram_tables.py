@@ -228,6 +228,13 @@ class TestCandidateTable:
 
 
 class TestGramLookup:
+    def test_in_alphabet_gram_the_table_lacks_is_absent(self):
+        counts = sequence_gram_counts([0, 1, 1], 1, 3)
+        assert (2,) not in counts
+        with pytest.raises(KeyError):
+            counts[(2,)]
+        assert repr(counts) == "GramCounts({(0,): 1, (1,): 2})"
+
     @pytest.mark.parametrize(
         "gram",
         [(1.9,), (True,), (np.float64(1.0),), (1.5,), ((1,),)],  # the first four were once read as (1,)

@@ -326,6 +326,20 @@ class TestStatsDumpBlocks:
 
 
 class TestEncodeLimit:
+    def test_order_is_at_most_62_at_every_alphabet_size(self):
+        ngram.check_gram_space(1, 62)
+        ngram.check_gram_space(2, 62)  # 2**62 codes fit
+        with pytest.raises(ValueError, match="^order must be <= 62, got 63$"):
+            ngram.check_gram_space(1, 63)
+        with pytest.raises(ValueError, match="K=2 at order 63 "):
+            ngram.check_gram_space(2, 63)
+        # Refused at once: K**order is never computed past order 62.
+        with pytest.raises(ValueError, match=f"K=500 at order {10**30} "):
+            ngram.check_gram_space(500, 10**30)
+        with pytest.raises(ValueError, match=f"^order must be <= 62, got {10**30}$"):
+            count_ngrams(make_corpus([[0, 0]], 1), 10**30)
+        assert count_ngrams(make_corpus([[0] * 70], 1), 62).total == 9
+
     def test_count_ngrams_rejects_codes_beyond_int64(self):
         corpus = make_corpus([[0, 1, 2]], alphabet_size=3)
         # 3**40 > 2**62 >= 3**39

@@ -1,3 +1,4 @@
+import itertools
 import math
 import re
 from unittest import mock
@@ -54,7 +55,9 @@ def naive_greedy(universal, query, config):
 
 def list_duration_buckets(sequences, n_buckets):
     """Bucket edges as greedy made them from a list of sequences: Python float sums in order."""
-    total = sum(seq.duration_s for seq in sequences)
+    total = 0.0  # not sum(), which compensates from Python 3.12
+    for seq in sequences:
+        total += seq.duration_s
     span = total / n_buckets
     bounds = []
     start = 0
@@ -527,6 +530,13 @@ def skewed_sources(k=8, seed=0):
 
 
 class TestMarkovSource:
+    def test_length_zero_gives_an_empty_sequence(self):
+        source = skewed_sources(k=3)[0]
+        rng = np.random.default_rng(0)
+        empty = source.sample_sequence(0, rng)
+        assert empty.shape == (0,) and empty.dtype == np.int64
+        assert rng.random() == np.random.default_rng(0).random()  # no draw was taken
+
     def test_validation(self):
         k = 3
         good_init = np.full(k, 1.0 / k)
@@ -634,6 +644,31 @@ class TestGreedyBeatsRandomOnAverage:
             greedy_finals.append(select_greedy_scd(universal, query, cfg).final_scd.nats)
             random_finals.append(select_random(universal, cfg, query=query).final_scd.nats)
         assert np.mean(greedy_finals) < np.mean(random_finals)
+
+
+def compensated_sum(values, start=0):
+    """Neumaier's compensated sum, the way ``sum`` adds floats from Python 3.12."""
+    total, compensation = float(start), 0.0
+    for value in values:
+        step = total + value
+        compensation += (total - step) + value if abs(total) >= abs(value) else (value - step) + total
+        total = step
+    return total + compensation
+
+
+class TestDurationBuckets:
+    # A compensated total moves the second edge of these 38 durations in 3 buckets to 27.
+    DURATIONS = [2.9, 2.4, 2.8, 1.3, 0.5, 2.6, 2.2, 4.3, 1.0, 4.6, 1.0, 0.7, 5.5, 5.6, 2.0, 4.0, 1.3, 0.4, 1.4,
+                 5.0, 4.9, 5.8, 5.1, 5.0, 3.4, 0.1, 4.4, 2.8, 4.9, 3.5, 2.1, 5.3, 3.5, 3.0, 1.6, 0.5, 0.7, 5.6]
+
+    def test_edges_do_not_depend_on_the_python_sum(self):
+        pool = make_corpus([[0]] * len(self.DURATIONS), 2, durations=self.DURATIONS)
+        rows = np.arange(len(self.DURATIONS))
+        assert compensated_sum(self.DURATIONS) != list(itertools.accumulate(self.DURATIONS))[-1]
+        expected = [(0, 15), (15, 26), (26, 38)]
+        assert selection._duration_buckets(pool, rows, 3) == expected
+        with mock.patch.object(selection, "sum", compensated_sum, create=True):
+            assert selection._duration_buckets(pool, rows, 3) == expected
 
 
 class TestReport:
